@@ -811,9 +811,9 @@ def cmd_sweep(args) -> int:
         print("sweep spec expands to zero runs", file=sys.stderr)
         return 2
     if args.campaign_db:
-        from repro.runner import CampaignStore
-
-        campaign_store = CampaignStore(args.campaign_db)
+        campaign_store = _open_campaign_db(args.campaign_db)
+        if campaign_store is None:
+            return 2
         name = args.campaign_name
         campaign_store.ensure_campaign(name, specs,
                                        meta={"source": "sweep"})
@@ -849,6 +849,17 @@ def cmd_sweep(args) -> int:
             title=f"sweep aggregate over {len(spec.resolved_seeds())} seed(s)",
         ).print()
     return 1 if report.failed else 0
+
+
+def _open_campaign_db(path):
+    """The campaign store at ``path``, or None once the refusal is printed."""
+    from repro.runner import CampaignSchemaError, CampaignStore
+
+    try:
+        return CampaignStore(path)
+    except CampaignSchemaError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
+        return None
 
 
 def _run_campaign(store, name, specs, args) -> int:
@@ -893,13 +904,13 @@ def _grid_requested(args) -> bool:
 
 
 def cmd_campaign_start(args) -> int:
-    from repro.runner import CampaignStore
-
     if args.jobs < 1:
         print(f"campaign error: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
         return 2
-    store = CampaignStore(args.db)
+    store = _open_campaign_db(args.db)
+    if store is None:
+        return 2
     if store.campaign_id(args.name) is not None:
         print(f"campaign {args.name!r} already exists in {args.db}; "
               "use 'campaign resume' to continue it", file=sys.stderr)
@@ -929,13 +940,13 @@ def cmd_campaign_start(args) -> int:
 
 
 def cmd_campaign_resume(args) -> int:
-    from repro.runner import CampaignStore
-
     if args.jobs < 1:
         print(f"campaign error: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
         return 2
-    store = CampaignStore(args.db)
+    store = _open_campaign_db(args.db)
+    if store is None:
+        return 2
     try:
         specs = store.specs(args.name)
     except ValueError as exc:
@@ -945,9 +956,9 @@ def cmd_campaign_resume(args) -> int:
 
 
 def cmd_campaign_list(args) -> int:
-    from repro.runner import CampaignStore
-
-    store = CampaignStore(args.db)
+    store = _open_campaign_db(args.db)
+    if store is None:
+        return 2
     campaigns = store.list_campaigns()
     if not campaigns:
         print(f"no campaigns in {args.db}")
@@ -964,9 +975,9 @@ def cmd_campaign_list(args) -> int:
 
 
 def cmd_campaign_show(args) -> int:
-    from repro.runner import CampaignStore
-
-    store = CampaignStore(args.db)
+    store = _open_campaign_db(args.db)
+    if store is None:
+        return 2
     try:
         detail = store.show(args.name)
     except ValueError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.comms.crypto.certificates import (
     Certificate,
@@ -38,7 +38,6 @@ from repro.comms.crypto.numbers import DhGroup
 from repro.comms.crypto.primitives import (
     AeadError,
     aead_decrypt_subkeys,
-    aead_encrypt_batch,
     aead_encrypt_subkeys,
     constant_time_equal,
     derive_aead_subkeys,
@@ -174,50 +173,6 @@ class SecureChannel:
             )
         self.records_sealed += 1
         return Record(seq=seq, body=body, profile=self.profile.value)
-
-    def seal_batch(self, plaintexts: Sequence[bytes], aad: bytes = b"") -> List[Record]:
-        """Protect a batch of plaintexts for the peer, in order.
-
-        Produces exactly the records sequential :meth:`seal` calls would
-        (same sequence numbers, same bytes), but pays per-batch costs once:
-        nonces are derived in one pass and the AEAD layer forks one cached
-        MAC key schedule across the whole batch, with every keystream left
-        in the midstate-CTR cache for the peer's opens.
-        """
-        if self.profile is not SecurityProfile.AEAD:
-            return [self.seal(plaintext, aad) for plaintext in plaintexts]
-        n = len(plaintexts)
-        enc_key, mac_key = self._send_subkeys
-        seq0 = self._send_seq
-        nonces = [nonce_from_sequence(seq0 + i) for i in range(1, n + 1)]
-        bodies = aead_encrypt_batch(enc_key, mac_key, nonces, plaintexts, aad)
-        self._send_seq = seq0 + n
-        self.records_sealed += n
-        if perf.ACTIVE:
-            perf.incr("crypto.subkey_cache_hits", n)
-            perf.incr("crypto.seal_batches")
-            perf.incr("crypto.seal_batch_frames", n)
-        profile = self.profile.value
-        return [
-            Record(seq=seq0 + i + 1, body=body, profile=profile)
-            for i, body in enumerate(bodies)
-        ]
-
-    def open_batch(self, records: Sequence[Record], aad: bytes = b"") -> List[bytes]:
-        """Verify and unprotect a batch of records, in order.
-
-        State updates, counters and failure behaviour are identical to
-        sequential :meth:`open` calls: the first bad record raises
-        :class:`ChannelError` with every earlier record already accepted.
-        Per-record key schedules are amortised by the channel subkeys and
-        the cached HMAC template, and records sealed by the peer's
-        :meth:`seal_batch` hit the shared keystream cache, so the batch
-        roundtrip generates each keystream once.
-        """
-        if perf.ACTIVE and records:
-            perf.incr("crypto.open_batches")
-            perf.incr("crypto.open_batch_frames", len(records))
-        return [self.open(record, aad) for record in records]
 
     def open(self, record: Record, aad: bytes = b"") -> bytes:
         """Verify and unprotect a record from the peer.

@@ -32,11 +32,6 @@ from repro.sim.rng import RngStreams
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.comms.link import Frame, LinkEndpoint
 
-try:  # numpy accelerates the live-transmission sweep; scalar path remains
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
-
 
 class _ChannelTx:
     """Incremental index of one channel's live transmissions.
@@ -45,21 +40,15 @@ class _ChannelTx:
     per-channel deque): end time, sender x/y, TX power.  Expired entries are
     dropped lazily from the front exactly like the deque's ``popleft`` loop;
     interior entries whose airtime already ended are skipped at query time.
-    A numpy mirror of the end-time column is rebuilt lazily (only when the
-    columns changed since the last batch query) so the live-set sweep over
-    many concurrent transmissions is one vectorised comparison.
     """
 
-    __slots__ = ("ends", "xs", "ys", "powers", "version", "_ends_np")
+    __slots__ = ("ends", "xs", "ys", "powers")
 
     def __init__(self) -> None:
         self.ends: List[float] = []
         self.xs: List[float] = []
         self.ys: List[float] = []
         self.powers: List[float] = []
-        #: bumped on every mutation; query memo keys include it
-        self.version = 0
-        self._ends_np = None
 
     def expire_front(self, now: float) -> None:
         """Drop the leading entries whose airtime has ended."""
@@ -73,23 +62,12 @@ class _ChannelTx:
             del self.xs[:i]
             del self.ys[:i]
             del self.powers[:i]
-            self.version += 1
-            self._ends_np = None
 
     def append(self, end: float, x: float, y: float, power: float) -> None:
         self.ends.append(end)
         self.xs.append(x)
         self.ys.append(y)
         self.powers.append(power)
-        self.version += 1
-        self._ends_np = None
-
-    def ends_array(self):
-        """The numpy mirror of the end-time column (lazily rebuilt)."""
-        mirror = self._ends_np
-        if mirror is None:
-            mirror = self._ends_np = _np.array(self.ends)
-        return mirror
 
 
 class Jammer:
@@ -180,11 +158,6 @@ class WirelessMedium:
         # same geometry every tick, so steady-state interference queries do
         # no path-loss transcendentals at all.
         self._component_cache: Dict[Tuple[float, float, float, float, float], float] = {}
-        # whole-query memo: (channel, index version, now, rx_x, rx_y) -> dBm.
-        # Only consulted when no jammers are registered (jammer activity and
-        # position are external state the version counter cannot see); sound
-        # because the result is then a pure function of the key.
-        self._query_cache: Dict[Tuple[int, int, float, float, float], float] = {}
         # airtime intervals (start, end) per channel for the sliding-window
         # utilisation metric, pruned against UTIL_RETENTION_S
         self._airtime_windows: Dict[int, Deque[Tuple[float, float]]] = {}
@@ -241,72 +214,8 @@ class WirelessMedium:
 
     # -- interference -------------------------------------------------------
 
-    #: minimum live-transmission count for the vectorised live-set sweep
-    _TX_BATCH_MIN = 8
     #: capacity of the per-(tx, rx) interference component memo
     _COMPONENT_CACHE_MAX = 8192
-    #: capacity of the whole-query memo
-    _QUERY_CACHE_MAX = 1024
-
-    def _live_indices(self, recent: _ChannelTx, now: float) -> List[int]:
-        """Indices of ``recent``'s entries still on air, in tx order.
-
-        At :attr:`_TX_BATCH_MIN` or more tracked transmissions the end-time
-        comparison runs as one vectorised numpy sweep; below it (or without
-        numpy) a plain scan wins.  Both return the identical index list.
-        """
-        ends = recent.ends
-        n = len(ends)
-        if _np is not None and n >= self._TX_BATCH_MIN:
-            live = _np.nonzero(recent.ends_array() > now)[0].tolist()
-            if perf.ACTIVE:
-                perf.incr("medium.interference_batch_queries")
-                perf.incr("medium.interference_batch_live", len(live))
-            return live
-        return [i for i in range(n) if ends[i] > now]
-
-    def _fold_components_mw(
-        self, recent: _ChannelTx, live: List[int],
-        px: float, py: float, total,
-    ):
-        """Fold live co-channel components (linear mW) into ``total``.
-
-        Accumulation order and arithmetic exactly mirror the pre-index
-        scalar walk (``combine_noise_dbm``'s sequential sum): each
-        component's mW term is ``10 ** (c / 10)`` of the same dBm value the
-        deque walk produced, skipped near-field entries contribute an exact
-        ``+0.0``, and terms are added in transmission order.  Terms are
-        memoised per (tx position, tx power, rx position) so repeated
-        geometry costs no transcendentals.
-        """
-        xs = recent.xs
-        ys = recent.ys
-        powers = recent.powers
-        cache = self._component_cache
-        for i in live:
-            x = xs[i]
-            y = ys[i]
-            power = powers[i]
-            key = (x, y, power, px, py)
-            mw = cache.get(key)
-            if mw is None:
-                d = math.hypot(x - px, y - py)
-                if d > 0.5:
-                    c = received_power_dbm(power, d, antenna_gain_db=0.0) - 6.0
-                    mw = 10.0 ** (c / 10.0)
-                else:
-                    # a node does not jam itself (full-duplex assumption);
-                    # +0.0 keeps the fold bit-identical to skipping
-                    mw = 0.0
-                if len(cache) >= self._COMPONENT_CACHE_MAX:
-                    cache.clear()
-                cache[key] = mw
-                if perf.ACTIVE:
-                    perf.incr("medium.component_cache_miss")
-            elif perf.ACTIVE:
-                perf.incr("medium.component_cache_hit")
-            total += mw
-        return total
 
     def interference_at(self, position: Vec2, channel: int, now: float) -> float:
         """Aggregate interference power at ``position``, dBm.
@@ -314,97 +223,60 @@ class WirelessMedium:
         Transmissions originating at the receiver's own position are skipped
         (full-duplex radio assumption — a node does not jam itself).  Only
         the queried channel's live transmissions are visited (per-channel
-        incremental index with lazy front expiry and a vectorised live-set
-        sweep past :attr:`_TX_BATCH_MIN` entries); per-component path loss
-        is memoised across queries.  Bit-identical to the original
-        jammers-then-transmissions ``combine_noise_dbm`` fold.
+        incremental index with lazy front expiry).  Bit-identical to the
+        original jammers-then-transmissions ``combine_noise_dbm`` fold:
+        each co-channel component's mW term is ``10 ** (c / 10)`` of the
+        same dBm value, skipped near-field entries contribute an exact
+        ``+0.0``, and terms are added in transmission order.  Terms are
+        memoised per (tx position, tx power, rx position) so repeated
+        geometry costs no transcendentals.
         """
         if perf.ACTIVE:
             perf.incr("medium.interference_queries")
-        recent = self._recent_tx.get(channel)
-        qkey = None
-        if not self.jammers and recent is not None and recent.ends:
-            recent.expire_front(now)
-            qkey = (channel, recent.version, now, position.x, position.y)
-            cached = self._query_cache.get(qkey)
-            if cached is not None:
-                if perf.ACTIVE:
-                    perf.incr("medium.query_cache_hit")
-                return cached
         total_mw = 0  # int 0 matches sum()'s start value bit-for-bit
         for jammer in self.jammers:
             c = jammer.interference_at(position, channel)
             if c != -math.inf:
                 total_mw += 10.0 ** (c / 10.0)
         # co-channel interference from overlapping recent transmissions
-        if recent is not None and recent.ends:
-            recent.expire_front(now)
-            live = self._live_indices(recent, now)
-            total_mw = self._fold_components_mw(
-                recent, live, position.x, position.y, total_mw
-            )
-        if total_mw <= 0.0:
-            result = -math.inf
-        else:
-            result = 10.0 * math.log10(total_mw)
-        if qkey is not None:
-            cache = self._query_cache
-            if len(cache) >= self._QUERY_CACHE_MAX:
-                cache.clear()
-            cache[qkey] = result
-        return result
-
-    def interference_at_many(
-        self, positions: List[Vec2], channel: int, now: float
-    ) -> List[float]:
-        """Batched :meth:`interference_at` over many receiver positions.
-
-        Expiry and the live-transmission sweep run once for the whole batch;
-        results are element-wise identical to querying each position in
-        sequence.
-        """
         recent = self._recent_tx.get(channel)
-        live: List[int] = []
-        memoisable = False
         if recent is not None and recent.ends:
             recent.expire_front(now)
-            live = self._live_indices(recent, now)
-            # same memoisability condition as the scalar path: jammer state
-            # lives outside the per-channel version counter
-            memoisable = not self.jammers and bool(recent.ends)
-        query_cache = self._query_cache
-        results = []
-        for position in positions:
-            if perf.ACTIVE:
-                perf.incr("medium.interference_queries")
-            qkey = None
-            if memoisable:
-                qkey = (channel, recent.version, now, position.x, position.y)
-                cached = query_cache.get(qkey)
-                if cached is not None:
-                    if perf.ACTIVE:
-                        perf.incr("medium.query_cache_hit")
-                    results.append(cached)
+            px = position.x
+            py = position.y
+            ends = recent.ends
+            xs = recent.xs
+            ys = recent.ys
+            powers = recent.powers
+            cache = self._component_cache
+            for i in range(len(ends)):
+                if ends[i] <= now:
                     continue
-            total_mw = 0
-            for jammer in self.jammers:
-                c = jammer.interference_at(position, channel)
-                if c != -math.inf:
-                    total_mw += 10.0 ** (c / 10.0)
-            if recent is not None and live:
-                total_mw = self._fold_components_mw(
-                    recent, live, position.x, position.y, total_mw
-                )
-            if total_mw <= 0.0:
-                result = -math.inf
-            else:
-                result = 10.0 * math.log10(total_mw)
-            if qkey is not None:
-                if len(query_cache) >= self._QUERY_CACHE_MAX:
-                    query_cache.clear()
-                query_cache[qkey] = result
-            results.append(result)
-        return results
+                x = xs[i]
+                y = ys[i]
+                power = powers[i]
+                key = (x, y, power, px, py)
+                mw = cache.get(key)
+                if mw is None:
+                    d = math.hypot(x - px, y - py)
+                    if d > 0.5:
+                        c = received_power_dbm(power, d, antenna_gain_db=0.0) - 6.0
+                        mw = 10.0 ** (c / 10.0)
+                    else:
+                        # a node does not jam itself (full-duplex
+                        # assumption); +0.0 keeps the fold bit-identical
+                        mw = 0.0
+                    if len(cache) >= self._COMPONENT_CACHE_MAX:
+                        cache.clear()
+                    cache[key] = mw
+                    if perf.ACTIVE:
+                        perf.incr("medium.component_cache_miss")
+                elif perf.ACTIVE:
+                    perf.incr("medium.component_cache_hit")
+                total_mw += mw
+        if total_mw <= 0.0:
+            return -math.inf
+        return 10.0 * math.log10(total_mw)
 
     #: how much airtime history the utilisation metric retains, seconds
     UTIL_RETENTION_S = 120.0

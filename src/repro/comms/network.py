@@ -133,52 +133,6 @@ class CommNode:
         self.endpoint.send(message.recipient, wire, reliable=reliable)
         self.messages_sent += 1
 
-    def send_many(self, messages: List[Message], *, reliable: bool = True) -> None:
-        """Send ``messages`` in order; same bytes and trace as sequential
-        :meth:`send` calls.
-
-        Consecutive messages to the same secured recipient are stamped and
-        sealed as one :meth:`SecureChannel.seal_batch` (one pass over the
-        channel's nonce bookkeeping and MAC key schedule); each frame is
-        still traced and handed to the link in its original position, so
-        transmission order — and every RNG draw the medium makes — is
-        unchanged.
-        """
-        i = 0
-        n = len(messages)
-        while i < n:
-            recipient = messages[i].recipient
-            channel = self._channels.get(recipient)
-            j = i + 1
-            if channel is not None:
-                while j < n and messages[j].recipient == recipient:
-                    j += 1
-            run = messages[i:j]
-            raws = []
-            for message in run:
-                self._seq += 1
-                stamped = type(message)(
-                    sender=self.name,
-                    recipient=recipient,
-                    payload=message.payload,
-                    timestamp=self.sim.local_time(self.name),
-                    seq=self._seq,
-                )
-                raws.append(stamped.encode())
-            if channel is not None:
-                records = channel.seal_batch(raws)
-            else:
-                records = [Record(seq=self._seq, body=raws[0], profile="plaintext")]
-            for record in records:
-                wire = encode_record(record)
-                if trace.ACTIVE:
-                    trace.TRACER.record_seal(
-                        self.name, recipient, record.profile, record.seq, len(wire)
-                    )
-                self.endpoint.send(recipient, wire, reliable=reliable)
-                self.messages_sent += 1
-            i = j
-
     # -- receiving ----------------------------------------------------------
     def _on_frame(self, frame: Frame, raw: bytes) -> None:
         try:

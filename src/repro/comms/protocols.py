@@ -231,29 +231,6 @@ class DetectionRelay:
         )
         self.reports_sent += 1
 
-    def publish_many(self, batches: List[List[dict]]) -> None:
-        """Send several detection batches as one same-channel sealed run.
-
-        Equivalent to calling :meth:`publish` per batch, but the node seals
-        all reports through one :meth:`CommNode.send_many` pass, so the
-        record layer amortises its nonce and MAC bookkeeping across the
-        burst (fleet-scale relays forward many frames per tick).
-        """
-        if not batches:
-            return
-        self.sender_node.send_many(
-            [
-                DetectionReport(
-                    sender=self.sender_node.name,
-                    recipient=self.receiver_node.name,
-                    payload={"detections": detections},
-                )
-                for detections in batches
-            ],
-            reliable=False,
-        )
-        self.reports_sent += len(batches)
-
     def _receive(self, message: Message) -> None:
         self.reports_received += 1
         if self._on_report is not None:

@@ -1,7 +1,7 @@
 """Near-zero-overhead performance instrumentation.
 
 The hot per-frame pipeline (medium → link budget → AEAD) carries optional
-counters and timers that cost one module-attribute check when disabled.
+counters that cost one module-attribute check when disabled.
 Enable them with the ``REPRO_PERF=1`` environment variable or
 :func:`repro.perf.counters.enable`; read them with
 :func:`repro.perf.counters.snapshot` or the ``repro-worksite profile``
@@ -15,7 +15,6 @@ from repro.perf.counters import (
     report,
     reset,
     snapshot,
-    timed,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "report",
     "reset",
     "snapshot",
-    "timed",
 ]

@@ -1,4 +1,4 @@
-"""Env-gated counters and timers for the per-frame hot path.
+"""Env-gated counters for the per-frame hot path.
 
 Design constraints:
 
@@ -18,15 +18,12 @@ programmatically with :func:`enable`.
 from __future__ import annotations
 
 import os
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 #: instrumented sites guard on this module attribute; flipped by enable()
 ACTIVE: bool = os.environ.get("REPRO_PERF", "") not in ("", "0")
 
 _counts: Dict[str, int] = {}
-_timings: Dict[str, Tuple[int, float]] = {}
 
 
 def enabled() -> bool:
@@ -41,9 +38,8 @@ def enable(on: bool = True) -> None:
 
 
 def reset() -> None:
-    """Drop all recorded counters and timings."""
+    """Drop all recorded counters."""
     _counts.clear()
-    _timings.clear()
 
 
 def incr(name: str, n: int = 1) -> None:
@@ -51,31 +47,13 @@ def incr(name: str, n: int = 1) -> None:
     _counts[name] = _counts.get(name, 0) + n
 
 
-@contextmanager
-def timed(name: str) -> Iterator[None]:
-    """Accumulate wall-clock time under ``name``; no-op when disabled."""
-    if not ACTIVE:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        calls, total = _timings.get(name, (0, 0.0))
-        _timings[name] = (calls + 1, total + (time.perf_counter() - t0))
-
-
 def snapshot() -> dict:
-    """Counters, timings and crypto-cache statistics as a plain dict."""
+    """Counters and crypto-cache statistics as a plain dict."""
     from repro.comms.crypto.primitives import _cached_keystream
 
     info = _cached_keystream.cache_info()
     return {
         "counters": dict(_counts),
-        "timers": {
-            name: {"calls": calls, "total_s": round(total, 6)}
-            for name, (calls, total) in _timings.items()
-        },
         "keystream_cache": {
             "hits": info.hits,
             "misses": info.misses,
@@ -85,35 +63,20 @@ def snapshot() -> dict:
 
 
 def batch_summary() -> Dict[str, float]:
-    """Derived statistics of the batched/vectorised kernels.
+    """Derived statistics of the canopy sweep and the event queue.
 
-    Ratios are computed from the raw counters (average live transmissions
-    per vectorised interference sweep, average candidate trees per numpy
-    canopy sweep, average records per AEAD batch, cache hit rates) so a
-    profile run shows at a glance whether the batch paths actually engage
-    and how large their batches are.  Returns an empty dict when none of
-    the batch counters fired.
+    Computed from the raw counters (average candidate trees per numpy
+    canopy sweep, canopy memo hit rate, timer-slot reuse) so a profile run
+    shows at a glance whether the numpy canopy sweep engages and how large
+    its sweeps are.  Returns an empty dict when none of the counters fired.
     """
     c = _counts
     out: Dict[str, float] = {}
-
-    def ratio(key: str, num: str, den: str) -> None:
-        d = c.get(den, 0)
-        if d:
-            out[key] = round(c.get(num, 0) / d, 2)
-
-    ratio("interference.live_per_batch_sweep",
-          "medium.interference_batch_live", "medium.interference_batch_queries")
-    ratio("canopy.trees_per_batch_sweep",
-          "world.canopy_batch_trees", "world.canopy_batch_sweeps")
-    ratio("crypto.records_per_seal_batch",
-          "crypto.seal_batch_frames", "crypto.seal_batches")
-    ratio("crypto.records_per_open_batch",
-          "crypto.open_batch_frames", "crypto.open_batches")
-    hits = c.get("medium.query_cache_hit", 0)
-    queries = c.get("medium.interference_queries", 0)
-    if queries:
-        out["interference.query_cache_hit_rate"] = round(hits / queries, 3)
+    sweeps = c.get("world.canopy_batch_sweeps", 0)
+    if sweeps:
+        out["canopy.trees_per_batch_sweep"] = round(
+            c.get("world.canopy_batch_trees", 0) / sweeps, 2
+        )
     canopy_hits = c.get("world.canopy_cache_hit", 0)
     canopy_total = canopy_hits + c.get("world.canopy_cache_miss", 0)
     if canopy_total:
@@ -130,15 +93,6 @@ def report() -> str:
     lines = []
     for name in sorted(snap["counters"]):
         lines.append(f"{name:<40} {snap['counters'][name]}")
-    for name in sorted(snap["timers"]):
-        entry = snap["timers"][name]
-        per_call_us = (
-            entry["total_s"] / entry["calls"] * 1e6 if entry["calls"] else 0.0
-        )
-        lines.append(
-            f"{name:<40} {entry['calls']} calls, "
-            f"{entry['total_s'] * 1e3:.2f} ms total, {per_call_us:.2f} us/call"
-        )
     cache = snap["keystream_cache"]
     lines.append(
         f"{'crypto.keystream_cache':<40} {cache['hits']} hits, "

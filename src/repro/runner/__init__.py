@@ -36,6 +36,7 @@ Typical use::
 from repro.runner.aggregate import aggregate_rows, aggregate_table, group_records
 from repro.runner.campaign import (
     CampaignBinding,
+    CampaignSchemaError,
     CampaignStore,
     open_campaign_store,
 )
@@ -72,6 +73,7 @@ from repro.runner.worker import execute_run
 __all__ = [
     "BASELINE",
     "CampaignBinding",
+    "CampaignSchemaError",
     "CampaignStore",
     "CellRetryPolicy",
     "DISPATCHERS",

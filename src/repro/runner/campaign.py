@@ -77,17 +77,41 @@ CREATE INDEX IF NOT EXISTS idx_attempts_cell
 """
 
 
+class CampaignSchemaError(ValueError):
+    """The database was written under another campaign schema version."""
+
+    def __init__(self, path: os.PathLike, found: int) -> None:
+        super().__init__(
+            f"{path} has campaign schema version {found}; this version of "
+            f"repro reads schema version {CAMPAIGN_SCHEMA} only"
+        )
+        self.path = path
+        self.found = found
+
+
 class CampaignStore:
-    """SQLite-backed store for durable, resumable sweep campaigns."""
+    """SQLite-backed store for durable, resumable sweep campaigns.
+
+    Raises :class:`CampaignSchemaError`, without writing anything, when the
+    database carries a schema version other than :data:`CAMPAIGN_SCHEMA`;
+    a new file (version 0) is stamped with the current version.
+    """
 
     def __init__(self, path: os.PathLike, *,
                  clock: Optional[callable] = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock if clock is not None else time.time
+        # read the version on a plain connection: _connect() switches the
+        # journal mode, which already writes to the file
+        with closing(sqlite3.connect(self.path, timeout=30.0)) as conn:
+            (found,) = conn.execute("PRAGMA user_version").fetchone()
+        if found not in (0, CAMPAIGN_SCHEMA):
+            raise CampaignSchemaError(self.path, found)
         with closing(self._connect()) as conn, conn:
             conn.executescript(_SCHEMA)
-            conn.execute(f"PRAGMA user_version = {CAMPAIGN_SCHEMA}")
+            if found == 0:
+                conn.execute(f"PRAGMA user_version = {CAMPAIGN_SCHEMA}")
 
     def _connect(self) -> sqlite3.Connection:
         # one short-lived connection per operation: nothing to invalidate

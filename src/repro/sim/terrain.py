@@ -16,11 +16,6 @@ from repro.perf import counters as perf
 from repro.sim.geometry import Vec2
 from repro.sim.rng import RngStreams
 
-try:  # numpy accelerates the sight-line sweep; the scalar path remains
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
-
 #: safety margin for the ridge-bound quick reject, metres.  The bound is
 #: mathematically an upper limit of the ridge sum along the segment; the
 #: margin absorbs its floating-point rounding (relative ~1e-16 of metre-scale
@@ -139,18 +134,12 @@ class Terrain:
         pass it via ``observer_ground``/``target_ground`` to skip the
         duplicate ridge sums; the values must equal ``height_at`` exactly.
 
-        Two-stage evaluation, byte-identical to the plain sampled sweep:
-
-        1. **quick reject** — each ridge's contribution anywhere on the
-           segment is bounded by its value at the segment's closest point;
-           when the summed bound stays below the sight line's lowest end
-           (minus a safety margin), no sample can block and the sweep is
-           skipped entirely (one ``exp`` per ridge instead of one per ridge
-           per sample);
-        2. **vectorised sweep** — survivors evaluate all samples in one
-           numpy pass of exact elementwise ops, with ``math.exp`` applied
-           per element so every float matches the scalar loop bit for bit
-           (numpy's SIMD ``exp`` differs in ULPs and is never used).
+        A quick reject runs first: each ridge's contribution anywhere on
+        the segment is bounded by its value at the segment's closest point.
+        When the summed bound stays below the sight line's lowest end
+        (minus a safety margin), no sample can block and the sampled sweep
+        is skipped (one ``exp`` per ridge instead of one per ridge per
+        sample).  The verdict is identical to the plain sampled sweep.
         """
         if observer_ground is None:
             observer_ground = self.height_at(observer)
@@ -188,21 +177,7 @@ class Terrain:
             if perf.ACTIVE:
                 perf.incr("terrain.los_quick_reject")
             return False
-        # stage 2: full sweep — vectorised when numpy is available
-        if _np is not None and params and samples >= 8:
-            if perf.ACTIVE:
-                perf.incr("terrain.los_vector_sweeps")
-            t_arr = _np.arange(1, samples) / samples
-            px = ox + span_x * t_arr
-            py = oy + span_y * t_arr
-            line_z = z0 + (z1 - z0) * t_arr
-            total = _np.zeros(samples - 1)
-            for cx, cy, h, two_sigma_sq in params:
-                dx = px - cx
-                dy = py - cy
-                arg = -(dx * dx + dy * dy) / two_sigma_sq
-                total += h * _np.array([exp(v) for v in arg.tolist()])
-            return bool((base + total > line_z).any())
+        # stage 2: the sampled sweep
         for i in range(1, samples):
             t = i / samples
             px = ox + span_x * t

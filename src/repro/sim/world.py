@@ -11,15 +11,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.perf import counters as perf
 from repro.sim.geometry import Segment, Vec2
 from repro.sim.rng import RngStreams
 from repro.sim.terrain import Terrain, generate_terrain
-
-try:  # numpy accelerates bulk canopy-intersection sweeps; scalar path remains
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,9 +234,9 @@ class World:
         if arrays is None:
             bucket = self._grid[key]
             arrays = (
-                _np.array([t.position.x for t in bucket]),
-                _np.array([t.position.y for t in bucket]),
-                _np.array([t.canopy_radius for t in bucket]),
+                np.array([t.position.x for t in bucket]),
+                np.array([t.position.y for t in bucket]),
+                np.array([t.canopy_radius for t in bucket]),
             )
             self._cell_arrays[key] = arrays
         return arrays
@@ -304,7 +301,7 @@ class World:
                 self._rect_canopy.clear()
             cached = self._rect_canopy[rect] = (combined, keys)
         combined, keys = cached
-        if _np is not None and len(combined) >= self._CANOPY_BATCH_MIN:
+        if len(combined) >= self._CANOPY_BATCH_MIN:
             return self._canopy_blockage_batch(
                 keys, ax, ay, dx, dy, seg_norm_sq, length
             )
@@ -363,9 +360,9 @@ class World:
             else:
                 parts = [self._cell_array(k) for k in keys]
                 arrays = (
-                    _np.concatenate([p[0] for p in parts]),
-                    _np.concatenate([p[1] for p in parts]),
-                    _np.concatenate([p[2] for p in parts]),
+                    np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]),
+                    np.concatenate([p[2] for p in parts]),
                 )
             if len(self._concat_cache) >= self._CONCAT_CACHE_MAX:
                 self._concat_cache.clear()
@@ -379,13 +376,13 @@ class World:
         c = (fx * fx + fy * fy) - rs * rs
         disc = b_coef * b_coef - 4.0 * seg_norm_sq * c
         valid = disc >= 0.0
-        sqrt_disc = _np.sqrt(_np.where(valid, disc, 0.0))
+        sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
         t0 = (-b_coef - sqrt_disc) / (2.0 * seg_norm_sq)
         t1 = (-b_coef + sqrt_disc) / (2.0 * seg_norm_sq)
-        lo = _np.where(t0 > 0.0, t0, 0.0)
-        hi = _np.where(t1 < 1.0, t1, 1.0)
+        lo = np.where(t0 > 0.0, t0, 0.0)
+        hi = np.where(t1 < 1.0, t1, 1.0)
         valid &= lo <= hi
-        terms = _np.where(valid, (hi - lo) * length, 0.0)
+        terms = np.where(valid, (hi - lo) * length, 0.0)
         total = 0.0
         for v in terms.tolist():
             total += v

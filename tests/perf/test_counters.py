@@ -38,34 +38,8 @@ class TestCounterPrimitives:
 
     def test_reset_clears(self):
         counters.incr("x")
-        with counters.timed("t"):
-            pass
         counters.reset()
-        snap = counters.snapshot()
-        assert snap["counters"] == {}
-        assert snap["timers"] == {}
-
-    def test_timed_noop_when_disabled(self):
-        with counters.timed("t"):
-            pass
-        assert counters.snapshot()["timers"] == {}
-
-    def test_timed_records_when_enabled(self):
-        counters.enable(True)
-        with counters.timed("t"):
-            pass
-        with counters.timed("t"):
-            pass
-        entry = counters.snapshot()["timers"]["t"]
-        assert entry["calls"] == 2
-        assert entry["total_s"] >= 0.0
-
-    def test_timed_records_on_exception(self):
-        counters.enable(True)
-        with pytest.raises(RuntimeError):
-            with counters.timed("t"):
-                raise RuntimeError("boom")
-        assert counters.snapshot()["timers"]["t"]["calls"] == 1
+        assert counters.snapshot()["counters"] == {}
 
     def test_snapshot_includes_keystream_cache(self):
         cache = counters.snapshot()["keystream_cache"]
@@ -74,8 +48,6 @@ class TestCounterPrimitives:
     def test_report_is_printable(self):
         counters.enable(True)
         counters.incr("medium.frames_tx", 3)
-        with counters.timed("t"):
-            pass
         text = counters.report()
         assert "medium.frames_tx" in text
         assert "crypto.keystream_cache" in text

@@ -1,17 +1,14 @@
-"""Golden-equivalence properties for the PR 7 batched/vectorised kernels.
+"""Golden-equivalence properties for the simulation kernels' fast paths.
 
-Every batch path introduced by the perf PR — the vectorised live-transmission
-sweep and batched interference queries in the medium, batched AEAD sealing,
-the numpy canopy sweep behind the cell-rectangle memo, and the vectorised
-terrain line-of-sight sweep — must be **bit-identical** to its scalar
-counterpart.  The simulator's determinism contract is byte-identical replay,
-so these tests compare with exact ``==`` on floats and bytes, and finish by
-digesting whole worksite runs with the numpy accelerators force-disabled.
+The numpy canopy sweep (engaged at ``_CANOPY_BATCH_MIN`` candidates) and
+the cell-rectangle candidate memo must be **bit-identical** to the scalar
+loop and to a cache-cold world, and the terrain line-of-sight quick reject
+must never change a verdict of the plain sampled sweep.  The simulator's
+determinism contract is byte-identical replay, so these tests compare with
+exact ``==`` on floats, and finish by digesting whole worksite runs.
 
 Batch/scalar selection is driven by instance attributes shadowing the class
-thresholds (``_TX_BATCH_MIN``, ``_CANOPY_BATCH_MIN``) or by patching the
-module-level ``_np`` handle, exactly the degradation that occurs on a host
-without numpy.
+threshold (``_CANOPY_BATCH_MIN``).
 """
 
 from __future__ import annotations
@@ -22,227 +19,17 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-import repro.comms.medium as medium_mod
-import repro.sim.terrain as terrain_mod
-import repro.sim.world as world_mod
-from repro.comms.crypto.secure_channel import (
-    Record,
-    SecureChannel,
-    SecurityProfile,
-)
-from repro.comms.medium import Jammer, WirelessMedium
-from repro.comms.radio import RadioConfig
-from repro.scenarios.campaigns import build_campaign
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
-from repro.sim.engine import Simulator
-from repro.sim.events import EventLog
 from repro.sim.geometry import Vec2
-from repro.sim.rng import RngStreams
 from repro.sim.terrain import Ridge, Terrain
 from repro.sim.world import Tree, World
 
-HAVE_NUMPY = world_mod._np is not None
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not available; batch paths cannot engage"
-)
-
-keys = st.binary(min_size=32, max_size=32)
-payloads = st.binary(min_size=0, max_size=400)
-aads = st.binary(min_size=0, max_size=32)
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                    allow_infinity=False)
 
-tx_entries = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),   # start
-        st.floats(min_value=0.001, max_value=2.0, allow_nan=False),  # airtime
-        coords, coords,                                              # position
-        st.floats(min_value=-10.0, max_value=30.0, allow_nan=False), # power
-        st.integers(min_value=1, max_value=2),                       # channel
-    ),
-    min_size=0, max_size=24,
-)
-
-
-def make_medium() -> WirelessMedium:
-    return WirelessMedium(Simulator(), EventLog(), RngStreams(7))
-
-
-class _Src:
-    def __init__(self, position: Vec2) -> None:
-        self.position = position
-
-
-def feed_medium(medium: WirelessMedium, entries) -> float:
-    """Record ``entries`` in start order; returns the last start time."""
-    last_start = 0.0
-    for start, air, x, y, power, ch in sorted(entries, key=lambda e: e[0]):
-        medium._record_tx(
-            start, air, _Src(Vec2(x, y)),
-            RadioConfig(channel=ch, tx_power_dbm=power),
-        )
-        last_start = start
-    return last_start
-
 
 # --------------------------------------------------------------------------
-# 1. batched interference queries
-# --------------------------------------------------------------------------
-
-class TestInterferenceBatchEquivalence:
-    @given(entries=tx_entries,
-           queries=st.lists(st.tuples(coords, coords), min_size=1, max_size=8),
-           channel=st.integers(min_value=1, max_value=2),
-           lead=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
-    def test_many_matches_sequential_scalar(self, entries, queries, channel,
-                                            lead):
-        # two identically fed media: one queried in a batch, one one-by-one.
-        # Separate instances so neither's query memo can mask a divergence.
-        batch_medium = make_medium()
-        scalar_medium = make_medium()
-        now = feed_medium(batch_medium, entries) + lead
-        feed_medium(scalar_medium, entries)
-        positions = [Vec2(x, y) for x, y in queries]
-        assert batch_medium.interference_at_many(positions, channel, now) == [
-            scalar_medium.interference_at(p, channel, now) for p in positions
-        ]
-
-    @needs_numpy
-    @given(entries=tx_entries, qx=coords, qy=coords,
-           channel=st.integers(min_value=1, max_value=2),
-           lead=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
-    def test_vector_sweep_matches_scalar_scan(self, entries, qx, qy, channel,
-                                              lead):
-        # force the numpy live-set sweep on one medium and the plain scan on
-        # the other (instance attributes shadow the class threshold)
-        vec_medium = make_medium()
-        vec_medium._TX_BATCH_MIN = 1
-        scan_medium = make_medium()
-        scan_medium._TX_BATCH_MIN = 10 ** 9
-        now = feed_medium(vec_medium, entries) + lead
-        feed_medium(scan_medium, entries)
-        query = Vec2(qx, qy)
-        for step in (0.0, 0.5, 30.0):
-            assert vec_medium.interference_at(
-                query, channel, now + step
-            ) == scan_medium.interference_at(query, channel, now + step)
-
-    @given(entries=tx_entries,
-           queries=st.lists(st.tuples(coords, coords), min_size=1, max_size=6),
-           jx=coords, jy=coords,
-           channel=st.integers(min_value=1, max_value=2))
-    def test_batch_with_jammer_matches_sequential(self, entries, queries, jx,
-                                                  jy, channel):
-        # jammer state lives outside the version counter, so the query memo
-        # must stay disabled — batch and sequential still agree exactly
-        batch_medium = make_medium()
-        scalar_medium = make_medium()
-        now = feed_medium(batch_medium, entries) + 0.5
-        feed_medium(scalar_medium, entries)
-        for medium in (batch_medium, scalar_medium):
-            medium.add_jammer(
-                Jammer("j", lambda: Vec2(jx, jy), power_dbm=20.0)
-            )
-        positions = [Vec2(x, y) for x, y in queries]
-        assert batch_medium.interference_at_many(positions, channel, now) == [
-            scalar_medium.interference_at(p, channel, now) for p in positions
-        ]
-
-    def test_batch_on_idle_channel(self):
-        medium = make_medium()
-        positions = [Vec2(1.0, 2.0), Vec2(3.0, 4.0)]
-        assert medium.interference_at_many(positions, 1, 5.0) == [
-            -math.inf, -math.inf
-        ]
-
-
-# --------------------------------------------------------------------------
-# 2. batched AEAD sealing
-# --------------------------------------------------------------------------
-
-def channel_pair(send_key, recv_key, profile):
-    alice = SecureChannel("a", "b", send_key, recv_key, profile)
-    bob = SecureChannel("b", "a", recv_key, send_key, profile)
-    return alice, bob
-
-
-class TestAeadBatchEquivalence:
-    @given(send_key=keys, recv_key=keys, aad=aads,
-           plaintexts=st.lists(payloads, min_size=0, max_size=10))
-    def test_seal_batch_matches_sequential(self, send_key, recv_key, aad,
-                                           plaintexts):
-        batch_chan, _ = channel_pair(send_key, recv_key, SecurityProfile.AEAD)
-        seq_chan, _ = channel_pair(send_key, recv_key, SecurityProfile.AEAD)
-        batch = batch_chan.seal_batch(plaintexts, aad)
-        sequential = [seq_chan.seal(p, aad) for p in plaintexts]
-        assert [(r.seq, r.body, r.profile) for r in batch] == [
-            (r.seq, r.body, r.profile) for r in sequential
-        ]
-        assert batch_chan._send_seq == seq_chan._send_seq
-        assert batch_chan.records_sealed == seq_chan.records_sealed
-
-    @given(send_key=keys, recv_key=keys, aad=aads,
-           plaintexts=st.lists(payloads, min_size=1, max_size=10))
-    def test_open_batch_roundtrip(self, send_key, recv_key, aad, plaintexts):
-        alice, bob = channel_pair(send_key, recv_key, SecurityProfile.AEAD)
-        records = alice.seal_batch(plaintexts, aad)
-        assert bob.open_batch(records, aad) == list(plaintexts)
-        assert bob.records_opened == len(plaintexts)
-        assert bob.records_rejected == 0
-
-    @given(send_key=keys, recv_key=keys, aad=aads,
-           plaintexts=st.lists(payloads, min_size=0, max_size=6),
-           profile=st.sampled_from([SecurityProfile.PLAINTEXT,
-                                    SecurityProfile.INTEGRITY]))
-    def test_non_aead_profiles_fall_back(self, send_key, recv_key, aad,
-                                         plaintexts, profile):
-        batch_chan, _ = channel_pair(send_key, recv_key, profile)
-        seq_chan, _ = channel_pair(send_key, recv_key, profile)
-        batch = batch_chan.seal_batch(plaintexts, aad)
-        sequential = [seq_chan.seal(p, aad) for p in plaintexts]
-        assert [(r.seq, r.body) for r in batch] == [
-            (r.seq, r.body) for r in sequential
-        ]
-
-    @given(send_key=keys, recv_key=keys,
-           head=payloads, middle=st.lists(payloads, min_size=1, max_size=5),
-           tail=payloads)
-    def test_interleaved_seal_and_batch_keep_sequence(self, send_key,
-                                                      recv_key, head, middle,
-                                                      tail):
-        # seal → seal_batch → seal must be indistinguishable from sealing
-        # the same plaintexts one at a time
-        mixed, _ = channel_pair(send_key, recv_key, SecurityProfile.AEAD)
-        plain, bob = channel_pair(send_key, recv_key, SecurityProfile.AEAD)
-        produced = [mixed.seal(head)]
-        produced.extend(mixed.seal_batch(middle))
-        produced.append(mixed.seal(tail))
-        expected = [plain.seal(p) for p in [head, *middle, tail]]
-        assert [(r.seq, r.body) for r in produced] == [
-            (r.seq, r.body) for r in expected
-        ]
-        assert [r.seq for r in produced] == list(range(1, len(produced) + 1))
-        for record, plaintext in zip(produced, [head, *middle, tail]):
-            assert bob.open(record) == plaintext
-
-    def test_tampered_batch_record_fails_like_sequential_open(self):
-        alice, bob = channel_pair(b"\x01" * 32, b"\x02" * 32,
-                                  SecurityProfile.AEAD)
-        records = alice.seal_batch([b"ok-1", b"ok-2", b"ok-3"])
-        bad = Record(seq=records[1].seq,
-                     body=records[1].body[:-1] + b"\x00",
-                     profile=records[1].profile)
-        from repro.comms.crypto.secure_channel import ChannelError
-        with pytest.raises(ChannelError):
-            bob.open_batch([records[0], bad, records[2]])
-        # first record was accepted before the failure, third never reached
-        assert bob.records_opened == 1
-        assert bob.records_rejected == 1
-
-
-# --------------------------------------------------------------------------
-# 3. vectorised terrain line of sight
+# 1. terrain line of sight
 # --------------------------------------------------------------------------
 
 ridge_strategy = st.lists(
@@ -267,7 +54,7 @@ def ref_blocks_los(terrain: Terrain, observer: Vec2, observer_height: float,
                    target: Vec2, target_height: float,
                    samples: int = 32) -> bool:
     """Plain sampled sweep — the pre-optimisation scalar loop, no quick
-    reject, no vectorisation, no caches."""
+    reject, no caches."""
     z0 = ref_height(terrain, observer) + observer_height
     z1 = ref_height(terrain, target) + target_height
     ox, oy = observer.x, observer.y
@@ -313,31 +100,9 @@ class TestTerrainLosEquivalence:
             target_ground=terrain.height_at(target),
         ) == expected
 
-    @needs_numpy
-    @given(ridges=ridge_strategy, ox=coords, oy=coords, tx=coords, ty=coords,
-           oh=st.floats(min_value=0.0, max_value=40.0, allow_nan=False))
-    def test_vector_sweep_matches_numpy_disabled(self, ridges, ox, oy, tx,
-                                                 ty, oh):
-        terrain = Terrain(
-            100.0, 100.0,
-            ridges=[Ridge(center=Vec2(x, y), height=h, sigma=s)
-                    for x, y, h, s in ridges],
-        )
-        observer, target = Vec2(ox, oy), Vec2(tx, ty)
-        with_numpy = terrain.blocks_line_of_sight(observer, oh, target, 1.0)
-        saved = terrain_mod._np
-        terrain_mod._np = None
-        try:
-            without_numpy = terrain.blocks_line_of_sight(
-                observer, oh, target, 1.0
-            )
-        finally:
-            terrain_mod._np = saved
-        assert with_numpy == without_numpy
-
 
 # --------------------------------------------------------------------------
-# 4. batched canopy sweep and rectangle memo
+# 2. batched canopy sweep and rectangle memo
 # --------------------------------------------------------------------------
 
 tree_strategy = st.lists(
@@ -355,7 +120,6 @@ def make_world(trees) -> World:
 
 
 class TestCanopyBatchEquivalence:
-    @needs_numpy
     @given(trees=tree_strategy, ax=coords, ay=coords, bx=coords, by=coords)
     def test_forced_batch_matches_forced_scalar(self, trees, ax, ay, bx, by):
         batch_world = make_world(trees)
@@ -391,7 +155,6 @@ class TestCanopyBatchEquivalence:
             assert warm.trunk_blocks(observer, target) == \
                 cold.trunk_blocks(observer, target)
 
-    @needs_numpy
     def test_dense_stand_crosses_batch_threshold(self):
         # enough trees in one rectangle that the *default* threshold engages
         trees = [
@@ -419,24 +182,15 @@ class TestCanopyBatchEquivalence:
 
 
 # --------------------------------------------------------------------------
-# 5. whole-run digests with the accelerators disabled
+# 3. whole-run digests
 # --------------------------------------------------------------------------
 
-def run_digest(seed: int, *, n_workers: int, campaign: str | None,
-               horizon_s: float, numpy_enabled: bool) -> str:
+def run_digest(seed: int, *, n_workers: int, horizon_s: float) -> str:
     """SHA-256 over the full event log of one small worksite run."""
-    saved = (world_mod._np, terrain_mod._np, medium_mod._np)
-    if not numpy_enabled:
-        world_mod._np = terrain_mod._np = medium_mod._np = None
-    try:
-        scenario = build_worksite(ScenarioConfig(
-            seed=seed, width=200.0, height=200.0, n_workers=n_workers,
-        ))
-        if campaign is not None:
-            build_campaign(campaign, scenario, start=5.0, duration=15.0).arm()
-        scenario.run(horizon_s)
-    finally:
-        world_mod._np, terrain_mod._np, medium_mod._np = saved
+    scenario = build_worksite(ScenarioConfig(
+        seed=seed, width=200.0, height=200.0, n_workers=n_workers,
+    ))
+    scenario.run(horizon_s)
     digest = hashlib.sha256()
     for event in scenario.log:
         digest.update(repr(
@@ -452,27 +206,9 @@ def run_digest(seed: int, *, n_workers: int, campaign: str | None,
 
 @pytest.mark.slow
 class TestWorksiteRunEquivalence:
-    """End-to-end: numpy on vs numpy off produce byte-identical runs."""
-
-    @needs_numpy
-    @pytest.mark.parametrize("seed,n_workers,campaign", [
-        (3, 3, None),
-        (11, 1, "rf_jamming"),
-    ])
-    def test_numpy_disabled_run_is_identical(self, seed, n_workers, campaign):
-        with_numpy = run_digest(
-            seed, n_workers=n_workers, campaign=campaign,
-            horizon_s=40.0, numpy_enabled=True,
-        )
-        without_numpy = run_digest(
-            seed, n_workers=n_workers, campaign=campaign,
-            horizon_s=40.0, numpy_enabled=False,
-        )
-        assert with_numpy == without_numpy
+    """End-to-end: the same inputs produce byte-identical runs."""
 
     def test_repeat_run_is_deterministic(self):
-        first = run_digest(7, n_workers=2, campaign=None,
-                           horizon_s=30.0, numpy_enabled=HAVE_NUMPY)
-        second = run_digest(7, n_workers=2, campaign=None,
-                            horizon_s=30.0, numpy_enabled=HAVE_NUMPY)
+        first = run_digest(7, n_workers=2, horizon_s=30.0)
+        second = run_digest(7, n_workers=2, horizon_s=30.0)
         assert first == second

@@ -29,7 +29,7 @@ from repro.comms.crypto.secure_channel import (
     SecurityProfile,
     nonce_from_sequence,
 )
-from repro.comms.medium import WirelessMedium
+from repro.comms.medium import Jammer, WirelessMedium
 from repro.comms.radio import (
     RadioConfig,
     combine_noise_dbm,
@@ -204,14 +204,27 @@ tx_entries = st.lists(
     min_size=0, max_size=20,
 )
 
+# an optional jammer: position, power and jammed channel (None = broadband)
+jammers = st.none() | st.tuples(
+    coords, coords,
+    st.floats(min_value=-10.0, max_value=40.0, allow_nan=False),
+    st.none() | st.integers(min_value=1, max_value=3),
+)
+
 
 class TestInterferenceIndexEquivalence:
     @given(entries=tx_entries, qx=coords, qy=coords,
            channel=st.integers(min_value=1, max_value=3),
-           lead=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
+           lead=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+           jammer=jammers)
     def test_matches_list_rebuild_reference(self, entries, qx, qy, channel,
-                                            lead):
+                                            lead, jammer):
         medium = make_medium()
+        if jammer is not None:
+            jx, jy, power, jammed = jammer
+            medium.add_jammer(Jammer(
+                "j", lambda: Vec2(jx, jy), power_dbm=power, channel=jammed,
+            ))
         all_tx = []
         last_start = 0.0
         # feed in start-time order, exactly as the simulator does

@@ -9,11 +9,13 @@ one-way JSONL import path, and the determinism of the retry schedule.
 
 import json
 import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.runner import (
     DISPATCHERS,
+    CampaignSchemaError,
     CampaignStore,
     CellRetryPolicy,
     LocalPoolDispatcher,
@@ -52,6 +54,28 @@ class TestSchema:
         with sqlite3.connect(store.path) as conn:
             (version,) = conn.execute("PRAGMA user_version").fetchone()
         assert version == CAMPAIGN_SCHEMA
+
+    def test_other_schema_version_is_refused_and_left_unchanged(
+            self, tmp_path):
+        from repro.runner.campaign import CAMPAIGN_SCHEMA
+
+        path = tmp_path / "c.db"
+        future = CAMPAIGN_SCHEMA + 1
+        with closing(sqlite3.connect(path)) as conn, conn:
+            conn.execute("CREATE TABLE cells (key TEXT)")
+            conn.execute(f"PRAGMA user_version = {future}")
+        with pytest.raises(CampaignSchemaError) as info:
+            CampaignStore(path)
+        assert isinstance(info.value, ValueError)
+        assert info.value.found == future
+        assert f"version {future}" in str(info.value)
+        assert f"version {CAMPAIGN_SCHEMA}" in str(info.value)
+        with closing(sqlite3.connect(path)) as conn:
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            tables = [row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master ORDER BY name")]
+        assert version == future
+        assert tables == ["cells"]
 
     def test_parent_directory_is_created(self, tmp_path):
         CampaignStore(tmp_path / "deep" / "nested" / "c.db")

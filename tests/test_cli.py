@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -411,6 +414,25 @@ class TestCampaignCommand:
         assert main(["campaign", "resume", "ghost",
                      "--db", str(tmp_path / "c.db")]) == 2
         assert "no campaign named" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["campaign", "start", "night", "--db", "{db}",
+         "--campaigns", "baseline", "--seeds", "11"],
+        ["campaign", "resume", "night", "--db", "{db}"],
+        ["campaign", "list", "--db", "{db}"],
+        ["campaign", "show", "night", "--db", "{db}"],
+        ["sweep", "--campaigns", "baseline", "--seeds", "11",
+         "--campaign-db", "{db}"],
+    ])
+    def test_other_schema_version_exits_2(self, tmp_path, capsys, command):
+        db = str(tmp_path / "c.db")
+        with closing(sqlite3.connect(db)) as conn, conn:
+            conn.execute("PRAGMA user_version = 2")
+        assert main([arg.format(db=db) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign error: ")
+        assert "schema version 2" in err
+        assert "Traceback" not in err
 
     def test_list_campaigns(self, tmp_path, capsys):
         db = str(tmp_path / "c.db")
