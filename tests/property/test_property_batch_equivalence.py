@@ -1,7 +1,9 @@
 """Golden-equivalence properties for the simulation kernels' fast paths.
 
+A run of interference queries on one medium (warm per-(tx, rx) component
+memo) must be **bit-identical** to the same queries on cache-cold media.
 The numpy canopy sweep (engaged at ``_CANOPY_BATCH_MIN`` candidates) and
-the cell-rectangle candidate memo must be **bit-identical** to the scalar
+the cell-rectangle candidate memo must be bit-identical to the scalar
 loop and to a cache-cold world, and the terrain line-of-sight quick reject
 must never change a verdict of the plain sampled sweep.  The simulator's
 determinism contract is byte-identical replay, so these tests compare with
@@ -19,8 +21,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.comms.medium import Jammer, WirelessMedium
+from repro.comms.radio import RadioConfig
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
+from repro.sim.engine import Simulator
+from repro.sim.events import EventLog
 from repro.sim.geometry import Vec2
+from repro.sim.rng import RngStreams
 from repro.sim.terrain import Ridge, Terrain
 from repro.sim.world import Tree, World
 
@@ -29,7 +36,74 @@ coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
 
 
 # --------------------------------------------------------------------------
-# 1. terrain line of sight
+# 1. interference queries with a jammer
+# --------------------------------------------------------------------------
+
+tx_entries = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),   # start
+        st.floats(min_value=0.001, max_value=2.0, allow_nan=False),  # airtime
+        coords, coords,                                              # position
+        st.floats(min_value=-10.0, max_value=30.0, allow_nan=False), # power
+        st.integers(min_value=1, max_value=2),                       # channel
+    ),
+    min_size=0, max_size=24,
+)
+
+
+def make_medium() -> WirelessMedium:
+    return WirelessMedium(Simulator(), EventLog(), RngStreams(7))
+
+
+class _Src:
+    def __init__(self, position: Vec2) -> None:
+        self.position = position
+
+
+def feed_medium(medium: WirelessMedium, entries) -> float:
+    """Record ``entries`` in start order; returns the last start time."""
+    last_start = 0.0
+    for start, air, x, y, power, ch in sorted(entries, key=lambda e: e[0]):
+        medium._record_tx(
+            start, air, _Src(Vec2(x, y)),
+            RadioConfig(channel=ch, tx_power_dbm=power),
+        )
+        last_start = start
+    return last_start
+
+
+class TestInterferenceBatchEquivalence:
+    @given(entries=tx_entries,
+           queries=st.lists(st.tuples(coords, coords), min_size=1, max_size=6),
+           jx=coords, jy=coords,
+           channel=st.integers(min_value=1, max_value=2))
+    def test_batch_with_jammer_matches_sequential(self, entries, queries, jx,
+                                                  jy, channel):
+        # jammer terms are added outside the component memo: a batch of
+        # queries on one medium (memo warmed by the earlier positions) must
+        # equal each position queried on its own freshly fed medium
+        def jammed_medium() -> WirelessMedium:
+            medium = make_medium()
+            medium.add_jammer(
+                Jammer("j", lambda: Vec2(jx, jy), power_dbm=20.0)
+            )
+            return medium
+
+        batch_medium = jammed_medium()
+        now = feed_medium(batch_medium, entries) + 0.5
+        positions = [Vec2(x, y) for x, y in queries]
+        batch = [batch_medium.interference_at(p, channel, now)
+                 for p in positions]
+        sequential = []
+        for p in positions:
+            cold_medium = jammed_medium()
+            feed_medium(cold_medium, entries)
+            sequential.append(cold_medium.interference_at(p, channel, now))
+        assert batch == sequential
+
+
+# --------------------------------------------------------------------------
+# 2. terrain line of sight
 # --------------------------------------------------------------------------
 
 ridge_strategy = st.lists(
@@ -102,7 +176,7 @@ class TestTerrainLosEquivalence:
 
 
 # --------------------------------------------------------------------------
-# 2. batched canopy sweep and rectangle memo
+# 3. batched canopy sweep and rectangle memo
 # --------------------------------------------------------------------------
 
 tree_strategy = st.lists(
@@ -182,7 +256,7 @@ class TestCanopyBatchEquivalence:
 
 
 # --------------------------------------------------------------------------
-# 3. whole-run digests
+# 4. whole-run digests
 # --------------------------------------------------------------------------
 
 def run_digest(seed: int, *, n_workers: int, horizon_s: float) -> str:
