@@ -15,9 +15,10 @@ Subcommands
 ``campaigns``
     List the available attack campaigns.
 ``sweep``
-    Fan a campaign × seed × profile grid across a process pool, cache
-    completed runs in a JSONL store (or, with ``--campaign-db``, the
-    durable SQLite campaign store), and print the aggregate table.
+    Fan a campaign × seed × profile grid across a process pool, record
+    completed runs in the SQLite campaign store (``--campaign-db``, by
+    default ``--out`` with a ``.db`` suffix), export them to the JSONL
+    file ``--out``, and print the aggregate table.
     Execution is self-healing: killed workers resurrect the pool,
     lost/timed-out cells retry with deterministic backoff
     (``--max-attempts`` / ``--cell-timeout``).  Writes live progress
@@ -283,7 +284,8 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     from repro.invariants import engine as checks
     from repro.runner.spec import RunSpec
-    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
+    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
+    from repro.scenarios.factory import arm_plan
     from repro.scenarios.worksite import build_worksite
     from repro.telemetry import (
         TraceWriter,
@@ -380,12 +382,8 @@ def cmd_trace(args) -> int:
         campaign=args.campaign,
         spec=spec.to_dict(),
     )
-    if args.campaign:
-        campaign = build_campaign(
-            args.campaign, scenario, start=args.start,
-            **({"duration": args.duration} if args.duration else {}),
-        )
-        campaign.arm()
+    # armed from the embedded spec's plan, exactly as `check` replays it
+    arm_plan(scenario, spec.plan)
     injector = None
     if schedule is not None:
         from repro.faults import FaultInjector
@@ -582,7 +580,9 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
+    from repro.runner.spec import RunSpec
+    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
+    from repro.scenarios.factory import arm_plan
     from repro.scenarios.worksite import build_worksite
 
     if args.campaign not in CAMPAIGN_BUILDERS:
@@ -592,19 +592,17 @@ def cmd_attack(args) -> int:
         return 2
     scenario = build_worksite(_scenario_config(args))
     horizon = args.minutes * 60.0
-    campaign = build_campaign(
-        args.campaign, scenario, start=args.start,
-        **({"duration": args.duration} if args.duration else {}),
-    )
-    campaign.arm()
+    plan = RunSpec.single(
+        args.campaign, seed=args.seed, horizon_s=horizon,
+        start=args.start, duration=args.duration,
+    ).plan
+    windows = arm_plan(scenario, plan)
     print(f"running {args.campaign!r} against "
           f"{'undefended' if args.undefended else 'defended'} worksite ...")
     scenario.run(horizon)
     _print_summary(scenario)
     if scenario.ids_manager is not None:
-        score = scenario.ids_manager.score(
-            campaign.ground_truth_windows(), horizon_s=horizon
-        )
+        score = scenario.ids_manager.score(windows, horizon_s=horizon)
         latency = (f"{score.mean_latency_s:.1f} s"
                    if score.mean_latency_s is not None else "-")
         print(f"detection:        {score.attacks_detected}/{score.attacks_total} "
@@ -755,9 +753,15 @@ def _sweep_spec_from_args(args) -> "SweepSpec":
 
 
 def _retry_policy_from_args(args) -> "Optional[CellRetryPolicy]":
-    """The cell retry policy requested by ``--max-attempts`` (or None for
-    the engine default)."""
-    if getattr(args, "max_attempts", None) is None:
+    """Validate the execution flags; returns the cell retry policy
+    requested by ``--max-attempts`` (or None for the engine default)."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.cell_timeout is not None and not args.cell_timeout > 0:
+        raise ValueError(
+            f"--cell-timeout must be > 0, got {args.cell_timeout}"
+        )
+    if args.max_attempts is None:
         return None
     from repro.runner import CellRetryPolicy
 
@@ -789,20 +793,16 @@ def _print_sweep_outcome(report, status_path) -> None:
 
 def cmd_sweep(args) -> int:
     from repro.runner import (
-        ResultStore,
         SweepMonitor,
         SweepRunner,
         aggregate_table,
+        export_jsonl,
         progress_line,
     )
 
-    if args.jobs < 1:
-        print(f"sweep spec error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
     try:
-        spec = _sweep_spec_from_args(args)
         policy = _retry_policy_from_args(args)
+        spec = _sweep_spec_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"sweep spec error: {exc}", file=sys.stderr)
         return 2
@@ -810,20 +810,27 @@ def cmd_sweep(args) -> int:
     if not specs:
         print("sweep spec expands to zero runs", file=sys.stderr)
         return 2
-    if args.campaign_db:
-        campaign_store = _open_campaign_db(args.campaign_db)
-        if campaign_store is None:
+    out = Path(args.out)
+    db = Path(args.campaign_db or out.with_suffix(".db"))
+    if db.resolve() == out.resolve():
+        print(f"sweep spec error: --out {out} is the campaign database",
+              file=sys.stderr)
+        return 2
+    campaign_store = _open_campaign_db(db)
+    if campaign_store is None:
+        return 2
+    name = args.campaign_name
+    if campaign_store.campaign_id(name) is None and out.exists():
+        # a JSONL store from before SQLite was the only store: promote it
+        # so its results are neither lost to the export nor re-executed
+        try:
+            campaign_store.import_jsonl(out, name)
+        except (OSError, KeyError, ValueError) as exc:
+            print(f"campaign import error: {exc}", file=sys.stderr)
             return 2
-        name = args.campaign_name
-        campaign_store.ensure_campaign(name, specs,
-                                       meta={"source": "sweep"})
-        store = campaign_store.bind(name)
-        status_path = Path(args.campaign_db).parent / "status.json"
-        store_label = f"{args.campaign_db} (campaign {name!r})"
-    else:
-        store = ResultStore(args.out)
-        status_path = Path(args.out).parent / "status.json"
-        store_label = args.out
+    campaign_store.ensure_campaign(name, specs, meta={"source": "sweep"})
+    store = campaign_store.bind(name)
+    status_path = db.parent / "status.json"
     monitor = SweepMonitor()
     if args.progress and not args.quiet:
         def progress(line):
@@ -836,12 +843,13 @@ def cmd_sweep(args) -> int:
     print(f"sweep: {len(specs)} runs "
           f"({len(spec.campaigns)} campaigns x {len(spec.resolved_seeds())} "
           f"seeds x {len(spec.profiles)} profiles), jobs={args.jobs}, "
-          f"store={store_label}")
+          f"store={db} (campaign {name!r})")
     runner = SweepRunner(jobs=args.jobs, store=store, progress=progress,
                          retry_policy=policy,
                          cell_timeout_s=args.cell_timeout,
                          monitor=monitor, status_path=status_path)
     report = runner.run(specs, resume=args.resume)
+    export_jsonl(report.records, out)
     _print_sweep_outcome(report, status_path)
     if not args.no_table:
         aggregate_table(
@@ -862,15 +870,10 @@ def _open_campaign_db(path):
         return None
 
 
-def _run_campaign(store, name, specs, args) -> int:
+def _run_campaign(store, name, specs, policy, args) -> int:
     """Execute (or complete) a campaign's cells through the engine."""
     from repro.runner import SweepMonitor, SweepRunner, aggregate_table
 
-    try:
-        policy = _retry_policy_from_args(args)
-    except ValueError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
     monitor = SweepMonitor()
     status_path = Path(args.db).parent / "status.json"
     progress = (
@@ -904,9 +907,10 @@ def _grid_requested(args) -> bool:
 
 
 def cmd_campaign_start(args) -> int:
-    if args.jobs < 1:
-        print(f"campaign error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
+    try:
+        policy = _retry_policy_from_args(args)
+    except ValueError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     store = _open_campaign_db(args.db)
     if store is None:
@@ -936,13 +940,15 @@ def cmd_campaign_start(args) -> int:
         print(f"imported {imported['cells']} cell(s) from "
               f"{args.from_jsonl} ({imported['ok']} ok, "
               f"{imported['failed']} failed)")
-    return _run_campaign(store, args.name, store.specs(args.name), args)
+    return _run_campaign(store, args.name, store.specs(args.name), policy,
+                         args)
 
 
 def cmd_campaign_resume(args) -> int:
-    if args.jobs < 1:
-        print(f"campaign error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
+    try:
+        policy = _retry_policy_from_args(args)
+    except ValueError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     store = _open_campaign_db(args.db)
     if store is None:
@@ -952,7 +958,7 @@ def cmd_campaign_resume(args) -> int:
     except ValueError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
-    return _run_campaign(store, args.name, specs, args)
+    return _run_campaign(store, args.name, specs, policy, args)
 
 
 def cmd_campaign_list(args) -> int:
@@ -1179,8 +1185,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "failed (default: engine policy, 3)")
         p.add_argument("--cell-timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="wall-clock budget per cell attempt; overdue "
-                            "cells are cancelled and retried")
+                       help="wall-clock budget per cell attempt (> 0); "
+                            "overdue cells are killed and retried.  Cells "
+                            "then run in worker processes, also at "
+                            "--jobs 1")
         p.add_argument("--no-table", action="store_true",
                        help="skip the aggregate table")
         p.add_argument("--quiet", action="store_true",
@@ -1192,15 +1200,18 @@ def build_parser() -> argparse.ArgumentParser:
     grid_flags(sweep_p)
     exec_flags(sweep_p)
     sweep_p.add_argument("--out", default="out/sweep.jsonl",
-                         help="JSONL result store path")
+                         help="JSONL export of the sweep's records, "
+                              "rewritten at the end (default store: this "
+                              "path with a .db suffix)")
     sweep_p.add_argument("--campaign-db", default=None, metavar="PATH",
-                         help="record results in a SQLite campaign store "
-                              "instead of the JSONL file")
+                         help="SQLite campaign store to record results in "
+                              "(default: --out with a .db suffix)")
     sweep_p.add_argument("--campaign-name", default="sweep",
-                         help="campaign name inside --campaign-db "
+                         help="campaign name inside the store "
                               "(default: sweep)")
     sweep_p.add_argument("--resume", action="store_true",
-                         help="skip runs already completed in the store")
+                         help="skip runs already completed in the store "
+                              "(a JSONL store at --out is imported first)")
     sweep_p.add_argument("--progress", action="store_true",
                          help="print a live one-line progress summary "
                               "(done/running/pending, rate, ETA) as cells "

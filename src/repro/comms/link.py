@@ -15,6 +15,7 @@ from repro.comms.radio import RadioConfig
 from repro.sim.engine import Simulator
 from repro.sim.events import EventCategory, EventLog
 from repro.sim.geometry import Vec2
+from repro.sim.rng import backoff_delay
 from repro.telemetry import tracer as trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,10 +46,8 @@ class RetryPolicy:
 
     def delay(self, tries: int) -> float:
         """Backoff before the ACK check for attempt number ``tries``."""
-        delay = min(
-            self.base_timeout_s * self.backoff_factor ** (tries - 1),
-            self.max_timeout_s,
-        )
+        delay = backoff_delay(self.base_timeout_s, self.backoff_factor,
+                              tries, self.max_timeout_s)
         if self.jitter_s > 0.0 and self.rng is not None:
             delay += self.rng.uniform(0.0, self.jitter_s)
         return delay

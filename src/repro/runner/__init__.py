@@ -3,20 +3,19 @@
 The certification argument of the paper leans on *simulation at scale*:
 many scenarios, seeds and attack variations feeding the assurance case.
 This package is the machinery for that — a declarative grid of worksite
-runs fanned across a process pool, with content-hash caching so repeated
-sweeps only execute the delta:
+runs fanned across a process pool, with results cached in one SQLite store
+by content hash so repeated sweeps only execute the delta:
 
 * :mod:`repro.runner.spec` — :class:`RunSpec` / :class:`SweepSpec`
   (grid declaration, stable hashing, TOML/JSON spec files);
 * :mod:`repro.runner.worker` — the picklable per-run entry point;
-* :mod:`repro.runner.store` — the append-only JSONL result store;
-* :mod:`repro.runner.campaign` — the durable SQLite (WAL) campaign
-  store: ``campaigns`` / ``cells`` / ``attempts`` tables, queryable
-  across runs, with a one-way JSONL import path;
-* :mod:`repro.runner.dispatch` — pluggable execution backends
-  (:class:`LocalPoolDispatcher` today) plus the deterministic
+* :mod:`repro.runner.campaign` — the result store: SQLite (WAL) with
+  ``campaigns`` / ``cells`` / ``attempts`` tables, queryable across runs,
+  plus the JSONL export and import;
+* :mod:`repro.runner.dispatch` — the self-healing process-pool
+  dispatcher (:class:`LocalPoolDispatcher`) and the deterministic
   :class:`CellRetryPolicy`;
-* :mod:`repro.runner.engine` — :class:`SweepRunner` (dispatcher fan-out,
+* :mod:`repro.runner.engine` — :class:`SweepRunner` (pool fan-out,
   resume, failure isolation, self-healing retry/timeout/backoff);
 * :mod:`repro.runner.monitor` — :class:`SweepMonitor` (live progress
   fold, ``status.json``, stall detection for ``repro-worksite status``);
@@ -38,15 +37,10 @@ from repro.runner.campaign import (
     CampaignBinding,
     CampaignSchemaError,
     CampaignStore,
-    open_campaign_store,
+    export_jsonl,
+    read_jsonl,
 )
-from repro.runner.dispatch import (
-    DISPATCHERS,
-    CellRetryPolicy,
-    Dispatcher,
-    LocalPoolDispatcher,
-    make_dispatcher,
-)
+from repro.runner.dispatch import CellRetryPolicy, LocalPoolDispatcher
 from repro.runner.engine import (
     SweepReport,
     SweepRunner,
@@ -67,7 +61,6 @@ from repro.runner.spec import (
     load_sweep_spec,
     sweep_spec_from_mapping,
 )
-from repro.runner.store import ResultStore, open_store
 from repro.runner.worker import execute_run
 
 __all__ = [
@@ -76,8 +69,6 @@ __all__ = [
     "CampaignSchemaError",
     "CampaignStore",
     "CellRetryPolicy",
-    "DISPATCHERS",
-    "Dispatcher",
     "LocalPoolDispatcher",
     "RunSpec",
     "SweepSpec",
@@ -85,17 +76,15 @@ __all__ = [
     "SweepRunner",
     "SweepMonitor",
     "UncheckedResultWarning",
-    "ResultStore",
     "aggregate_rows",
     "aggregate_table",
     "group_records",
     "derive_sweep_seeds",
     "execute_run",
+    "export_jsonl",
     "load_sweep_spec",
-    "make_dispatcher",
-    "open_campaign_store",
-    "open_store",
     "progress_line",
+    "read_jsonl",
     "read_status",
     "render_status",
     "run_sweep",

@@ -1,9 +1,8 @@
-"""Durable campaign store: SQLite (WAL) with campaigns / cells / attempts.
+"""The sweep's result store: SQLite (WAL) with campaigns / cells / attempts.
 
-The JSONL :class:`~repro.runner.store.ResultStore` keeps a sweep's results
-alive across restarts, but only as a flat cache — nothing records *how*
-each cell got its result, and nothing survives being queried across runs.
-This module promotes that cache into a proper store:
+Every sweep writes through this store, so each cell's result, *how* it got
+that result, and the history of every attempt survive restarts and can be
+queried across runs:
 
 * ``campaigns`` — one row per named campaign (grid), with JSON metadata;
 * ``cells`` — one row per unique run spec in a campaign: canonical spec
@@ -22,11 +21,13 @@ and live outside every ``result`` payload — the determinism contract
 makes the kill-and-resume acceptance test's byte-identical comparison
 meaningful.
 
-:meth:`CampaignStore.import_jsonl` is the one-way migration path from the
-legacy JSONL stores; :meth:`CampaignStore.bind` returns the per-campaign
-adapter the sweep engine drives through the same duck-typed protocol as
-:class:`~repro.runner.store.ResultStore` (``completed_keys`` / ``append``
-/ ``mark_running`` / ``record_attempt``).
+JSON Lines is an export format, defined here alongside its reader:
+:func:`export_jsonl` writes a sweep's records one canonical line each, and
+:meth:`CampaignStore.import_jsonl` promotes such a file (or a JSONL result
+store written before SQLite became the only store) into a campaign.
+:meth:`CampaignStore.bind` returns the per-campaign adapter the sweep
+engine writes through (``completed_keys`` / ``append`` / ``mark_running``
+/ ``record_attempt``).
 """
 
 from __future__ import annotations
@@ -267,19 +268,17 @@ class CampaignStore:
             raise ValueError(f"no campaign named {name!r} in {self.path}")
         return campaign
 
-    # -- migration ----------------------------------------------------------
+    # -- JSONL import -------------------------------------------------------
 
     def import_jsonl(self, jsonl_path: os.PathLike, name: str) -> dict:
-        """One-way promotion of a legacy JSONL result store into a campaign.
+        """One-way promotion of a JSONL file of run records into a campaign.
 
         Every record becomes a cell carrying its final record verbatim,
         plus one synthetic attempt row reconstructed from the record's
-        status / error / wall time / pid.  Torn tail lines are tolerated
-        exactly as :meth:`ResultStore.load` tolerates them.
+        status / error / wall time / pid.  See :func:`read_jsonl` for how
+        the file is read.
         """
-        from repro.runner.store import ResultStore
-
-        records = ResultStore(jsonl_path).load()
+        records = read_jsonl(jsonl_path)
         specs = [RunSpec.from_dict(r["spec"]) for r in records.values()]
         campaign = self.ensure_campaign(
             name, specs, meta={"imported_from": str(jsonl_path)},
@@ -305,8 +304,8 @@ class CampaignStore:
 
 
 class CampaignBinding:
-    """One campaign's view of the store, speaking the engine's store
-    protocol (drop-in for :class:`~repro.runner.store.ResultStore`)."""
+    """One campaign's view of the store: what the sweep engine reads
+    cache hits from and writes records and attempts through."""
 
     def __init__(self, store: CampaignStore, campaign_id: int) -> None:
         self.store = store
@@ -324,7 +323,7 @@ class CampaignBinding:
         return {row["key"]: json.loads(row["record"]) for row in rows}
 
     def load(self) -> Dict[str, dict]:
-        """All final records by key (parity with ``ResultStore.load``)."""
+        """All final records by key, failed ones included."""
         with closing(self.store._connect()) as conn:
             rows = conn.execute(
                 "SELECT key, record FROM cells"
@@ -360,10 +359,6 @@ class CampaignBinding:
                      status, attempts, payload),
                 )
 
-    def append_many(self, records: Iterable[dict]) -> None:
-        for record in records:
-            self.append(record)
-
     def mark_running(self, key: str, attempt: int) -> None:
         with closing(self.store._connect()) as conn, conn:
             conn.execute(
@@ -398,6 +393,40 @@ class CampaignBinding:
             )
 
 
-def open_campaign_store(path: Optional[os.PathLike]) -> Optional[CampaignStore]:
-    """A campaign store for ``path``, or ``None`` when not requested."""
-    return None if path is None else CampaignStore(path)
+def read_jsonl(path: os.PathLike) -> Dict[str, dict]:
+    """The run records in a JSONL file, keyed by spec hash.
+
+    The last record for a key wins, a missing file reads as empty, and a
+    line that does not parse (the torn tail of a killed writer) is
+    skipped; a line that parses to anything but an object raises
+    ``ValueError``.
+    """
+    records: Dict[str, dict] = {}
+    path = Path(path)
+    if not path.exists():
+        return records
+    with path.open("r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{number}: not a run record")
+            if record.get("key"):
+                records[record["key"]] = record
+    return records
+
+
+def export_jsonl(records: Iterable[dict], path: os.PathLike) -> Path:
+    """Atomically (re)write ``path`` with one sorted-key JSON line per
+    record, in the order given; returns the written path."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(target.name + ".tmp")
+    tmp.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+        encoding="utf-8",
+    )
+    os.replace(tmp, target)
+    return target

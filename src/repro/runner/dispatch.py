@@ -1,14 +1,9 @@
-"""Pluggable execution backends for the sweep engine, plus retry policy.
+"""The sweep's process-pool dispatcher, plus its retry policy.
 
 The engine used to own a ``ProcessPoolExecutor`` directly, which meant one
 SIGKILLed worker broke the pool and the next ``submit`` crashed the whole
-sweep.  This module splits "how cells execute" out of "which cells to
-execute" behind a small :class:`Dispatcher` interface (the provider-class
-pattern: backends register in :data:`DISPATCHERS` by name, multi-host
-dispatch is a new class, not an engine rewrite).
-
-:class:`LocalPoolDispatcher` is the first backend and hardens the process
-pool three ways:
+sweep.  :class:`LocalPoolDispatcher` wraps the pool and hardens it three
+ways:
 
 * **pool resurrection** — a ``BrokenProcessPool`` (worker SIGKILLed, OOM
   kill, interpreter abort) no longer propagates: the in-flight cells come
@@ -17,18 +12,18 @@ pool three ways:
 * **per-cell wall-clock timeouts** — a wedged cell is killed (the pool's
   worker processes are terminated) and reported as a retryable ``timeout``
   outcome instead of stalling the sweep forever;
-* **graceful degradation** — repeated consecutive pool breakage halves the
-  worker budget (never below ``min_workers``) instead of failing the
-  campaign, surfacing the reduction through ``on_degrade`` (the engine
+* **graceful degradation** — :data:`DEGRADE_AFTER` consecutive pool
+  breakages halve the worker budget (never below one) instead of failing
+  the campaign, surfacing the reduction through ``on_degrade`` (the engine
   forwards it to the :class:`~repro.runner.monitor.SweepMonitor`).
 
 Whether a ``lost``/``timeout`` cell is *re-run* is the engine's decision,
 driven by :class:`CellRetryPolicy` — deterministic bounded attempts with
-exponential backoff and seed-derived jitter, mirroring the shape of the
-link-layer :class:`~repro.comms.link.RetryPolicy`.  Simulation-level
-failures (a run that raises inside the sim) are a pure function of the
-spec, so they are final by default: retrying them would burn attempts on
-a deterministic outcome.
+the exponential backoff of :func:`repro.sim.rng.backoff_delay` (shared
+with the link-layer :class:`~repro.comms.link.RetryPolicy`) and
+seed-derived jitter.  Simulation-level failures (a run that raises inside
+the sim) are a pure function of the spec, so they are final by default:
+retrying them would burn attempts on a deterministic outcome.
 """
 
 from __future__ import annotations
@@ -42,11 +37,15 @@ from typing import Callable, Dict, List, Optional
 
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_run
-from repro.sim.rng import derive_seed
+from repro.sim.rng import backoff_delay, derive_seed
 
 #: outcome kinds that are infrastructure losses (the cell never produced a
 #: record) and therefore worth retrying under the default policy
 RETRYABLE_KINDS = ("lost", "timeout")
+
+#: consecutive organic pool breakages before the worker budget is halved
+#: (deliberate timeout kills do not count)
+DEGRADE_AFTER = 3
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,8 @@ class CellRetryPolicy:
 
     def delay_s(self, spec: RunSpec, attempt: int) -> float:
         """Backoff before re-submitting ``spec`` after attempt ``attempt``."""
-        delay = min(
-            self.base_delay_s * self.backoff_factor ** max(0, attempt - 1),
-            self.max_delay_s,
-        )
+        delay = backoff_delay(self.base_delay_s, self.backoff_factor,
+                              attempt, self.max_delay_s)
         if self.jitter_s > 0.0:
             frac = derive_seed(
                 spec.seed, f"cell-retry:{spec.key}:{attempt}"
@@ -120,52 +117,13 @@ class Outcome:
     error: Optional[str] = None
 
 
-class Dispatcher:
-    """Execution backend interface: submit cells, poll outcomes.
+class LocalPoolDispatcher:
+    """Self-healing ``ProcessPoolExecutor``: submit cells, poll outcomes.
 
-    The engine drives any backend with the same four-step loop::
-
-        dispatcher.start()
-        while work:
-            while ready and dispatcher.capacity:
-                dispatcher.submit(spec, attempt)
-            for outcome in dispatcher.poll(timeout):
-                ...  # retry or finalise
-        dispatcher.stop()
-
-    Implementations must never raise out of ``submit``/``poll`` for
-    worker-side failures — bad news travels as :class:`Outcome` values —
-    and must never silently drop a submitted spec.
-    """
-
-    #: registry name (the ``providerclass`` analogue)
-    name = "abstract"
-
-    def start(self) -> None:
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def capacity(self) -> int:
-        """Free execution slots right now."""
-        raise NotImplementedError
-
-    @property
-    def in_flight(self) -> int:
-        """Cells currently submitted and not yet reported."""
-        raise NotImplementedError
-
-    def submit(self, spec: RunSpec, attempt: int = 1) -> None:
-        raise NotImplementedError
-
-    def poll(self, timeout_s: Optional[float] = None) -> List[Outcome]:
-        raise NotImplementedError
-
-
-class LocalPoolDispatcher(Dispatcher):
-    """Self-healing ``ProcessPoolExecutor`` backend.
+    The engine drives it with a four-step loop (``start``; ``submit``
+    while ``capacity``; ``poll``; ``stop``).  Worker-side failures never
+    raise out of ``submit``/``poll`` — bad news travels as
+    :class:`Outcome` values — and a submitted spec is never dropped.
 
     Parameters
     ----------
@@ -176,22 +134,14 @@ class LocalPoolDispatcher(Dispatcher):
         defaults to :func:`repro.runner.worker.execute_run`.
     cell_timeout_s:
         Per-cell wall-clock budget.  ``None`` (the default) disables
-        timeouts.  Because a running future cannot be cancelled, enforcing
-        a timeout kills the pool's workers; collateral in-flight cells come
-        back as retryable ``lost`` outcomes.
-    degrade_after:
-        Consecutive organic pool breakages before the worker budget is
-        halved (deliberate timeout kills do not count).
-    min_workers:
-        Floor for degradation; the dispatcher never shrinks below this.
+        timeouts; a budget must be positive.  Because a running future
+        cannot be cancelled, enforcing a timeout kills the pool's workers;
+        collateral in-flight cells come back as retryable ``lost``
+        outcomes.
     on_degrade:
         Optional callback ``(old_workers, new_workers)`` fired when the
         budget shrinks.
-    clock:
-        Monotonic timestamp source (injectable for tests).
     """
-
-    name = "local"
 
     def __init__(
         self,
@@ -199,27 +149,24 @@ class LocalPoolDispatcher(Dispatcher):
         *,
         task: Optional[Callable] = None,
         cell_timeout_s: Optional[float] = None,
-        degrade_after: int = 3,
-        min_workers: int = 1,
         on_degrade: Optional[Callable[[int, int], None]] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if cell_timeout_s is not None and not cell_timeout_s > 0:
+            raise ValueError(
+                f"cell_timeout_s must be > 0, got {cell_timeout_s}"
+            )
         self.workers = workers
         self.cell_timeout_s = cell_timeout_s
-        self.degrade_after = degrade_after
-        self.min_workers = max(1, min_workers)
         self.on_degrade = on_degrade
         self._task = task if task is not None else execute_run
-        self._clock = clock
         self._pool: Optional[ProcessPoolExecutor] = None
         #: future -> (spec, attempt, started_t)
         self._futures: Dict = {}
         #: outcomes produced outside poll (submit-time pool resets)
         self._pending: List[Outcome] = []
         self._breakage_streak = 0
-        self.breakages = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -279,7 +226,7 @@ class LocalPoolDispatcher(Dispatcher):
                     f"{type(exc).__name__} on submit", organic=True
                 ))
                 continue
-            self._futures[future] = (spec, attempt, self._clock())
+            self._futures[future] = (spec, attempt, time.monotonic())
             return
         raise RuntimeError(
             "process pool broke twice during a single submit"
@@ -298,7 +245,7 @@ class LocalPoolDispatcher(Dispatcher):
                 started + self.cell_timeout_s
                 for _, _, started in self._futures.values()
             )
-            budget = max(0.0, deadline - self._clock())
+            budget = max(0.0, deadline - time.monotonic())
             timeout = budget if timeout is None else min(timeout, budget)
         finished, _ = futures_wait(
             set(self._futures), timeout=timeout,
@@ -340,7 +287,7 @@ class LocalPoolDispatcher(Dispatcher):
         """Kill and report cells that exceeded the wall-clock budget."""
         if self.cell_timeout_s is None or not self._futures:
             return []
-        now = self._clock()
+        now = time.monotonic()
         overdue = [
             future for future, (_, _, started) in self._futures.items()
             if now - started >= self.cell_timeout_s
@@ -375,36 +322,15 @@ class LocalPoolDispatcher(Dispatcher):
         self._pool = None
         self._futures.clear()
         if organic:
-            self.breakages += 1
             self._breakage_streak += 1
             self._maybe_degrade()
         return outcomes
 
     def _maybe_degrade(self) -> None:
-        if (self._breakage_streak < self.degrade_after
-                or self.workers <= self.min_workers):
+        if self._breakage_streak < DEGRADE_AFTER or self.workers <= 1:
             return
         old = self.workers
-        self.workers = max(self.min_workers, self.workers // 2)
+        self.workers = max(1, self.workers // 2)
         self._breakage_streak = 0
         if self.on_degrade is not None:
             self.on_degrade(old, self.workers)
-
-
-#: provider-class registry: dispatcher name -> class.  Multi-host backends
-#: (SSH fan-out, container fleets) plug in here without touching the engine.
-DISPATCHERS = {
-    LocalPoolDispatcher.name: LocalPoolDispatcher,
-}
-
-
-def make_dispatcher(name: str, workers: int, **kwargs) -> Dispatcher:
-    """Instantiate a registered dispatcher by name."""
-    try:
-        cls = DISPATCHERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown dispatcher {name!r}; "
-            f"available: {', '.join(sorted(DISPATCHERS))}"
-        ) from None
-    return cls(workers, **kwargs)

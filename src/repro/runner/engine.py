@@ -1,11 +1,12 @@
-"""The sweep engine: fan a grid of run specs across an execution backend.
+"""The sweep engine: fan a grid of run specs across a process pool.
 
-:class:`SweepRunner` takes the expanded spec list, consults the result
+:class:`SweepRunner` takes the expanded spec list, consults the campaign
 store for already-completed runs (``resume=True``), and executes only the
-delta — inline for ``jobs=1`` (no pool overhead, same code path as the
-workers) or through a pluggable :class:`~repro.runner.dispatch.Dispatcher`
-(the local process pool by default) otherwise.  Each completed record is
-appended to the store as it arrives, so progress survives interruption.
+delta — inline for ``jobs=1`` without a cell timeout (no pool overhead,
+same code path as the workers), otherwise through a
+:class:`~repro.runner.dispatch.LocalPoolDispatcher` it builds per run.
+Each completed record is written to the store as it arrives, so progress
+survives interruption.
 Failures are data, not exceptions: a worker that raises produces a
 ``status: "failed"`` record and the sweep keeps going.
 
@@ -15,9 +16,8 @@ wall-clock budget — do not fail the cell, let alone the sweep: the
 dispatcher resurrects its pool and the engine requeues the cell under a
 deterministic :class:`~repro.runner.dispatch.CellRetryPolicy` (bounded
 attempts, exponential backoff, seed-derived jitter).  Every attempt is
-reported to the store (the SQLite campaign store records them all) and to
-the monitor, and only a cell that exhausts its attempt budget becomes a
-``failed`` record.
+recorded in the campaign store and reported to the monitor, and only a
+cell that exhausts its attempt budget becomes a ``failed`` record.
 
 Because every run is a pure function of its spec (see
 :mod:`repro.runner.worker`), the report's records are returned in spec
@@ -34,15 +34,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runner.dispatch import (
-    CellRetryPolicy,
-    Dispatcher,
-    LocalPoolDispatcher,
-    Outcome,
-)
+from repro.runner.campaign import CampaignBinding
+from repro.runner.dispatch import CellRetryPolicy, LocalPoolDispatcher, Outcome
 from repro.runner.monitor import SweepMonitor
 from repro.runner.spec import RunSpec
-from repro.runner.store import ResultStore
 from repro.runner.worker import execute_run
 
 ProgressFn = Callable[[str], None]
@@ -105,13 +100,14 @@ class SweepRunner:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` runs inline in this process.
+        Worker processes.  ``1`` runs inline in this process unless
+        ``cell_timeout_s`` is set.
     store:
-        Optional :class:`ResultStore` or campaign-store binding (see
+        Optional campaign binding (see
         :meth:`repro.runner.campaign.CampaignStore.bind`); completed
-        records are appended as they arrive, attempts are reported through
-        ``record_attempt``, and ``completed_keys`` backs cache hits when
-        ``resume`` is set.
+        records are written through ``append`` as they arrive, attempts
+        through ``record_attempt``, and ``completed_keys`` backs cache hits
+        when ``resume`` is set.
     retry_policy:
         The per-cell retry schedule; defaults to
         :class:`~repro.runner.dispatch.CellRetryPolicy` (3 attempts,
@@ -119,13 +115,10 @@ class SweepRunner:
         infrastructure losses retry by default — a sim-level failure is a
         pure function of the spec and stays final.
     cell_timeout_s:
-        Per-cell wall-clock budget for pool execution; an overdue cell is
-        killed and requeued as a retryable ``timeout`` attempt.  ``None``
-        disables timeouts.
-    dispatcher:
-        Optional pre-built execution backend; by default a
-        :class:`~repro.runner.dispatch.LocalPoolDispatcher` is created
-        per ``run`` with ``min(jobs, len(pending))`` workers.
+        Per-cell wall-clock budget; an overdue cell is killed and requeued
+        as a retryable ``timeout`` attempt.  A budget can only be enforced
+        on a worker process, so setting one runs even ``jobs=1`` sweeps
+        through a one-worker pool.  ``None`` disables timeouts.
     task:
         Picklable ``(spec_dict, attempt) -> record`` callable; defaults to
         :func:`repro.runner.worker.execute_run`.  Injectable so the chaos
@@ -150,10 +143,9 @@ class SweepRunner:
         self,
         *,
         jobs: int = 1,
-        store: Optional[ResultStore] = None,
+        store: Optional[CampaignBinding] = None,
         retry_policy: Optional[CellRetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
-        dispatcher: Optional[Dispatcher] = None,
         task: Optional[Callable] = None,
         progress: Optional[ProgressFn] = None,
         monitor: Optional[SweepMonitor] = None,
@@ -170,7 +162,6 @@ class SweepRunner:
             retry_policy if retry_policy is not None else CellRetryPolicy()
         )
         self.cell_timeout_s = cell_timeout_s
-        self.dispatcher = dispatcher
         self.task = task if task is not None else execute_run
         self.progress = progress
         self.monitor = monitor
@@ -286,7 +277,7 @@ class SweepRunner:
         self._last_status_write = now
         self.monitor.write_status(self.status_path, now=now)
 
-    # -- store protocol (both ResultStore and CampaignBinding) -------------
+    # -- store writes ------------------------------------------------------
 
     def _mark_running(self, spec: RunSpec, attempt: int) -> None:
         if self.store is not None:
@@ -304,12 +295,12 @@ class SweepRunner:
             pid=record.get("pid"),
         )
 
-    # -- execution backends ------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     def _execute(self, pending: Sequence[RunSpec]):
         if not pending:
             return
-        if self.jobs == 1 and self.dispatcher is None:
+        if self.jobs == 1 and self.cell_timeout_s is None:
             yield from self._execute_inline(pending)
             return
         yield from self._execute_dispatched(pending)
@@ -343,17 +334,15 @@ class SweepRunner:
                 self.sleep(policy.delay_s(spec, attempt))
 
     def _execute_dispatched(self, pending: Sequence[RunSpec]):
-        """The self-healing dispatcher loop: lazy submission (one in-flight
-        cell per worker), retry with deterministic backoff, heartbeats."""
+        """The self-healing pool loop: lazy submission (one in-flight cell
+        per worker), retry with deterministic backoff, heartbeats."""
         policy = self.retry_policy
-        dispatcher = self.dispatcher
-        if dispatcher is None:
-            dispatcher = LocalPoolDispatcher(
-                min(self.jobs, len(pending)),
-                task=self.task,
-                cell_timeout_s=self.cell_timeout_s,
-            )
-        dispatcher.on_degrade = self._on_degrade
+        dispatcher = LocalPoolDispatcher(
+            min(self.jobs, len(pending)),
+            task=self.task,
+            cell_timeout_s=self.cell_timeout_s,
+            on_degrade=self._on_degrade,
+        )
         ready = deque(pending)
         delayed: List[tuple] = []  # (eligible_t, spec) backoff parking lot
         attempts: Dict[str, int] = {}
@@ -460,7 +449,7 @@ def run_sweep(
     specs: Sequence[RunSpec],
     *,
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[CampaignBinding] = None,
     resume: bool = False,
     retry_policy: Optional[CellRetryPolicy] = None,
     cell_timeout_s: Optional[float] = None,

@@ -10,6 +10,8 @@ attached, without the caller ever touching enum or object types.
 ``compose_run`` is the single entry point the runner worker calls; it is
 also usable directly for in-process experiments that want spec-driven
 scenario construction (the determinism regression tests do exactly that).
+``arm_plan`` is its attack-arming step on its own, for callers (the
+``trace`` and ``attack`` commands) that build the scenario themselves.
 """
 
 from __future__ import annotations
@@ -155,6 +157,31 @@ class PreparedRun:
         return self.ids_manager or self.scenario.ids_manager
 
 
+def arm_plan(
+    scenario: WorksiteScenario,
+    plan: Sequence[Tuple[str, float, Optional[float]]],
+) -> List[Tuple[str, float, float]]:
+    """Build and arm every ``(campaign_name, start_s, duration_s)`` step of
+    ``plan`` on ``scenario``; returns the steps' ground-truth windows.
+
+    A ``None`` duration leaves the attack open-ended.  A builder that
+    stages its own durations (e.g. ``"combined"``) is armed without one.
+    """
+    windows: List[Tuple[str, float, float]] = []
+    for name, start, duration in plan:
+        kwargs = {"start": float(start)}
+        if duration is not None:
+            kwargs["duration"] = float(duration)
+        try:
+            campaign = build_campaign(name, scenario, **kwargs)
+        except TypeError:
+            kwargs.pop("duration", None)
+            campaign = build_campaign(name, scenario, **kwargs)
+        campaign.arm()
+        windows.extend(campaign.ground_truth_windows())
+    return windows
+
+
 def compose_run(
     seed: int,
     horizon_s: float,
@@ -184,19 +211,7 @@ def compose_run(
             )
     config = scenario_config_from_primitives(seed, profile, overrides)
     scenario = build_worksite(config)
-    windows: List[Tuple[str, float, float]] = []
-    for name, start, duration in plan:
-        kwargs = {"start": float(start)}
-        if duration is not None:
-            kwargs["duration"] = float(duration)
-        try:
-            campaign = build_campaign(name, scenario, **kwargs)
-        except TypeError:
-            # some builders (e.g. "combined") stage their own durations
-            kwargs.pop("duration", None)
-            campaign = build_campaign(name, scenario, **kwargs)
-        campaign.arm()
-        windows.extend(campaign.ground_truth_windows())
+    windows = arm_plan(scenario, plan)
     manager = (
         standalone_ids_family(ids_family, scenario) if ids_family else None
     )

@@ -25,6 +25,17 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def backoff_delay(base_s: float, factor: float, attempt: int,
+                  cap_s: float) -> float:
+    """Exponential backoff before retry ``attempt`` (1-based), without
+    jitter: ``min(base_s * factor ** (attempt - 1), cap_s)``.
+
+    The one schedule both retry policies share (the link layer's ACK
+    timeouts and the sweep's per-cell retries); each adds its own jitter.
+    """
+    return min(base_s * factor ** max(0, attempt - 1), cap_s)
+
+
 class RngStreams:
     """A factory of named, independent ``random.Random`` streams.
 

@@ -1,10 +1,11 @@
 """Unit tests for the SQLite campaign store, the engine binding, the
-retry policy, and the dispatcher registry.
+JSONL export and import, the retry policy, and the dispatcher's guards.
 
 The store is the durable half of the self-healing campaign service: these
 tests pin down the schema contract (WAL mode, campaigns/cells/attempts),
-the engine's duck-typed store protocol through ``CampaignBinding``, the
-one-way JSONL import path, and the determinism of the retry schedule.
+what the engine writes through ``CampaignBinding``, the JSONL export
+format and its one-way import path, and the determinism of the retry
+schedule.
 """
 
 import json
@@ -14,16 +15,15 @@ from contextlib import closing
 import pytest
 
 from repro.runner import (
-    DISPATCHERS,
     CampaignSchemaError,
     CampaignStore,
     CellRetryPolicy,
     LocalPoolDispatcher,
-    ResultStore,
     RunSpec,
     SweepRunner,
-    make_dispatcher,
-    open_campaign_store,
+    execute_run,
+    export_jsonl,
+    read_jsonl,
 )
 
 TINY = {
@@ -80,10 +80,6 @@ class TestSchema:
     def test_parent_directory_is_created(self, tmp_path):
         CampaignStore(tmp_path / "deep" / "nested" / "c.db")
         assert (tmp_path / "deep" / "nested" / "c.db").exists()
-
-    def test_open_campaign_store_none_passthrough(self, tmp_path):
-        assert open_campaign_store(None) is None
-        assert open_campaign_store(tmp_path / "c.db") is not None
 
 
 class TestCampaignLifecycle:
@@ -210,17 +206,22 @@ class TestEngineIntegration:
         assert (report.executed, report.cached) == (1, 1)
 
     def test_campaign_results_match_jsonl_results(self, tmp_path):
-        """Same specs, same results, whichever store backs the sweep."""
+        """The JSONL export carries exactly the results the store holds,
+        and a store-less sweep computes the same ones."""
         specs = [tiny_spec(seed=1), tiny_spec(campaign="rf_jamming", seed=1)]
-        jsonl = ResultStore(tmp_path / "sweep.jsonl")
-        via_jsonl = SweepRunner(jobs=1, store=jsonl).run(specs)
+        plain = SweepRunner(jobs=1).run(specs)
         store = CampaignStore(tmp_path / "c.db")
         store.ensure_campaign("parity", specs)
         via_db = SweepRunner(jobs=1, store=store.bind("parity")).run(specs)
+        exported = read_jsonl(export_jsonl(via_db.records,
+                                           tmp_path / "sweep.jsonl"))
+        stored = store.bind("parity").load()
         assert [json.dumps(r["result"], sort_keys=True)
-                for r in via_jsonl.records] == \
-               [json.dumps(r["result"], sort_keys=True)
-                for r in via_db.records]
+                for r in plain.records] == \
+               [json.dumps(stored[s.key]["result"], sort_keys=True)
+                for s in specs] == \
+               [json.dumps(exported[s.key]["result"], sort_keys=True)
+                for s in specs]
 
 
 class TestJsonlImport:
@@ -228,10 +229,13 @@ class TestJsonlImport:
         self, tmp_path
     ):
         specs = [tiny_spec(seed=1), tiny_spec(seed=2)]
-        jsonl = ResultStore(tmp_path / "legacy.jsonl")
-        SweepRunner(jobs=1, store=jsonl).run(specs)
+        jsonl = tmp_path / "legacy.jsonl"
+        jsonl.write_text("".join(
+            json.dumps(execute_run(spec.to_dict()), sort_keys=True) + "\n"
+            for spec in specs
+        ), encoding="utf-8")
         store = CampaignStore(tmp_path / "c.db")
-        imported = store.import_jsonl(jsonl.path, "migrated")
+        imported = store.import_jsonl(jsonl, "migrated")
         assert imported == {"campaign": "migrated", "cells": 2,
                             "ok": 2, "failed": 0}
         binding = store.bind("migrated")
@@ -253,6 +257,44 @@ class TestJsonlImport:
         store = CampaignStore(tmp_path / "c.db")
         imported = store.import_jsonl(path, "torn")
         assert imported["cells"] == 1
+
+    def test_import_refuses_a_line_that_is_not_a_record(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text('{"key": "aa", "status": "ok"}\n[1, 2]\n',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=":2: not a run record"):
+            CampaignStore(tmp_path / "c.db").import_jsonl(path, "bad")
+
+
+def _record(key, status="ok", payload=0):
+    return {"key": key, "status": status, "result": {"n": payload},
+            "spec": {"campaign": "baseline"}}
+
+
+class TestJsonlExport:
+    def test_export_writes_sorted_json_lines_in_the_given_order(
+        self, tmp_path
+    ):
+        records = [_record("bb", payload=2), _record("aa", payload=1)]
+        path = export_jsonl(records, tmp_path / "deep" / "sweep.jsonl")
+        assert path.read_text(encoding="utf-8").splitlines() == \
+               [json.dumps(r, sort_keys=True) for r in records]
+        assert not path.with_name("sweep.jsonl.tmp").exists()
+
+    def test_export_replaces_the_previous_file(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        export_jsonl([_record("aa"), _record("bb")], path)
+        export_jsonl([_record("cc")], path)
+        assert set(read_jsonl(path)) == {"cc"}
+
+    def test_reader_keeps_the_last_record_per_key(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        export_jsonl([_record("aa", payload=1), _record("aa", payload=2)],
+                     path)
+        assert read_jsonl(path)["aa"]["result"]["n"] == 2
+
+    def test_reader_reads_a_missing_file_as_empty(self, tmp_path):
+        assert read_jsonl(tmp_path / "absent.jsonl") == {}
 
 
 class TestCellRetryPolicy:
@@ -293,19 +335,7 @@ class TestCellRetryPolicy:
 
 
 class TestDispatcherRegistry:
-    def test_local_dispatcher_is_registered(self):
-        assert DISPATCHERS["local"] is LocalPoolDispatcher
-
-    def test_make_dispatcher_builds_by_name(self):
-        dispatcher = make_dispatcher("local", 2, cell_timeout_s=5.0)
-        assert isinstance(dispatcher, LocalPoolDispatcher)
-        assert dispatcher.workers == 2
-        assert dispatcher.cell_timeout_s == 5.0
-
-    def test_make_dispatcher_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown dispatcher"):
-            make_dispatcher("cloud", 2)
-
     def test_dispatcher_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            LocalPoolDispatcher(0)
+        for workers, timeout in ((0, None), (2, 0.0), (2, -1.0)):
+            with pytest.raises(ValueError):
+                LocalPoolDispatcher(workers, cell_timeout_s=timeout)

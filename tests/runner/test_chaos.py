@@ -32,10 +32,12 @@ from repro.runner import (
     CampaignStore,
     CellRetryPolicy,
     RunSpec,
+    SweepMonitor,
     SweepRunner,
     execute_run,
     run_sweep,
 )
+from repro.runner.dispatch import DEGRADE_AFTER
 
 TINY = {
     "width": 160.0, "height": 160.0, "tree_density": 0.01,
@@ -86,6 +88,12 @@ def _fast_task(spec_dict, attempt=1):
         "error": None, "result": {"echo": spec.seed}, "wall_s": 0.001,
         "pid": os.getpid(), "attempt": int(attempt),
     }
+
+
+def _slow_task(spec_dict, attempt=1):
+    """A worker that overruns any sub-second cell budget."""
+    time.sleep(2.0)
+    return _fast_task(spec_dict, attempt)
 
 
 def _chaos_execute_run(spec_dict, attempt=1):
@@ -176,6 +184,27 @@ class TestWorkerLoss:
         ok = [r for r in report.records if r["status"] == "ok"]
         assert sorted(r["result"]["echo"] for r in ok) == [2, 3]
 
+    def test_repeated_breakage_halves_the_worker_budget(self):
+        # two cells, because the pool is sized min(jobs, pending); each
+        # breakage costs at most both cells one attempt, so 4 attempts
+        # each leave room for DEGRADE_AFTER consecutive breakages
+        assert DEGRADE_AFTER == 3
+        specs = [tiny_spec(seed=1), tiny_spec(seed=2)]
+        CHAOS.update(mode="die_always", victims=())
+        monitor = SweepMonitor()
+        lines = []
+        runner = SweepRunner(
+            jobs=2, task=_fast_task, monitor=monitor, progress=lines.append,
+            retry_policy=CellRetryPolicy(max_attempts=4, base_delay_s=0.01),
+        )
+        report = runner.run(specs)
+        assert report.failed == 2
+        snapshot = monitor.snapshot()
+        assert snapshot["degraded_from"] == 2
+        assert snapshot["jobs"] == 1
+        assert "[degraded] worker budget 2 -> 1 after repeated pool " \
+               "breakage" in lines
+
 
 @fork_only
 class TestHangingCell:
@@ -194,6 +223,22 @@ class TestHangingCell:
         assert report.attempts[spec.key] == 2
         statuses = [r["status"] for r in store.attempts("wedged", spec.key)]
         assert statuses == ["timeout", "ok"]
+
+    def test_timeout_is_enforced_at_one_job(self, tmp_path):
+        spec = tiny_spec(seed=1)
+        store = CampaignStore(tmp_path / "c.db")
+        store.ensure_campaign("serial", [spec])
+        runner = SweepRunner(
+            jobs=1, task=_slow_task, store=store.bind("serial"),
+            cell_timeout_s=0.5,
+            retry_policy=CellRetryPolicy(max_attempts=1),
+        )
+        report = runner.run([spec])
+        (record,) = report.records
+        assert record["status"] == "failed"
+        assert "wall-clock budget" in record["error"]
+        statuses = [r["status"] for r in store.attempts("serial", spec.key)]
+        assert statuses == ["timeout"]
 
 
 #: TINY with the signed ground-station plane (and two attacks) armed

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from repro.runner import (
-    ResultStore,
+    CampaignStore,
     RunSpec,
     SweepRunner,
     UncheckedResultWarning,
@@ -32,9 +32,16 @@ def tiny_spec(campaign="baseline", seed=1, **kwargs):
     )
 
 
+@pytest.fixture
+def store(tmp_path):
+    """A fresh campaign's binding: the store every sweep writes through."""
+    campaigns = CampaignStore(tmp_path / "sweep.db")
+    campaigns.ensure_campaign("sweep")
+    return campaigns.bind("sweep")
+
+
 class TestCaching:
-    def test_resume_skips_completed_runs(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+    def test_resume_skips_completed_runs(self, store):
         specs = [tiny_spec(seed=1), tiny_spec(seed=2)]
         first = SweepRunner(jobs=1, store=store).run(specs)
         assert (first.executed, first.cached) == (2, 0)
@@ -43,29 +50,25 @@ class TestCaching:
         assert [r["result"] for r in second.records] == \
                [r["result"] for r in first.records]
 
-    def test_resume_executes_only_the_delta(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+    def test_resume_executes_only_the_delta(self, store):
         SweepRunner(jobs=1, store=store).run([tiny_spec(seed=1)])
         grown = [tiny_spec(seed=1), tiny_spec(seed=2)]
         report = SweepRunner(jobs=1, store=store).run(grown, resume=True)
         assert (report.executed, report.cached) == (1, 1)
 
-    def test_changed_spec_misses_the_cache(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+    def test_changed_spec_misses_the_cache(self, store):
         SweepRunner(jobs=1, store=store).run([tiny_spec(seed=1)])
         changed = tiny_spec(seed=1, profile="undefended")
         report = SweepRunner(jobs=1, store=store).run([changed], resume=True)
         assert (report.executed, report.cached) == (1, 0)
 
-    def test_without_resume_cache_is_ignored(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+    def test_without_resume_cache_is_ignored(self, store):
         spec = tiny_spec(seed=1)
         SweepRunner(jobs=1, store=store).run([spec])
         report = SweepRunner(jobs=1, store=store).run([spec])
         assert (report.executed, report.cached) == (1, 0)
 
-    def test_failed_runs_are_not_treated_as_completed(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+    def test_failed_runs_are_not_treated_as_completed(self, store):
         bad = tiny_spec(campaign="rf_jamming", seed=1,
                         overrides={**TINY, "weather_initial": "nonsense"})
         first = SweepRunner(jobs=1, store=store).run([bad])
@@ -90,10 +93,9 @@ class TestResumeWarning:
     """
 
     def test_unchecked_cache_hits_warn_under_repro_check(
-        self, tmp_path, monkeypatch
+        self, store, monkeypatch
     ):
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        store = ResultStore(tmp_path / "sweep.jsonl")
         spec = tiny_spec(seed=1)
         SweepRunner(jobs=1, store=store).run([spec])
 
@@ -105,9 +107,8 @@ class TestResumeWarning:
         # the warning flags the mix; the cached record is still served
         assert (report.executed, report.cached) == (0, 1)
 
-    def test_no_warning_without_repro_check(self, tmp_path, monkeypatch):
+    def test_no_warning_without_repro_check(self, store, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        store = ResultStore(tmp_path / "sweep.jsonl")
         spec = tiny_spec(seed=1)
         SweepRunner(jobs=1, store=store).run([spec])
         with warnings.catch_warnings():
@@ -115,10 +116,9 @@ class TestResumeWarning:
             SweepRunner(jobs=1, store=store).run([spec], resume=True)
 
     def test_no_warning_when_the_store_was_checked(
-        self, tmp_path, monkeypatch
+        self, store, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CHECK", "1")
-        store = ResultStore(tmp_path / "sweep.jsonl")
         spec = tiny_spec(seed=1)
         first = SweepRunner(jobs=1, store=store).run([spec])
         (record,) = first.records
@@ -179,8 +179,7 @@ class TestReportAttempts:
         for record in report.records:
             assert record["attempts"] == 1
 
-    def test_cached_cells_report_zero_new_attempts(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+    def test_cached_cells_report_zero_new_attempts(self, store):
         spec = tiny_spec(seed=1)
         SweepRunner(jobs=1, store=store).run([spec])
         report = SweepRunner(jobs=1, store=store).run([spec], resume=True)

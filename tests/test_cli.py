@@ -111,6 +111,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "detection:" in out
 
+    def test_attack_combined_accepts_a_duration(self, capsys):
+        # "combined" stages its own durations; the flag must not crash it
+        assert main([
+            "attack", "combined", "--seed", "3", "--minutes", "1",
+            "--start", "10", "--duration", "60",
+        ]) == 0
+        assert "detection:" in capsys.readouterr().out
+
     def test_assess(self, capsys):
         assert main(["assess"]) == 0
         out = capsys.readouterr().out
@@ -167,6 +175,24 @@ class TestTraceCommand:
         ]) == 0
         assert trace.ACTIVE is False
         assert trace.TRACER is None
+
+    def test_trace_combined_accepts_a_duration(self, tmp_path):
+        assert main([
+            "trace", "--seed", "3", "--minutes", "1",
+            "--campaign", "combined", "--start", "10", "--duration", "60",
+            "--out", str(tmp_path / "t.jsonl"), "--no-report",
+        ]) == 0
+
+    def test_trace_zero_duration_replays_clean(self, tmp_path, capsys):
+        # a zero duration is armed as written in the header's spec, not
+        # as an open-ended attack, so the replay oracle agrees with it
+        out = str(tmp_path / "t.jsonl")
+        assert main([
+            "trace", "--seed", "3", "--minutes", "1",
+            "--campaign", "rf_jamming", "--start", "10", "--duration", "0",
+            "--out", out, "--no-report",
+        ]) == 0
+        assert main(["check", "--trace", out]) == 0
 
     def test_trace_unknown_campaign(self, tmp_path, capsys):
         assert main([
@@ -338,18 +364,83 @@ class TestSweepCommand:
         from repro.runner import CampaignStore
 
         db = str(tmp_path / "campaigns.db")
+        out = str(tmp_path / "export" / "sweep.jsonl")
         assert main(["sweep", *self.SMALL, "--quiet", "--no-table",
-                     "--campaign-db", db]) == 0
+                     "--campaign-db", db, "--out", out]) == 0
         assert "2 executed" in capsys.readouterr().out
         # resume against the DB serves everything from the campaign
         assert main(["sweep", *self.SMALL, "--quiet", "--no-table",
-                     "--campaign-db", db, "--resume"]) == 0
+                     "--campaign-db", db, "--out", out, "--resume"]) == 0
         assert "0 executed, 2 cached" in capsys.readouterr().out
         (summary,) = CampaignStore(db).list_campaigns()
         assert summary["name"] == "sweep"
         assert summary["ok"] == 2
         # status.json lands next to the DB, not next to --out
         assert (tmp_path / "status.json").exists()
+        assert not (tmp_path / "export" / "status.json").exists()
+
+    def test_sweep_defaults_its_store_beside_out(self, tmp_path, capsys):
+        import json
+
+        from repro.runner import CampaignStore
+
+        out = tmp_path / "sweep.jsonl"
+        assert main(["sweep", *self.SMALL, "--quiet", "--no-table",
+                     "--out", str(out)]) == 0
+        assert "store=" + str(tmp_path / "sweep.db") in \
+               capsys.readouterr().out
+        (summary,) = CampaignStore(tmp_path / "sweep.db").list_campaigns()
+        assert (summary["name"], summary["ok"]) == ("sweep", 2)
+        # --out is the export: one sorted-key JSON line per cell
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        assert all(json.dumps(json.loads(line), sort_keys=True) == line
+                   for line in lines)
+
+    def test_sweep_promotes_a_legacy_jsonl_store(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import _sweep_spec_from_args
+        from repro.runner import CampaignStore, execute_run
+
+        args = build_parser().parse_args(["sweep", *self.SMALL])
+        legacy = [
+            json.dumps(execute_run(spec.to_dict()), sort_keys=True)
+            for spec in _sweep_spec_from_args(args).expand()
+        ]
+        out = tmp_path / "sweep.jsonl"
+        out.write_text("".join(line + "\n" for line in legacy),
+                       encoding="utf-8")
+        assert main(["sweep", *self.SMALL, "--quiet", "--no-table",
+                     "--out", str(out), "--resume"]) == 0
+        assert "0 executed, 2 cached" in capsys.readouterr().out
+        rewritten = out.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["result"] for line in rewritten] == \
+               [json.loads(line)["result"] for line in legacy]
+        # the promoted cells carry one synthesised attempt each
+        (summary,) = CampaignStore(tmp_path / "sweep.db").list_campaigns()
+        assert (summary["ok"], summary["attempts"]) == (2, 2)
+
+    def test_sweep_refuses_to_export_over_its_database(self, tmp_path,
+                                                       capsys):
+        assert main(["sweep", "--campaigns", "baseline", "--seeds", "1",
+                     "--out", str(tmp_path / "s.db")]) == 2
+        assert "is the campaign database" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_rejects_nonpositive_cell_timeout(self, tmp_path, capsys):
+        db = tmp_path / "c.db"
+        for command in (
+            ["sweep", "--campaigns", "baseline", "--seeds", "1",
+             "--out", str(tmp_path / "s.jsonl")],
+            ["campaign", "start", "night", "--db", str(db),
+             "--campaigns", "baseline", "--seeds", "1"],
+            ["campaign", "resume", "night", "--db", str(db)],
+        ):
+            assert main([*command, "--cell-timeout", "-1"]) == 2
+            assert "--cell-timeout must be > 0" in capsys.readouterr().err
+        # refused before any store was opened
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCampaignCommand:
@@ -422,7 +513,7 @@ class TestCampaignCommand:
         ["campaign", "list", "--db", "{db}"],
         ["campaign", "show", "night", "--db", "{db}"],
         ["sweep", "--campaigns", "baseline", "--seeds", "11",
-         "--campaign-db", "{db}"],
+         "--campaign-db", "{db}", "--out", "{db}.jsonl"],
     ])
     def test_other_schema_version_exits_2(self, tmp_path, capsys, command):
         db = str(tmp_path / "c.db")
