@@ -63,20 +63,15 @@ def snapshot() -> dict:
 
 
 def batch_summary() -> Dict[str, float]:
-    """Derived statistics of the canopy sweep and the event queue.
+    """Derived statistics of the canopy memo and the event queue.
 
-    Computed from the raw counters (average candidate trees per numpy
-    canopy sweep, canopy memo hit rate, timer-slot reuse) so a profile run
-    shows at a glance whether the numpy canopy sweep engages and how large
-    its sweeps are.  Returns an empty dict when none of the counters fired.
+    Computed from the raw counters (canopy memo hit rate, timer-slot
+    reuse) so a profile run shows at a glance how often sight lines and
+    timers are reused.  Returns an empty dict when none of the counters
+    fired.
     """
     c = _counts
     out: Dict[str, float] = {}
-    sweeps = c.get("world.canopy_batch_sweeps", 0)
-    if sweeps:
-        out["canopy.trees_per_batch_sweep"] = round(
-            c.get("world.canopy_batch_trees", 0) / sweeps, 2
-        )
     canopy_hits = c.get("world.canopy_cache_hit", 0)
     canopy_total = canopy_hits + c.get("world.canopy_cache_miss", 0)
     if canopy_total:

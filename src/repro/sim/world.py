@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.perf import counters as perf
 from repro.sim.geometry import Segment, Vec2
 from repro.sim.rng import RngStreams
@@ -59,10 +57,28 @@ class World:
     """The worksite: terrain + trees + zones, with spatial queries.
 
     Trees are indexed in a coarse uniform hash grid so line-of-sight and
-    obstruction queries stay fast for thousands of trees.
+    obstruction queries stay fast for thousands of trees.  Sight-line
+    queries (:meth:`canopy_blockage`, :meth:`trunk_blocks`) scan a band
+    memo keyed on the endpoints' grid cells: each entry holds only the
+    trees that can touch a line between those two cells, in
+    :meth:`_trees_near` scan order.  That is exact only because no canopy
+    or trunk radius exceeds :attr:`_PAD`, which :meth:`add_tree` enforces.
     """
 
     _CELL = 10.0  # metres; coarse grid cell for the tree index
+
+    #: largest canopy or trunk radius a tree may have (``add_tree`` refuses
+    #: larger ones), so no tree farther than this from a sight line touches it
+    _PAD = 5.0
+    #: band-memo reach: every point of a line from cell A to cell B lies
+    #: within half a cell diagonal of the segment joining the two cells'
+    #: centres, so the trees within this distance of that segment include
+    #: every tree within _PAD of the line; 1e-6 m absorbs rounding
+    _BAND_REACH = _PAD + _CELL * math.sqrt(0.5) + 1e-6
+    #: band-memo capacity (cleared when full): keys change only when an
+    #: endpoint crosses a 10 m cell boundary, so even fleet-scale scenarios
+    #: stay far below this
+    _BAND_CACHE_MAX = 4096
 
     #: canopy-cache key resolution: positions are quantised to millimetres,
     #: so endpoints within 0.5 mm share an entry (static machines re-query
@@ -73,11 +89,6 @@ class World:
     #: bound.  Hot static-link keys are touched every frame, so eviction
     #: only sheds one-shot keys from moving endpoints.
     _CANOPY_CACHE_MAX = 65536
-    #: minimum candidate-tree count for the vectorised canopy sweep; below
-    #: this the numpy call overhead beats the plain loop (measured breakeven
-    #: on a single-vCPU host is ~150 candidates — numpy ufunc dispatch costs
-    #: several microseconds per op, so short sweeps stay scalar)
-    _CANOPY_BATCH_MIN = 160
 
     def __init__(
         self,
@@ -90,23 +101,10 @@ class World:
         self.zones: Dict[str, Zone] = {}
         self._grid: Dict[Tuple[int, int], List[Tree]] = {}
         self._canopy_cache: Dict[Tuple[int, int, int, int], float] = {}
-        # lazily-built per-cell (x, y, canopy_radius) numpy arrays for the
-        # vectorised canopy sweep; invalidated whenever the forest changes
-        self._cell_arrays: Dict[Tuple[int, int], tuple] = {}
-        # lazily-built per-cell flat tuple lists for the scalar sweeps:
-        # (x, y, canopy_radius) and (x, y, trunk_radius) — iterating plain
-        # floats beats touching Tree attributes per query
-        self._cell_canopy: Dict[Tuple[int, int], List[Tuple[float, float, float]]] = {}
-        self._cell_trunk: Dict[Tuple[int, int], List[Tuple[float, float, float]]] = {}
-        # memo of concatenated candidate columns per scanned cell set —
-        # consecutive queries from a moving observer scan the same cells
-        self._concat_cache: Dict[tuple, tuple] = {}
-        # memo of combined candidate lists per scanned cell *rectangle*:
-        # a moving endpoint shifts its bbox by centimetres per tick, so the
-        # 10 m cell rectangle — and therefore the candidate set, in scan
-        # order — is identical across many consecutive queries
-        self._rect_canopy: Dict[Tuple[int, int, int, int], tuple] = {}
-        self._rect_trunk: Dict[Tuple[int, int, int, int], List[Tuple[float, float, float]]] = {}
+        # endpoint-cell pair -> [(x, y, canopy_radius, trunk_radius), ...]
+        self._band_cache: Dict[
+            Tuple[int, int, int, int], List[Tuple[float, float, float, float]]
+        ] = {}
         for tree in trees or []:
             self.add_tree(tree)
         for zone in zones or []:
@@ -121,16 +119,16 @@ class World:
         return self.terrain.height
 
     def add_tree(self, tree: Tree) -> None:
+        if tree.canopy_radius > self._PAD or tree.trunk_radius > self._PAD:
+            raise ValueError(
+                f"tree radii must not exceed {self._PAD} m: canopy "
+                f"{tree.canopy_radius}, trunk {tree.trunk_radius}"
+            )
         self.trees.append(tree)
         self._grid.setdefault(self._cell(tree.position), []).append(tree)
         # the forest changed: every memoised sight line is stale
         self._canopy_cache.clear()
-        self._cell_arrays.clear()
-        self._cell_canopy.clear()
-        self._cell_trunk.clear()
-        self._concat_cache.clear()
-        self._rect_canopy.clear()
-        self._rect_trunk.clear()
+        self._band_cache.clear()
 
     def add_zone(self, zone: Zone) -> None:
         if zone.name in self.zones:
@@ -228,18 +226,47 @@ class World:
         cache[key] = total
         return total
 
-    def _cell_array(self, key: Tuple[int, int]):
-        """Cached (x, y, canopy_radius) numpy columns for one grid cell."""
-        arrays = self._cell_arrays.get(key)
-        if arrays is None:
-            bucket = self._grid[key]
-            arrays = (
-                np.array([t.position.x for t in bucket]),
-                np.array([t.position.y for t in bucket]),
-                np.array([t.canopy_radius for t in bucket]),
-            )
-            self._cell_arrays[key] = arrays
-        return arrays
+    def _band(
+        self, ax: float, ay: float, bx: float, by: float
+    ) -> List[Tuple[float, float, float, float]]:
+        """``(x, y, canopy_radius, trunk_radius)`` of every tree that can
+        touch a sight line from ``a``'s grid cell to ``b``'s.
+
+        The entry holds each tree within :attr:`_BAND_REACH` of the segment
+        joining the two cells' centres, in :meth:`_trees_near` scan order,
+        and is memoised per endpoint-cell pair.  The relative order of the
+        trees a line meets is the same as in a bounding-box scan, so float
+        sums over them come out bit for bit the same.
+        """
+        cell = self._CELL
+        key = (int(ax // cell), int(ay // cell), int(bx // cell), int(by // cell))
+        band = self._band_cache.get(key)
+        if band is not None:
+            return band
+        half = cell / 2.0
+        px = key[0] * cell + half
+        py = key[1] * cell + half
+        ux = key[2] * cell + half - px
+        uy = key[3] * cell + half - py
+        norm_sq = ux * ux + uy * uy
+        reach = self._BAND_REACH
+        reach_sq = reach * reach
+        band = []
+        for tree in self._trees_near(px, py, px + ux, py + uy, reach):
+            x = tree.position.x
+            y = tree.position.y
+            t = 0.0
+            if norm_sq > 0.0:
+                t = ((x - px) * ux + (y - py) * uy) / norm_sq
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+            ex = px + ux * t - x
+            ey = py + uy * t - y
+            if ex * ex + ey * ey <= reach_sq:
+                band.append((x, y, tree.canopy_radius, tree.trunk_radius))
+        if len(self._band_cache) >= self._BAND_CACHE_MAX:
+            self._band_cache.clear()
+        self._band_cache[key] = band
+        return band
 
     def _canopy_blockage_uncached(self, observer: Vec2, target: Vec2) -> float:
         # raw-float inline of Segment.circle_intersection_params over the
@@ -259,53 +286,14 @@ class World:
             # direction underflows.  Mirror Segment.circle_intersection_params,
             # which treats a == 0.0 as a point segment covered by any canopy
             # the point sits inside.
-            for tree in self._trees_near(ax, ay, bx, by, 5.0):
+            for tree in self._trees_near(ax, ay, bx, by, self._PAD):
                 center = tree.position
                 if math.hypot(ax - center.x, ay - center.y) <= tree.canopy_radius:
                     total += length
             return total
-        # candidate lookup through the cell-rectangle memo: the bbox only
-        # crosses a 10 m cell boundary every few hundred ticks of movement,
-        # so the combined candidate list (in _trees_near x-major scan order)
-        # is reused without touching the grid at all
-        cell = self._CELL
-        min_x = (ax if ax < bx else bx) - 5.0
-        max_x = (ax if ax > bx else bx) + 5.0
-        min_y = (ay if ay < by else by) - 5.0
-        max_y = (ay if ay > by else by) + 5.0
-        rect = (
-            int(min_x // cell), int(max_x // cell),
-            int(min_y // cell), int(max_y // cell),
-        )
-        cached = self._rect_canopy.get(rect)
-        if cached is None:
-            grid = self._grid
-            tuples_map = self._cell_canopy
-            keys: List[Tuple[int, int]] = []
-            combined: List[Tuple[float, float, float]] = []
-            for gx in range(rect[0], rect[1] + 1):
-                for gy in range(rect[2], rect[3] + 1):
-                    key = (gx, gy)
-                    flat = tuples_map.get(key)
-                    if flat is None:
-                        bucket = grid.get(key)
-                        if not bucket:
-                            continue
-                        flat = tuples_map[key] = [
-                            (t.position.x, t.position.y, t.canopy_radius)
-                            for t in bucket
-                        ]
-                    keys.append(key)
-                    combined.extend(flat)
-            if len(self._rect_canopy) >= self._RECT_CACHE_MAX:
-                self._rect_canopy.clear()
-            cached = self._rect_canopy[rect] = (combined, keys)
-        combined, keys = cached
-        if len(combined) >= self._CANOPY_BATCH_MIN:
-            return self._canopy_blockage_batch(
-                keys, ax, ay, dx, dy, seg_norm_sq, length
-            )
-        for cx, cy, radius in combined:
+        # band trees the line misses fail `disc < 0` or `lo > hi`; the ones
+        # it meets come in bounding-box scan order, so the sum is unchanged
+        for cx, cy, radius, _ in self._band(ax, ay, bx, by):
             fx = ax - cx
             fy = ay - cy
             b_coef = 2.0 * (fx * dx + fy * dy)
@@ -323,127 +311,42 @@ class World:
             total += (hi - lo) * length
         return total
 
-    #: capacity of the concatenated-candidate-columns memo
-    _CONCAT_CACHE_MAX = 256
-
-    #: capacity of each cell-rectangle candidate memo (canopy and trunk);
-    #: keys only change when an endpoint crosses a 10 m cell boundary, so
-    #: even fleet-scale scenarios stay far below this
-    _RECT_CACHE_MAX = 4096
-
-    def _canopy_blockage_batch(
-        self,
-        keys: List[Tuple[int, int]],
-        ax: float,
-        ay: float,
-        dx: float,
-        dy: float,
-        seg_norm_sq: float,
-        length: float,
-    ) -> float:
-        """Vectorised canopy sweep, bit-identical to the scalar loop.
-
-        Candidate cells arrive in :meth:`_trees_near` scan order and their
-        cached numpy columns are concatenated (memoised per cell set), so
-        candidates appear in the identical sequence.  Only exact IEEE-754
-        elementwise ops (``+ - * / sqrt`` and comparisons) are used, skipped
-        candidates contribute an exact ``+0.0``, and the final accumulation
-        folds sequentially — every float matches the scalar path bit for bit.
-        """
-        if perf.ACTIVE:
-            perf.incr("world.canopy_batch_sweeps")
-        concat_key = tuple(keys)
-        arrays = self._concat_cache.get(concat_key)
-        if arrays is None:
-            if len(keys) == 1:
-                arrays = self._cell_array(keys[0])
-            else:
-                parts = [self._cell_array(k) for k in keys]
-                arrays = (
-                    np.concatenate([p[0] for p in parts]),
-                    np.concatenate([p[1] for p in parts]),
-                    np.concatenate([p[2] for p in parts]),
-                )
-            if len(self._concat_cache) >= self._CONCAT_CACHE_MAX:
-                self._concat_cache.clear()
-            self._concat_cache[concat_key] = arrays
-        xs, ys, rs = arrays
-        if perf.ACTIVE:
-            perf.incr("world.canopy_batch_trees", len(xs))
-        fx = ax - xs
-        fy = ay - ys
-        b_coef = 2.0 * (fx * dx + fy * dy)
-        c = (fx * fx + fy * fy) - rs * rs
-        disc = b_coef * b_coef - 4.0 * seg_norm_sq * c
-        valid = disc >= 0.0
-        sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
-        t0 = (-b_coef - sqrt_disc) / (2.0 * seg_norm_sq)
-        t1 = (-b_coef + sqrt_disc) / (2.0 * seg_norm_sq)
-        lo = np.where(t0 > 0.0, t0, 0.0)
-        hi = np.where(t1 < 1.0, t1, 1.0)
-        valid &= lo <= hi
-        terms = np.where(valid, (hi - lo) * length, 0.0)
-        total = 0.0
-        for v in terms.tolist():
-            total += v
-        return total
-
     def trunk_blocks(self, observer: Vec2, target: Vec2) -> bool:
-        """True if a trunk lies directly on the sight line."""
-        # raw-float inline of Segment.distance_to_point over the candidates,
-        # iterating cached per-cell flat tuples in _trees_near scan order
+        """True if a trunk lies directly on the sight line.
+
+        A trunk within ``trunk_radius + 0.1`` m of either endpoint belongs
+        to that endpoint's own surroundings and never blocks.
+        """
+        # raw-float inline of Segment.distance_to_point over the band trees
         ax, ay = observer.x, observer.y
         bx, by = target.x, target.y
         dx = bx - ax
         dy = by - ay
         denom = dx * dx + dy * dy
+        if denom == 0.0:
+            # a point sight line: any trunk that reaches it is within its
+            # radius of both endpoints, so the exclusions below drop it
+            return False
         hypot = math.hypot
-        cell = self._CELL
-        min_x = (ax if ax < bx else bx) - 1.0
-        max_x = (ax if ax > bx else bx) + 1.0
-        min_y = (ay if ay < by else by) - 1.0
-        max_y = (ay if ay > by else by) + 1.0
-        rect = (
-            int(min_x // cell), int(max_x // cell),
-            int(min_y // cell), int(max_y // cell),
-        )
-        combined = self._rect_trunk.get(rect)
-        if combined is None:
-            grid = self._grid
-            tuples_map = self._cell_trunk
-            combined = []
-            for gx in range(rect[0], rect[1] + 1):
-                for gy in range(rect[2], rect[3] + 1):
-                    key = (gx, gy)
-                    flat = tuples_map.get(key)
-                    if flat is None:
-                        bucket = grid.get(key)
-                        if not bucket:
-                            continue
-                        flat = tuples_map[key] = [
-                            (t.position.x, t.position.y, t.trunk_radius)
-                            for t in bucket
-                        ]
-                    combined.extend(flat)
-            if len(self._rect_trunk) >= self._RECT_CACHE_MAX:
-                self._rect_trunk.clear()
-            self._rect_trunk[rect] = combined
-        for tx, ty, trunk in combined:
+        for tx, ty, _, trunk in self._band(ax, ay, bx, by):
+            t = ((tx - ax) * dx + (ty - ay) * dy) / denom
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            ex = ax + dx * t - tx
+            ey = ay + dy * t - ty
+            # squared-distance pre-test with a margin far above rounding,
+            # so only trees the exact test could accept pay for hypot
+            reach = trunk + 1e-6
+            if ex * ex + ey * ey > reach * reach:
+                continue
             # Do not let the endpoints' own immediate surroundings count.
-            if hypot(tx - ax, ty - ay) < trunk + 0.1:
-                continue
-            if hypot(tx - bx, ty - by) < trunk + 0.1:
-                continue
-            if denom == 0.0:
-                dist = hypot(ax - tx, ay - ty)
-            else:
-                t = ((tx - ax) * dx + (ty - ay) * dy) / denom
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                dist = hypot(ax + dx * t - tx, ay + dy * t - ty)
-            if dist <= trunk:
+            if (
+                hypot(ex, ey) <= trunk
+                and not hypot(tx - ax, ty - ay) < trunk + 0.1
+                and not hypot(tx - bx, ty - by) < trunk + 0.1
+            ):
                 return True
         return False
 

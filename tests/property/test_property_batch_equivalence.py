@@ -2,15 +2,14 @@
 
 A run of interference queries on one medium (warm per-(tx, rx) component
 memo) must be **bit-identical** to the same queries on cache-cold media.
-The numpy canopy sweep (engaged at ``_CANOPY_BATCH_MIN`` candidates) and
-the cell-rectangle candidate memo must be bit-identical to the scalar
-loop and to a cache-cold world, and the terrain line-of-sight quick reject
-must never change a verdict of the plain sampled sweep.  The simulator's
-determinism contract is byte-identical replay, so these tests compare with
-exact ``==`` on floats, and finish by digesting whole worksite runs.
-
-Batch/scalar selection is driven by instance attributes shadowing the class
-threshold (``_CANOPY_BATCH_MIN``).
+The sight-line band memo (one candidate list per endpoint-cell pair,
+shared by ``canopy_blockage`` and ``trunk_blocks``) must give the same
+floats and verdicts as the bounding-box references in
+``test_property_perf_equivalence.py`` and as a cache-cold world, and the
+terrain line-of-sight quick reject must never change a verdict of the
+plain sampled sweep.  The simulator's determinism contract is
+byte-identical replay, so these tests compare with exact ``==`` on
+floats, and finish by digesting whole worksite runs.
 """
 
 from __future__ import annotations
@@ -30,6 +29,10 @@ from repro.sim.geometry import Vec2
 from repro.sim.rng import RngStreams
 from repro.sim.terrain import Ridge, Terrain
 from repro.sim.world import Tree, World
+from tests.property.test_property_perf_equivalence import (
+    ref_canopy_blockage,
+    ref_trunk_blocks,
+)
 
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                    allow_infinity=False)
@@ -176,12 +179,13 @@ class TestTerrainLosEquivalence:
 
 
 # --------------------------------------------------------------------------
-# 3. batched canopy sweep and rectangle memo
+# 3. sight-line band memo
 # --------------------------------------------------------------------------
 
 tree_strategy = st.lists(
     st.tuples(coords, coords,
-              st.floats(min_value=0.5, max_value=4.0, allow_nan=False)),
+              st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
+              st.floats(min_value=0.15, max_value=1.0, allow_nan=False)),
     min_size=0, max_size=30,
 )
 
@@ -189,33 +193,28 @@ tree_strategy = st.lists(
 def make_world(trees) -> World:
     return World(
         Terrain(100.0, 100.0),
-        trees=[Tree(position=Vec2(x, y), canopy_radius=r) for x, y, r in trees],
+        trees=[Tree(position=Vec2(x, y), canopy_radius=r, trunk_radius=tr)
+               for x, y, r, tr in trees],
     )
 
 
-class TestCanopyBatchEquivalence:
-    @given(trees=tree_strategy, ax=coords, ay=coords, bx=coords, by=coords)
-    def test_forced_batch_matches_forced_scalar(self, trees, ax, ay, bx, by):
-        batch_world = make_world(trees)
-        batch_world._CANOPY_BATCH_MIN = 1     # every sweep vectorised
-        scalar_world = make_world(trees)
-        scalar_world._CANOPY_BATCH_MIN = 10 ** 9  # never vectorised
-        a, b = Vec2(ax, ay), Vec2(bx, by)
-        assert batch_world.canopy_blockage(a, b) == \
-            scalar_world.canopy_blockage(a, b)
-        # reversed direction exercises a different rect/concat key
-        assert batch_world.canopy_blockage(b, a) == \
-            scalar_world.canopy_blockage(b, a)
+def assert_matches_references(world: World, a: Vec2, b: Vec2) -> None:
+    assert world._canopy_blockage_uncached(a, b) == \
+        ref_canopy_blockage(world, a, b)
+    assert world.trunk_blocks(a, b) == ref_trunk_blocks(world, a, b)
 
+
+class TestCanopyBatchEquivalence:
     @given(trees=tree_strategy, ax=coords, ay=coords,
            steps=st.lists(st.tuples(
                st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
                st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)),
                min_size=1, max_size=6))
-    def test_rect_memo_matches_fresh_world_along_path(self, trees, ax, ay,
-                                                      steps):
+    def test_band_memo_matches_references_along_path(self, trees, ax, ay,
+                                                     steps):
         # a moving sight line re-uses (and occasionally rolls over) the
-        # cell-rectangle memo; every query must match a cache-cold world
+        # band memo; every query must match the bounding-box references and
+        # a cache-cold world
         warm = make_world(trees)
         x, y = ax, ay
         observer = Vec2(10.0, 10.0)
@@ -223,36 +222,39 @@ class TestCanopyBatchEquivalence:
             x += dx
             y += dy
             target = Vec2(x, y)
+            assert_matches_references(warm, observer, target)
             cold = make_world(trees)
             assert warm._canopy_blockage_uncached(observer, target) == \
                 cold._canopy_blockage_uncached(observer, target)
             assert warm.trunk_blocks(observer, target) == \
                 cold.trunk_blocks(observer, target)
 
-    def test_dense_stand_crosses_batch_threshold(self):
-        # enough trees in one rectangle that the *default* threshold engages
+    def test_dense_stand_crosses_cells_matches_references(self):
+        # 200 trees on a 2 m lattice: the line from (2, 2) to (41, 27) runs
+        # through many cells, and the reversed line uses another band entry
         trees = [
-            (5.0 + (i % 18) * 2.0, 5.0 + (i // 18) * 2.0, 1.5)
+            (5.0 + (i % 18) * 2.0, 5.0 + (i // 18) * 2.0, 1.5, 0.3)
             for i in range(200)
         ]
-        batch_world = make_world(trees)
-        scalar_world = make_world(trees)
-        scalar_world._CANOPY_BATCH_MIN = 10 ** 9
+        world = make_world(trees)
         a, b = Vec2(2.0, 2.0), Vec2(41.0, 27.0)
-        assert batch_world.canopy_blockage(a, b) == \
-            scalar_world.canopy_blockage(a, b)
+        assert_matches_references(world, a, b)
+        assert_matches_references(world, b, a)
+        assert world.canopy_blockage(a, b) > 0.0
+        assert world.trunk_blocks(a, b)
 
     @given(trees=tree_strategy, ax=coords, ay=coords, bx=coords, by=coords)
-    def test_add_tree_invalidates_rect_memo(self, trees, ax, ay, bx, by):
+    def test_add_tree_invalidates_band_memo(self, trees, ax, ay, bx, by):
         world = make_world(trees)
         a, b = Vec2(ax, ay), Vec2(bx, by)
-        world._canopy_blockage_uncached(a, b)   # populate rect/cell caches
+        world._canopy_blockage_uncached(a, b)   # populate the band memo
         mid = Vec2((ax + bx) / 2.0, (ay + by) / 2.0)
         world.add_tree(Tree(position=mid, canopy_radius=3.0))
         fresh = make_world(trees)
         fresh.add_tree(Tree(position=mid, canopy_radius=3.0))
         assert world._canopy_blockage_uncached(a, b) == \
             fresh._canopy_blockage_uncached(a, b)
+        assert world.trunk_blocks(a, b) == fresh.trunk_blocks(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import struct
 from collections import deque
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.comms.crypto.primitives import (
     aead_decrypt,
@@ -80,6 +80,25 @@ def ref_canopy_blockage(world: World, observer: Vec2, target: Vec2) -> float:
         if params is not None:
             total += (params[1] - params[0]) * length
     return total
+
+
+def ref_trunk_blocks(world: World, observer: Vec2, target: Vec2) -> bool:
+    """Segment-object trunk test over the bounding-box candidates.
+
+    Exact for trunk radii up to the 1 m pad: a trunk that reaches the line
+    lies in a grid cell the padded bounding box overlaps.
+    """
+    seg = Segment(observer, target)
+    for tree in world.trees_near_segment(seg, pad=1.0):
+        p = tree.position
+        trunk = tree.trunk_radius
+        # trunks at the endpoints belong to the observer or the target
+        if (p.distance_to(observer) < trunk + 0.1
+                or p.distance_to(target) < trunk + 0.1):
+            continue
+        if seg.distance_to_point(p) <= trunk:
+            return True
+    return False
 
 
 def ref_interference(all_tx, jammers, position: Vec2, channel: int,
@@ -310,6 +329,18 @@ tree_strategy = st.lists(
     min_size=0, max_size=25,
 )
 
+trunk_radii = st.floats(min_value=0.15, max_value=1.0, allow_nan=False)
+trunk_strategy = st.lists(st.tuples(coords, coords, trunk_radii),
+                          min_size=0, max_size=25)
+# trees at parameter t along the line, offset sideways by a fraction of
+# its length (|offset| * length metres)
+on_line_strategy = st.lists(
+    st.tuples(st.floats(min_value=-0.05, max_value=1.05, allow_nan=False),
+              st.floats(min_value=-0.02, max_value=0.02, allow_nan=False),
+              trunk_radii),
+    min_size=0, max_size=4,
+)
+
 
 class TestCanopyMemoEquivalence:
     @given(trees=tree_strategy, ax=coords, ay=coords, bx=coords, by=coords)
@@ -338,12 +369,30 @@ class TestCanopyMemoEquivalence:
         world.add_tree(Tree(position=mid, canopy_radius=3.0))
         assert world.canopy_blockage(a, b) == ref_canopy_blockage(world, a, b)
 
-    def test_trunk_blocks_matches_segment_reference(self):
+    @given(trees=trunk_strategy, on_line=on_line_strategy,
+           ax=coords, ay=coords, bx=coords, by=coords)
+    @example(trees=[(50.0, 50.0, 0.4)], on_line=[],
+             ax=40.0, ay=50.0, bx=60.0, by=50.0)   # through the trunk
+    @example(trees=[(50.0, 50.0, 0.4)], on_line=[],
+             ax=40.0, ay=60.0, bx=60.0, by=60.0)   # missing it
+    @example(trees=[(50.0, 50.0, 0.4)], on_line=[],
+             ax=50.2, ay=50.0, bx=60.0, by=50.0)   # observer at the trunk
+    def test_trunk_blocks_matches_segment_reference(self, trees, on_line,
+                                                    ax, ay, bx, by):
+        # lines anywhere in the world cross many 10 m cells; the trees
+        # planted near the line make blocking and near-misses common
         world = World(
             Terrain(100.0, 100.0),
-            trees=[Tree(position=Vec2(50.0, 50.0), trunk_radius=0.4)],
+            trees=[Tree(position=Vec2(x, y), trunk_radius=r)
+                   for x, y, r in trees],
         )
-        # line through the trunk, line missing it, and degenerate endpoints
-        assert world.trunk_blocks(Vec2(40.0, 50.0), Vec2(60.0, 50.0))
-        assert not world.trunk_blocks(Vec2(40.0, 60.0), Vec2(60.0, 60.0))
-        assert not world.trunk_blocks(Vec2(50.2, 50.0), Vec2(60.0, 50.0))
+        dx, dy = bx - ax, by - ay
+        for t, offset, r in on_line:
+            world.add_tree(Tree(
+                position=Vec2(ax + dx * t - dy * offset,
+                              ay + dy * t + dx * offset),
+                trunk_radius=r,
+            ))
+        a, b = Vec2(ax, ay), Vec2(bx, by)
+        assert world.trunk_blocks(a, b) == ref_trunk_blocks(world, a, b)
+        assert world.trunk_blocks(b, a) == ref_trunk_blocks(world, b, a)

@@ -104,6 +104,18 @@ class TestWorld:
         world = self._world_with_tree(trunk_radius=0.4)
         assert not world.trunk_blocks(Vec2(50.1, 50), Vec2(60, 50))
 
+    def test_add_tree_refuses_radius_beyond_pad(self):
+        # sight lines only look 5 m either side: a 12 m canopy centred 11 m
+        # off a line would cover it or not depending on the centre's cell
+        world = World(Terrain(100, 100))
+        with pytest.raises(ValueError, match="canopy 12.0"):
+            world.add_tree(Tree(position=Vec2(50, 66), canopy_radius=12.0))
+        with pytest.raises(ValueError, match="trunk 5.5"):
+            World(Terrain(100, 100), trees=[Tree(Vec2(50, 50), trunk_radius=5.5)])
+        assert world.trees == []
+        world.add_tree(Tree(Vec2(50, 50), canopy_radius=5.0, trunk_radius=5.0))
+        assert world.canopy_blockage(Vec2(40, 50), Vec2(60, 50)) == 10.0
+
     def test_traversability_blocked_by_trunk(self):
         world = self._world_with_tree(trunk_radius=0.4)
         assert not world.is_traversable(Vec2(50.5, 50))
