@@ -119,26 +119,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.comms.crypto.secure_channel import SecurityProfile
-
-
-def _scenario_config(args) -> "ScenarioConfig":
-    from repro.scenarios.worksite import ScenarioConfig
-
-    if getattr(args, "undefended", False):
-        return ScenarioConfig(
-            seed=args.seed,
-            profile=SecurityProfile.PLAINTEXT,
-            protected_management=False,
-            defenses_enabled=False,
-            access_control_enabled=False,
-            drone_enabled=not getattr(args, "no_drone", False),
-        )
-    return ScenarioConfig(
-        seed=args.seed,
-        drone_enabled=not getattr(args, "no_drone", False),
-    )
-
 
 def _fault_schedule(args) -> Optional["FaultSchedule"]:
     """The fault schedule requested by ``--faults`` / ``--fault-campaign``.
@@ -165,14 +145,32 @@ def _fault_schedule(args) -> Optional["FaultSchedule"]:
     return None
 
 
-def _arm_faults(args, scenario) -> Optional["FaultInjector"]:
-    """Arm the requested fault schedule against a composed scenario."""
-    schedule = _fault_schedule(args)
-    if schedule is None:
-        return None
-    from repro.faults import FaultInjector
+def _spec(args, campaign: str, faults, **extra) -> "RunSpec":
+    """The RunSpec of a single-run command's shared flags.
 
-    return FaultInjector(scenario, schedule).arm()
+    ``faults`` is the requested :class:`~repro.faults.spec.FaultSchedule`
+    (or ``None``).  Its jitter is resolved here from the run's seed: these
+    are the starts the injector would draw from the run's own
+    ``faults.schedule`` stream, so the spec, the run and a replay of the
+    spec agree (a jitter-free schedule makes no draw).  ``extra`` passes
+    ``start``, ``duration`` and ``overrides`` on to ``RunSpec.single``.
+    """
+    from repro.runner.spec import RunSpec
+    from repro.sim.rng import RngStreams
+
+    overrides = dict(extra.pop("overrides", {}))
+    if args.no_drone:
+        overrides["drone_enabled"] = False
+    resolved = faults.resolve(RngStreams(args.seed)) if faults else ()
+    return RunSpec.single(
+        campaign,
+        seed=args.seed,
+        horizon_s=args.minutes * 60.0,
+        profile="undefended" if args.undefended else "defended",
+        overrides=overrides,
+        faults=tuple(fault.to_primitives() for fault in resolved),
+        **extra,
+    )
 
 
 def _print_resilience(injector, horizon_s: float) -> None:
@@ -225,7 +223,7 @@ def _print_summary(scenario) -> None:
 
 def cmd_run(args) -> int:
     from repro.invariants import engine as checks
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.factory import compose_spec
 
     metrics_out = args.metrics_json or args.metrics_prom
     if args.metrics_interval is not None and not metrics_out:
@@ -233,37 +231,36 @@ def cmd_run(args) -> int:
         print("run: --metrics-interval has no effect without "
               "--metrics-json or --metrics-prom", file=sys.stderr)
         return 2
-    config = _scenario_config(args)
+    interval = None
     if metrics_out:
-        config.metrics_interval_s = (
+        interval = (
             args.metrics_interval if args.metrics_interval is not None
             else 5.0
         )
-    scenario = build_worksite(config)
-    horizon = args.minutes * 60.0
     try:
-        injector = _arm_faults(args, scenario)
+        prepared = compose_spec(
+            _spec(args, "baseline", _fault_schedule(args)),
+            metrics_interval_s=interval,
+        )
     except (ValueError, OSError) as exc:
         print(f"fault schedule error: {exc}", file=sys.stderr)
         return 2
+    scenario = prepared.scenario
     print(f"running worksite seed={args.seed} for {args.minutes} min ...")
-    checker = None
+    checker = tracer = None
     if checks.env_enabled():
         # online checking rides on the record stream, so REPRO_CHECK
-        # installs a writer-less tracer alongside the engine
-        from repro.telemetry import tracer as trace
+        # attaches the engine to a writer-less tracer
+        from repro.telemetry import Tracer
 
         checker = checks.InvariantEngine()
-        with trace.installed(trace.Tracer(scenario.sim)):
-            with checks.installed(checker):
-                scenario.run(horizon)
-    else:
-        scenario.run(horizon)
+        tracer = Tracer(scenario.sim, checker=checker)
+    prepared.run(tracer)
     _print_summary(scenario)
     if checker is not None:
         _print_invariants(checker)
-    if injector is not None:
-        _print_resilience(injector, horizon)
+    if prepared.fault_injector is not None:
+        _print_resilience(prepared.fault_injector, prepared.horizon_s)
     if metrics_out:
         from repro.telemetry import TelemetryHub
 
@@ -283,14 +280,12 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro.invariants import engine as checks
-    from repro.runner.spec import RunSpec
     from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
-    from repro.scenarios.factory import arm_plan
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.factory import compose_spec
     from repro.telemetry import (
         TraceWriter,
         Tracer,
-        installed,
+        env_spans_enabled,
         read_trace,
         validate_trace,
     )
@@ -331,82 +326,44 @@ def cmd_trace(args) -> int:
     if (args.gs_attacks or args.audit_out) and not args.gs:
         print("trace: --gs-attacks/--audit-out require --gs", file=sys.stderr)
         return 2
-    config = _scenario_config(args)
-    if args.gs:
-        config.groundstation_enabled = True
-        config.gs_attacks = args.gs_attacks or ""
-        if args.audit_out:
-            Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
-            config.gs_audit_path = args.audit_out
-    scenario = build_worksite(config)
-    horizon = args.minutes * 60.0
     try:
         schedule = _fault_schedule(args)
     except (ValueError, OSError) as exc:
         print(f"fault schedule error: {exc}", file=sys.stderr)
         return 2
-    # the equivalent primitive spec, embedded in the header so the trace
-    # is self-describing and `check` can differentially replay it
     overrides = {}
-    if args.no_drone:
-        overrides["drone_enabled"] = False
     if args.gs:
         overrides["groundstation_enabled"] = True
         if args.gs_attacks:
             overrides["gs_attacks"] = args.gs_attacks
-    spec = RunSpec.single(
-        args.campaign or "baseline",
-        seed=args.seed,
-        horizon_s=horizon,
-        profile="undefended" if args.undefended else "defended",
-        start=args.start,
-        duration=args.duration,
-        overrides=overrides or None,
-        faults=tuple(
-            fault.to_primitives() for fault in schedule.faults
-        ) if schedule is not None else (),
+    if args.audit_out:
+        Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
+    # embedded in the header, so the trace is self-describing and `check`
+    # differentially replays exactly the run recorded here
+    spec = _spec(
+        args, args.campaign or "baseline", schedule,
+        start=args.start, duration=args.duration, overrides=overrides,
     )
-    from repro.telemetry import env_spans_enabled
-
+    prepared = compose_spec(spec, audit_path=args.audit_out)
+    scenario = prepared.scenario
     spans = args.spans or env_spans_enabled()
-    # armed before the header is emitted so the online engine observes the
-    # whole stream, run span included (mirrors the sweep worker ordering)
     checker = checks.InvariantEngine() if checks.env_enabled() else None
-    if checker is not None:
-        checks.install(checker)
-    tracer = Tracer(scenario.sim, TraceWriter(args.out), spans=spans)
+    tracer = Tracer(
+        scenario.sim, TraceWriter(args.out), spans=spans, checker=checker,
+    )
     tracer.meta(
         seed=args.seed,
         profile=scenario.config.profile.value,
-        horizon_s=horizon,
+        horizon_s=spec.horizon_s,
         campaign=args.campaign,
         spec=spec.to_dict(),
     )
-    # armed from the embedded spec's plan, exactly as `check` replays it
-    arm_plan(scenario, spec.plan)
-    injector = None
-    if schedule is not None:
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(scenario, schedule).arm()
-    target = "baseline" if not args.campaign else args.campaign
-    if injector is not None:
-        target += f" + {len(injector.schedule)} fault(s)"
+    target = spec.campaign
+    if prepared.fault_injector is not None:
+        target += f" + {len(prepared.fault_injector.schedule)} fault(s)"
     print(f"tracing {target!r} run seed={args.seed} "
           f"for {args.minutes} min -> {args.out}")
-    try:
-        with installed(tracer):
-            scenario.run(horizon)
-            if scenario.groundstation is not None:
-                # close the audit chain inside the traced window so the
-                # close entry lands in both the trace and the audit file
-                scenario.groundstation.finalize()
-        # close while the checker still observes: end-of-trace span ends
-        # are part of the discipline the spans invariant checks
-        tracer.close()
-    finally:
-        if checker is not None:
-            checks.uninstall()
+    prepared.run(tracer)
     print(f"trace:            {tracer.record_count} records")
     if scenario.groundstation is not None:
         audit = scenario.groundstation.audit.summary()
@@ -580,29 +537,24 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from repro.runner.spec import RunSpec
     from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
-    from repro.scenarios.factory import arm_plan
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.factory import compose_spec
 
     if args.campaign not in CAMPAIGN_BUILDERS:
         print(f"unknown campaign {args.campaign!r}; "
               f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}",
               file=sys.stderr)
         return 2
-    scenario = build_worksite(_scenario_config(args))
-    horizon = args.minutes * 60.0
-    plan = RunSpec.single(
-        args.campaign, seed=args.seed, horizon_s=horizon,
-        start=args.start, duration=args.duration,
-    ).plan
-    windows = arm_plan(scenario, plan)
+    prepared = compose_spec(_spec(
+        args, args.campaign, None, start=args.start, duration=args.duration,
+    ))
     print(f"running {args.campaign!r} against "
           f"{'undefended' if args.undefended else 'defended'} worksite ...")
-    scenario.run(horizon)
-    _print_summary(scenario)
-    if scenario.ids_manager is not None:
-        score = scenario.ids_manager.score(windows, horizon_s=horizon)
+    prepared.run()
+    _print_summary(prepared.scenario)
+    manager = prepared.score_manager()
+    if manager is not None:
+        score = manager.score(prepared.windows, horizon_s=prepared.horizon_s)
         latency = (f"{score.mean_latency_s:.1f} s"
                    if score.mean_latency_s is not None else "-")
         print(f"detection:        {score.attacks_detected}/{score.attacks_total} "
@@ -1016,21 +968,20 @@ def cmd_profile(args) -> int:
     import pstats
 
     from repro.perf import counters as perf_counters
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.factory import compose_spec
 
-    scenario = build_worksite(_scenario_config(args))
-    horizon = args.minutes * 60.0
+    prepared = compose_spec(_spec(args, "baseline", None))
     if args.perf:
         perf_counters.enable(True)
         perf_counters.reset()
     print(f"profiling worksite seed={args.seed} for {args.minutes} min ...")
     profiler = cProfile.Profile()
     profiler.enable()
-    scenario.run(horizon)
+    prepared.run()
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    _print_summary(scenario)
+    _print_summary(prepared.scenario)
     if args.perf:
         print()
         print("perf counters:")

@@ -1,11 +1,10 @@
 """The one-spec evaluator: compose, run, trace, check, extract coverage.
 
 This is the fuzzer's measurement instrument and its oracle in one pass.
-A spec is composed through the same :func:`~repro.scenarios.factory.compose_run`
-path the sweep worker uses, run under an in-memory tracer (the trace
-header embeds the spec, mirroring ``repro-worksite trace``, so every
-persisted repro is self-describing and replayable by ``check``), and the
-record stream is then:
+A spec is recorded by :func:`~repro.invariants.oracle.record_run`, the
+same in-memory recording ``repro-worksite check`` replays (the trace
+header embeds the spec, so every persisted repro is self-describing and
+replayable by ``check``), and the record stream is then:
 
 * folded into behavioural coverage signatures
   (:func:`repro.fuzz.coverage.signatures_from_records`);
@@ -32,6 +31,7 @@ import traceback
 from typing import Callable, List, Optional
 
 from repro.invariants.engine import InvariantEngine
+from repro.invariants.oracle import record_run
 from repro.fuzz.coverage import signatures_from_records
 from repro.runner.spec import RunSpec
 from repro.telemetry.writer import canonical_line
@@ -50,29 +50,11 @@ def trace_digest(records: List[dict]) -> str:
 
 def _run_records(spec: RunSpec) -> List[dict]:
     """Execute ``spec`` and return its full in-memory record stream."""
-    from repro.scenarios.factory import compose_run
-    from repro.telemetry import tracer as trace
-
-    prepared = compose_run(
-        seed=spec.seed,
-        horizon_s=spec.horizon_s,
-        profile=spec.profile,
-        plan=spec.plan,
-        ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-        faults=spec.faults,
-    )
-    tracer = trace.Tracer(prepared.scenario.sim, keep_records=True)
-    tracer.meta(
-        seed=spec.seed, profile=spec.profile, horizon_s=spec.horizon_s,
-        campaign=spec.campaign, spec=spec.to_dict(),
-    )
-    with trace.installed(tracer):
-        prepared.scenario.run(spec.horizon_s)
-    if prepared.scenario.sim.now < spec.horizon_s:
+    tracer = record_run(spec)
+    if tracer.sim.now < spec.horizon_s:
         raise RuntimeError(
             f"kernel deadlock: clock stopped at "
-            f"t={prepared.scenario.sim.now} before horizon {spec.horizon_s}"
+            f"t={tracer.sim.now} before horizon {spec.horizon_s}"
         )
     return tracer.records
 

@@ -4,9 +4,9 @@ Every invariant watches the structured trace record stream
 (:mod:`repro.telemetry.schema`), which makes one engine serve both
 modes:
 
-* **online** — installed behind the ``REPRO_CHECK=1`` guard, fed each
-  record as the tracer emits it (zero perturbation: records are checked
-  after they are written, and the guard is one attribute load when off);
+* **online** — handed to the tracer (``Tracer(checker=...)``) under
+  ``REPRO_CHECK=1`` and fed each record as the tracer emits it (zero
+  perturbation: records are checked after they are written);
 * **offline** — run over a recorded JSONL trace by the differential
   replay oracle (``repro-worksite check``).
 

@@ -1,13 +1,12 @@
-"""The invariant engine and its process-global installation point.
+"""The invariant engine: a subscriber on the tracer's record stream.
 
-Mirrors the :mod:`repro.telemetry.tracer` design: one engine is
-installed per process, instrumented code guards with a single module
-attribute check (``if engine.ACTIVE:``), and :func:`env_enabled` gates
-on ``REPRO_CHECK=1`` so sweeps and the CLI opt in uniformly.  With the
-guard down the cost at the emit site is exactly one attribute load;
-with it up the engine observes each record *after* it has been written,
-so checking can never perturb the trace (pinned by the golden-trace
-regression).
+Online checking hands an :class:`InvariantEngine` to the
+:class:`~repro.telemetry.tracer.Tracer` (``Tracer(sim, checker=engine)``),
+which feeds it each record *after* writing it, so checking can never
+perturb the trace (pinned by the golden-trace regression).
+:func:`env_enabled` gates on ``REPRO_CHECK=1`` so sweeps and the CLI opt
+in uniformly; offline, :meth:`InvariantEngine.check` sweeps a recorded
+stream.
 
 The default registry (:func:`default_invariants`) is the complete set
 of per-subsystem contracts; :class:`InvariantEngine` folds their
@@ -17,16 +16,9 @@ violations into a deterministic, JSON-serialisable report.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.invariants.base import Invariant, Violation
-
-#: instrumented sites guard on this module attribute; flipped by install()
-ACTIVE: bool = False
-
-#: the installed engine (only read under an ``ACTIVE`` guard)
-CHECKER: Optional["InvariantEngine"] = None
 
 #: cap on full violation dicts carried in a summary block
 SUMMARY_DETAIL_CAP = 20
@@ -37,34 +29,10 @@ def env_enabled() -> bool:
     return os.environ.get("REPRO_CHECK", "") not in ("", "0")
 
 
-def install(engine: "InvariantEngine") -> None:
-    """Make ``engine`` the process-global checker and arm the guards."""
-    global ACTIVE, CHECKER
-    CHECKER = engine
-    ACTIVE = True
-
-
-def uninstall() -> None:
-    """Disarm the guards and forget the installed engine."""
-    global ACTIVE, CHECKER
-    ACTIVE = False
-    CHECKER = None
-
-
-@contextmanager
-def installed(engine: "InvariantEngine") -> Iterator["InvariantEngine"]:
-    """Install ``engine`` for the duration of the block, then uninstall."""
-    install(engine)
-    try:
-        yield engine
-    finally:
-        uninstall()
-
-
 def default_invariants() -> List[Invariant]:
     """Fresh instances of every registered per-subsystem invariant."""
-    # imported lazily: the crypto checkers import the comms stack, whose
-    # instrumented sites import the tracer, which imports this module
+    # imported lazily: the crypto checkers import the comms stack, which
+    # importing the engine (say, for env_enabled()) should not pay for
     from repro.invariants.clock import (
         MonotoneClockInvariant, RecordIndexInvariant,
     )

@@ -1,13 +1,13 @@
 """Differential replay oracle: re-execute a recorded trace and diff it.
 
 A trace recorded with its :class:`~repro.runner.spec.RunSpec` embedded in
-the ``trace.meta`` header is *self-describing*: the oracle rebuilds the
-run from the spec's seed/plan/faults via
-:func:`~repro.scenarios.factory.compose_run`, re-runs it with an
-in-memory tracer, and compares the fresh record stream against the file
-record by record (canonical JSON, so "equal" means byte-equal on disk).
-Any divergence — a changed field, a missing record, extra records — is
-reported with the index where the histories split.
+the ``trace.meta`` header is *self-describing*: the oracle re-runs the
+spec through :func:`record_run` — the one in-memory recording, shared
+with the fuzz evaluator and the invariant selftest — and compares the
+fresh record stream against the file record by record (canonical JSON,
+so "equal" means byte-equal on disk).  Any divergence — a changed field,
+a missing record, extra records — is reported with the index where the
+histories split.
 
 :func:`check_trace` is the CLI entry point (``repro-worksite check``):
 it folds the offline invariant sweep and the differential replay into
@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Mapping, Optional
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.invariants.engine import InvariantEngine
+from repro.telemetry.spans import has_spans
+from repro.telemetry.tracer import Tracer
 from repro.telemetry.writer import canonical_line, read_trace
+
+if TYPE_CHECKING:
+    from repro.runner.spec import RunSpec
 
 #: report schema version (bumped when the report shape changes)
 REPORT_SCHEMA = 1
@@ -44,6 +49,33 @@ def spec_from_meta(records: List[dict]) -> Optional[dict]:
     return dict(spec) if isinstance(spec, Mapping) else None
 
 
+def record_run(
+    spec: "RunSpec", header: Optional[Mapping] = None, *, spans: bool = False,
+) -> Tracer:
+    """Run ``spec`` under an in-memory tracer and return the tracer.
+
+    The tracer keeps every record (``tracer.records``).  ``header`` is the
+    ``trace.meta`` payload; by default the seed, profile, horizon,
+    campaign and the spec itself, so the stream is self-describing.
+    ``spans`` arms the causal span layer.
+    """
+    # imported lazily: an offline `check --no-replay` never needs the
+    # composition stack
+    from repro.scenarios.factory import compose_spec
+
+    if header is None:
+        header = {
+            "seed": spec.seed, "profile": spec.profile,
+            "horizon_s": spec.horizon_s, "campaign": spec.campaign,
+            "spec": spec.to_dict(),
+        }
+    prepared = compose_spec(spec)
+    tracer = Tracer(prepared.scenario.sim, keep_records=True, spans=spans)
+    tracer.meta(**header)
+    prepared.run(tracer)
+    return tracer
+
+
 def replay_records(records: List[dict]) -> List[dict]:
     """Re-execute the run described by the trace header, in memory.
 
@@ -53,11 +85,7 @@ def replay_records(records: List[dict]) -> List[dict]:
     horizon.  Raises :class:`ValueError` when the trace is not
     self-describing.
     """
-    # imported lazily: the oracle sits under the tracer in the import
-    # graph, and pool workers never need the composition stack
     from repro.runner.spec import RunSpec
-    from repro.scenarios.factory import compose_run
-    from repro.telemetry import tracer as trace
 
     spec_dict = spec_from_meta(records)
     if spec_dict is None:
@@ -65,37 +93,15 @@ def replay_records(records: List[dict]) -> List[dict]:
             "trace is not self-describing: no RunSpec embedded in "
             "trace.meta (record it with a current `repro-worksite trace`)"
         )
-    spec = RunSpec.from_dict(spec_dict)
-    prepared = compose_run(
-        seed=spec.seed,
-        horizon_s=spec.horizon_s,
-        profile=spec.profile,
-        plan=spec.plan,
-        ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-        faults=spec.faults,
-    )
-    # a span-augmented trace must replay with the span layer armed (and
-    # closed at the horizon), or the diff would flag every span line
-    spans = any(
-        r.get("type") in ("span.start", "span.end") for r in records
-    )
-    tracer = trace.Tracer(
-        prepared.scenario.sim, keep_records=True, spans=spans
-    )
-    meta_fields = {
+    header = {
         key: value for key, value in records[0].items()
         if key not in ("v", "i", "t", "type", "schema")
     }
-    tracer.meta(**meta_fields)
-    with trace.installed(tracer):
-        prepared.scenario.run(spec.horizon_s)
-        if prepared.scenario.groundstation is not None:
-            # the recorded run closed its audit chain inside the traced
-            # window; replay must do the same or the diff flags the tail
-            prepared.scenario.groundstation.finalize()
-    tracer.close()
-    return tracer.records
+    # a span-augmented trace must replay with the span layer armed (and
+    # closed at the horizon), or the diff would flag every span line
+    return record_run(
+        RunSpec.from_dict(spec_dict), header, spans=has_spans(records)
+    ).records
 
 
 def diff_records(

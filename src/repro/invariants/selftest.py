@@ -36,9 +36,8 @@ Mutator = Callable[[List[dict]], MutationResult]
 def build_base_records() -> List[dict]:
     """One clean, fully featured record stream to mutate."""
     from repro.faults.campaigns import build_fault_campaign
+    from repro.invariants.oracle import record_run
     from repro.runner.spec import RunSpec
-    from repro.scenarios.factory import compose_run
-    from repro.telemetry import tracer as trace
 
     schedule = build_fault_campaign(
         "crash_brownout", start=15.0, duration=20.0
@@ -49,22 +48,7 @@ def build_base_records() -> List[dict]:
         start=10.0, duration=20.0, faults=faults,
         overrides={"groundstation_enabled": True},
     )
-    prepared = compose_run(
-        seed=spec.seed, horizon_s=spec.horizon_s, profile=spec.profile,
-        plan=spec.plan, faults=spec.faults,
-        overrides=dict(spec.overrides),
-    )
-    tracer = trace.Tracer(prepared.scenario.sim, keep_records=True)
-    tracer.meta(
-        seed=spec.seed, profile=spec.profile, horizon_s=spec.horizon_s,
-        campaign=spec.campaign, spec=spec.to_dict(),
-    )
-    with trace.installed(tracer):
-        prepared.scenario.run(spec.horizon_s)
-        # close the audit chain inside the traced window so the gs.audit
-        # stream (and its close entry) is part of the base records
-        prepared.scenario.groundstation.finalize()
-    return tracer.records
+    return record_run(spec).records
 
 
 # -- mutation helpers ---------------------------------------------------------

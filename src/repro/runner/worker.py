@@ -15,6 +15,11 @@ it under ``wall_s``, and so does the optional ``perf`` counter snapshot
 summary recorded under ``REPRO_TRACE=1`` *is* spec-pure, so it rides inside
 ``result`` as ``result["telemetry"]``; likewise the invariant report
 recorded under ``REPRO_CHECK=1`` rides as ``result["invariants"]``.
+
+A run is composed by :func:`~repro.scenarios.factory.compose_spec` and
+executed by :meth:`~repro.scenarios.factory.PreparedRun.run`, the path
+every other worksite execution takes; the invariant engine is handed to
+the tracer, which feeds it every record.
 """
 
 from __future__ import annotations
@@ -70,32 +75,19 @@ def _simulate(spec: RunSpec) -> dict:
     # imported here so pool workers pay the import cost once per process,
     # not once per module import on the coordinator
     from repro.invariants import engine as checks
-    from repro.scenarios.factory import compose_run
+    from repro.scenarios.factory import compose_spec
     from repro.telemetry import tracer as trace
 
-    prepared = compose_run(
-        seed=spec.seed,
-        horizon_s=spec.horizon_s,
-        profile=spec.profile,
-        plan=spec.plan,
-        ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-        faults=spec.faults,
-    )
+    prepared = compose_spec(spec)
     scenario = prepared.scenario
     tracing = trace.env_enabled()
     checker = checks.InvariantEngine() if checks.env_enabled() else None
-    if checker is not None:
-        # armed before the tracer emits anything: the online engine must
-        # observe the header (and the run span it opens) or the span
-        # discipline invariant would see an amputated stream
-        checks.install(checker)
     tracer = None
     if tracing or checker is not None:
         # the invariant engine rides on the record stream, so REPRO_CHECK
-        # alone still installs a (writer-less, record-less) tracer
+        # alone still attaches a (writer-less, record-less) tracer
         spans = tracing and trace.env_spans_enabled()
-        tracer = trace.Tracer(scenario.sim, spans=spans)
+        tracer = trace.Tracer(scenario.sim, spans=spans, checker=checker)
         if spans:
             # the span emitter needs a header to open the run span; only
             # emitted under REPRO_SPANS so default summaries are unchanged
@@ -103,21 +95,7 @@ def _simulate(spec: RunSpec) -> dict:
                 seed=spec.seed, profile=spec.profile, plan=spec.plan,
                 horizon_s=spec.horizon_s,
             )
-        trace.install(tracer)
-    try:
-        scenario.run(spec.horizon_s)
-        if scenario.groundstation is not None:
-            # close the audit chain inside the traced window so the close
-            # entry is part of the record stream (and of any audit file)
-            scenario.groundstation.finalize()
-    finally:
-        if tracer is not None:
-            # ends any spans still open at the horizon (no-op without
-            # spans: there is no writer to flush in a pool worker)
-            tracer.close()
-            trace.uninstall()
-        if checker is not None:
-            checks.uninstall()
+    prepared.run(tracer)
 
     detection: Optional[dict] = None
     manager = prepared.score_manager()
@@ -150,7 +128,7 @@ def _simulate(spec: RunSpec) -> dict:
         result["resilience"] = prepared.fault_injector.resilience_summary(
             spec.horizon_s
         )
-    if tracing and tracer is not None:
+    if tracing:
         result["telemetry"] = tracer.summary()
     if checker is not None:
         checker.finish()

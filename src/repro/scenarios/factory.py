@@ -7,17 +7,22 @@ a fully composed :class:`~repro.scenarios.worksite.WorksiteScenario` with
 its attack campaigns armed and (optionally) a standalone IDS family
 attached, without the caller ever touching enum or object types.
 
-``compose_run`` is the single entry point the runner worker calls; it is
-also usable directly for in-process experiments that want spec-driven
-scenario construction (the determinism regression tests do exactly that).
-``arm_plan`` is its attack-arming step on its own, for callers (the
-``trace`` and ``attack`` commands) that build the scenario themselves.
+Every worksite execution takes one path: :func:`compose_spec` turns a
+:class:`~repro.runner.spec.RunSpec` into a :class:`PreparedRun`, and
+:meth:`PreparedRun.run` advances it to the horizon under an optional
+tracer.  The sweep worker, the replay oracle, the invariant selftest,
+the fuzz evaluator and the ``run``, ``attack``, ``trace`` and
+``profile`` commands all go through it.  :func:`compose_run` is the same
+composition from loose primitives; :func:`arm_plan` is its
+attack-arming step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.comms.crypto.secure_channel import SecurityProfile
 from repro.defense.ids.anomaly import AnomalyIds
@@ -33,6 +38,10 @@ from repro.scenarios.worksite import (
     build_worksite,
 )
 from repro.sim.weather import WeatherState
+from repro.telemetry import tracer as trace
+
+if TYPE_CHECKING:
+    from repro.runner.spec import RunSpec
 
 #: names a run spec may use for its defence posture
 PROFILES = ("defended", "undefended")
@@ -149,12 +158,35 @@ class PreparedRun:
     scenario: WorksiteScenario
     windows: List[Tuple[str, float, float]]
     ids_manager: Optional[IdsManager]
+    #: simulated seconds :meth:`run` advances the clock to
+    horizon_s: float
     #: armed fault injector, present only when the spec carries faults
     fault_injector: Optional[FaultInjector] = None
 
     def score_manager(self) -> Optional[IdsManager]:
         """The manager whose alerts should be scored for this run."""
         return self.ids_manager or self.scenario.ids_manager
+
+    def run(self, tracer: Optional[trace.Tracer] = None) -> None:
+        """Run to the horizon, traced by ``tracer`` when one is given.
+
+        The ground station's audit chain is closed inside the traced
+        window, so its close entry is part of the record stream (and of
+        any audit file); then the tracer is closed, which ends open spans
+        and flushes its writer.  The tracer is uninstalled even when the
+        run raises.
+        """
+        if tracer is not None:
+            trace.install(tracer)
+        try:
+            self.scenario.run(self.horizon_s)
+            if self.scenario.groundstation is not None:
+                self.scenario.groundstation.finalize()
+            if tracer is not None:
+                tracer.close()
+        finally:
+            if tracer is not None:
+                trace.uninstall()
 
 
 def arm_plan(
@@ -190,18 +222,26 @@ def compose_run(
     ids_family: Optional[str] = None,
     overrides: Optional[Mapping[str, object]] = None,
     faults: object = (),
+    *,
+    audit_path: Optional[str] = None,
+    metrics_interval_s: Optional[float] = None,
 ) -> PreparedRun:
     """Compose and arm a worksite run from primitive values.
 
     ``plan`` is the attack timeline: ``(campaign_name, start_s, duration_s)``
     steps (duration ``None`` means open-ended).  An empty plan is the benign
     baseline.  The returned :class:`PreparedRun` has every campaign armed;
-    the caller advances the clock with ``prepared.scenario.run(horizon_s)``.
+    :meth:`PreparedRun.run` advances the clock to ``horizon_s``.
 
     ``faults`` is either a :class:`~repro.faults.spec.FaultSchedule` or the
     primitive tuples a :class:`~repro.runner.spec.RunSpec` embeds
     (``FaultSpec.to_primitives`` items).  An empty value leaves the run
     entirely fault-free — no injector is built at all.
+
+    ``audit_path`` and ``metrics_interval_s`` set the output settings
+    :attr:`ScenarioConfig.gs_audit_path` and
+    :attr:`ScenarioConfig.metrics_interval_s`; they change where a run
+    writes, not what it simulates, so no spec carries them.
     """
     for name, _, _ in plan:
         if name not in CAMPAIGN_BUILDERS:
@@ -210,6 +250,8 @@ def compose_run(
                 f"available: {sorted(CAMPAIGN_BUILDERS)}"
             )
     config = scenario_config_from_primitives(seed, profile, overrides)
+    config.gs_audit_path = audit_path
+    config.metrics_interval_s = metrics_interval_s
     scenario = build_worksite(config)
     windows = arm_plan(scenario, plan)
     manager = (
@@ -225,5 +267,26 @@ def compose_run(
             injector = FaultInjector(scenario, schedule).arm()
     return PreparedRun(
         scenario=scenario, windows=windows, ids_manager=manager,
-        fault_injector=injector,
+        horizon_s=float(horizon_s), fault_injector=injector,
+    )
+
+
+def compose_spec(
+    spec: "RunSpec",
+    *,
+    audit_path: Optional[str] = None,
+    metrics_interval_s: Optional[float] = None,
+) -> PreparedRun:
+    """Compose and arm the run a :class:`~repro.runner.spec.RunSpec`
+    describes (see :func:`compose_run` for the output settings)."""
+    return compose_run(
+        seed=spec.seed,
+        horizon_s=spec.horizon_s,
+        profile=spec.profile,
+        plan=spec.plan,
+        ids_family=spec.ids_family,
+        overrides=dict(spec.overrides),
+        faults=spec.faults,
+        audit_path=audit_path,
+        metrics_interval_s=metrics_interval_s,
     )

@@ -1,5 +1,9 @@
 """The structured tracer and its process-global installation point.
 
+The tracer is also the record stream's one subscriber hook: the
+invariant engine handed to it as ``checker`` and the span emitter armed
+by ``spans`` each observe every record after it is written.
+
 Design constraints (shared with :mod:`repro.perf.counters`):
 
 * **near-zero overhead when off** — instrumented sites guard with a single
@@ -24,7 +28,6 @@ import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-from repro.invariants import engine as checks
 from repro.telemetry.schema import SCHEMA_VERSION
 from repro.telemetry.writer import TraceWriter
 
@@ -101,6 +104,10 @@ class Tracer:
         their own ``si`` index so every non-span record stays
         byte-identical to the spans-off trace.  The emitter is created by
         :meth:`meta` (it needs the seed) and closed by :meth:`close`.
+    checker:
+        Optional invariant engine (``InvariantEngine``); it
+        observes every record, header and span records included, after
+        the record is written, so checking can never perturb the stream.
     """
 
     #: alerts this long after a window closes still count as detections
@@ -114,10 +121,12 @@ class Tracer:
         *,
         keep_records: bool = False,
         spans: bool = False,
+        checker=None,
     ) -> None:
         self.sim = sim
         self.writer = writer
         self.keep_records = keep_records
+        self.checker = checker
         self.spans_enabled = bool(spans)
         self._spans = None  # SpanEmitter, created lazily by meta()
         self.records: List[dict] = []
@@ -147,10 +156,10 @@ class Tracer:
             self.records.append(record)
         if self.writer is not None:
             self.writer.write(record)
-        if checks.ACTIVE:
+        if self.checker is not None:
             # checked after the record is written: the engine observes the
             # stream and can never perturb it
-            checks.CHECKER.observe(record)
+            self.checker.observe(record)
         if self._spans is not None:
             # the span emitter also observes post-write, so span records
             # always follow the event record they were derived from
@@ -166,8 +175,8 @@ class Tracer:
             self.records.append(record)
         if self.writer is not None:
             self.writer.write(record)
-        if checks.ACTIVE:
-            checks.CHECKER.observe(record)
+        if self.checker is not None:
+            self.checker.observe(record)
 
     def close(self) -> None:
         """End open spans, then flush and close the attached writer."""

@@ -50,6 +50,21 @@ class TestEvaluate:
         assert result["status"] == "error"
         assert failure_id(result) == "exception:LookupError"
 
+    def test_ground_station_run_closes_its_audit_chain(self):
+        # the evaluated stream ends the way `trace`, `check`'s replay and
+        # the sweep worker end it: with the audit chain's close entry
+        spec = RunSpec.single(
+            "rf_jamming", seed=11, horizon_s=90.0, start=10.0,
+            duration=20.0,
+            overrides={"groundstation_enabled": True,
+                       "gs_attacks": "command_replay"},
+        )
+        seen = []
+        result = evaluate_spec(spec, mutator=seen.extend)
+        assert result["failure"] is None
+        audits = [r for r in seen if r["type"] == "gs.audit"]
+        assert audits[-1]["verdict"] == "close"
+
     def test_composition_error_is_captured_not_raised(self):
         bad = RunSpec(
             campaign="nope", seed=1, horizon_s=30.0,

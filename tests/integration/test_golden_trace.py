@@ -22,10 +22,10 @@ GOLDEN = Path(__file__).parent / "golden" / "trace_seed11_rf_jamming.jsonl.gz"
 GOLDEN_SHA256 = "3b0dd7a773e74bba3bb6c842b28f98daec82f11c91ffa0048d401b9fcde1e00c"
 
 
-def record_trace(path, *, arm_empty_schedule: bool) -> bytes:
+def record_trace(path, *, arm_empty_schedule: bool, checker=None) -> bytes:
     scenario = build_worksite(ScenarioConfig(seed=11))
     writer = TraceWriter(path)
-    tracer = Tracer(scenario.sim, writer)
+    tracer = Tracer(scenario.sim, writer, checker=checker)
     tracer.meta(seed=11, horizon_s=90.0, campaign="rf_jamming")
     build_campaign("rf_jamming", scenario, start=20.0, duration=40.0).arm()
     if arm_empty_schedule:
@@ -73,17 +73,15 @@ class TestGoldenTrace:
         )
 
     def test_online_invariant_checking_is_zero_perturbation(self, tmp_path):
-        # REPRO_CHECK rides on the record stream *after* each write, so
-        # checking the golden recipe must reproduce the golden bytes —
-        # and the run itself must satisfy every registered invariant
+        # the engine handed to the tracer observes each record *after* it
+        # is written, so checking the golden recipe must reproduce the
+        # golden bytes — and the run must satisfy every invariant
         from repro.invariants import InvariantEngine
-        from repro.invariants import engine as checks
 
         engine = InvariantEngine()
-        with checks.installed(engine):
-            raw = record_trace(
-                tmp_path / "trace.jsonl", arm_empty_schedule=True
-            )
+        raw = record_trace(
+            tmp_path / "trace.jsonl", arm_empty_schedule=True, checker=engine
+        )
         engine.finish()
         assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256, (
             "online invariant checking perturbed the golden trace"

@@ -1,7 +1,5 @@
-"""Engine behaviour: registry, guard semantics, summaries and the
+"""Engine behaviour: registry, the REPRO_CHECK switch, summaries and the
 zero-perturbation contract on a real traced run."""
-
-import pytest
 
 from repro.invariants import InvariantEngine, Violation, default_invariants
 from repro.invariants import engine as checks
@@ -43,25 +41,6 @@ class TestRegistry:
 
 
 class TestGuard:
-    def test_inactive_by_default(self):
-        assert checks.ACTIVE is False
-        assert checks.CHECKER is None
-
-    def test_installed_context_arms_and_disarms(self):
-        engine = InvariantEngine(invariants=[])
-        with checks.installed(engine) as active:
-            assert active is engine
-            assert checks.ACTIVE is True
-            assert checks.CHECKER is engine
-        assert checks.ACTIVE is False
-        assert checks.CHECKER is None
-
-    def test_installed_disarms_on_error(self):
-        with pytest.raises(RuntimeError):
-            with checks.installed(InvariantEngine(invariants=[])):
-                raise RuntimeError("boom")
-        assert checks.ACTIVE is False
-
     def test_env_enabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK", raising=False)
         assert checks.env_enabled() is False
@@ -135,19 +114,11 @@ class TestEngineReporting:
 
 def _attacked_records(seed=11, *, checker=None):
     scenario = build_worksite(ScenarioConfig(seed=seed))
-    tracer = Tracer(scenario.sim, keep_records=True)
+    tracer = Tracer(scenario.sim, keep_records=True, checker=checker)
     build_campaign("rf_jamming", scenario, start=15.0, duration=30.0).arm()
-
-    def run():
-        tracer.meta(seed=seed, horizon_s=60.0, campaign="rf_jamming")
-        scenario.run(60.0)
-
+    tracer.meta(seed=seed, horizon_s=60.0, campaign="rf_jamming")
     with trace_installed(tracer):
-        if checker is not None:
-            with checks.installed(checker):
-                run()
-        else:
-            run()
+        scenario.run(60.0)
     return tracer.records
 
 
