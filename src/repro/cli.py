@@ -145,15 +145,16 @@ def _fault_schedule(args) -> Optional["FaultSchedule"]:
     return None
 
 
-def _spec(args, campaign: str, faults, **extra) -> "RunSpec":
-    """The RunSpec of a single-run command's shared flags.
+def _spec(args, campaign: str, **extra) -> Optional["RunSpec"]:
+    """The RunSpec of a single-run command's shared flags, or None once a
+    one-line spec error is printed (a bad fault file, a non-finite time).
 
-    ``faults`` is the requested :class:`~repro.faults.spec.FaultSchedule`
-    (or ``None``).  Its jitter is resolved here from the run's seed: these
-    are the starts the injector would draw from the run's own
-    ``faults.schedule`` stream, so the spec, the run and a replay of the
-    spec agree (a jitter-free schedule makes no draw).  ``extra`` passes
-    ``start``, ``duration`` and ``overrides`` on to ``RunSpec.single``.
+    The fault schedule is the one :func:`_fault_schedule` requests.  Its
+    jitter is resolved here from the run's seed: these are the starts the
+    injector would draw from the run's own ``faults.schedule`` stream, so
+    the spec, the run and a replay of the spec agree (a jitter-free
+    schedule makes no draw).  ``extra`` passes ``start``, ``duration`` and
+    ``overrides`` on to ``RunSpec.single``.
     """
     from repro.runner.spec import RunSpec
     from repro.sim.rng import RngStreams
@@ -161,16 +162,21 @@ def _spec(args, campaign: str, faults, **extra) -> "RunSpec":
     overrides = dict(extra.pop("overrides", {}))
     if args.no_drone:
         overrides["drone_enabled"] = False
-    resolved = faults.resolve(RngStreams(args.seed)) if faults else ()
-    return RunSpec.single(
-        campaign,
-        seed=args.seed,
-        horizon_s=args.minutes * 60.0,
-        profile="undefended" if args.undefended else "defended",
-        overrides=overrides,
-        faults=tuple(fault.to_primitives() for fault in resolved),
-        **extra,
-    )
+    try:
+        faults = _fault_schedule(args)
+        resolved = faults.resolve(RngStreams(args.seed)) if faults else ()
+        return RunSpec.single(
+            campaign,
+            seed=args.seed,
+            horizon_s=args.minutes * 60.0,
+            profile="undefended" if args.undefended else "defended",
+            overrides=overrides,
+            faults=tuple(fault.to_primitives() for fault in resolved),
+            **extra,
+        )
+    except (ValueError, OSError) as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_resilience(injector, horizon_s: float) -> None:
@@ -237,14 +243,10 @@ def cmd_run(args) -> int:
             args.metrics_interval if args.metrics_interval is not None
             else 5.0
         )
-    try:
-        prepared = compose_spec(
-            _spec(args, "baseline", _fault_schedule(args)),
-            metrics_interval_s=interval,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"fault schedule error: {exc}", file=sys.stderr)
+    spec = _spec(args, "baseline")
+    if spec is None:
         return 2
+    prepared = compose_spec(spec, metrics_interval_s=interval)
     scenario = prepared.scenario
     print(f"running worksite seed={args.seed} for {args.minutes} min ...")
     checker = tracer = None
@@ -326,24 +328,21 @@ def cmd_trace(args) -> int:
     if (args.gs_attacks or args.audit_out) and not args.gs:
         print("trace: --gs-attacks/--audit-out require --gs", file=sys.stderr)
         return 2
-    try:
-        schedule = _fault_schedule(args)
-    except (ValueError, OSError) as exc:
-        print(f"fault schedule error: {exc}", file=sys.stderr)
-        return 2
     overrides = {}
     if args.gs:
         overrides["groundstation_enabled"] = True
         if args.gs_attacks:
             overrides["gs_attacks"] = args.gs_attacks
-    if args.audit_out:
-        Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
     # embedded in the header, so the trace is self-describing and `check`
     # differentially replays exactly the run recorded here
     spec = _spec(
-        args, args.campaign or "baseline", schedule,
+        args, args.campaign or "baseline",
         start=args.start, duration=args.duration, overrides=overrides,
     )
+    if spec is None:
+        return 2
+    if args.audit_out:
+        Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
     prepared = compose_spec(spec, audit_path=args.audit_out)
     scenario = prepared.scenario
     spans = args.spans or env_spans_enabled()
@@ -545,9 +544,12 @@ def cmd_attack(args) -> int:
               f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}",
               file=sys.stderr)
         return 2
-    prepared = compose_spec(_spec(
-        args, args.campaign, None, start=args.start, duration=args.duration,
-    ))
+    spec = _spec(
+        args, args.campaign, start=args.start, duration=args.duration,
+    )
+    if spec is None:
+        return 2
+    prepared = compose_spec(spec)
     print(f"running {args.campaign!r} against "
           f"{'undefended' if args.undefended else 'defended'} worksite ...")
     prepared.run()
@@ -566,22 +568,15 @@ def cmd_assess(args) -> int:
     from repro.core.characteristics import characteristic_catalog
     from repro.core.methodology import CombinedAssessment
     from repro.safety.hazards import HazardCatalog
-    from repro.safety.iso13849 import Category, SafetyFunctionDesign
-    from repro.scenarios.worksite import worksite_item_model
+    from repro.scenarios.worksite import (
+        worksite_item_model, worksite_safety_designs,
+    )
     from repro.sos.zones import worksite_zone_model
 
-    designs = {
-        "people_detection_stop": SafetyFunctionDesign(
-            "people_detection_stop", Category.CAT3, 40.0, 0.95),
-        "geofence": SafetyFunctionDesign("geofence", Category.CAT2, 25.0, 0.85),
-        "protective_stop": SafetyFunctionDesign(
-            "protective_stop", Category.CAT3, 60.0, 0.95),
-        "speed_limiter": SafetyFunctionDesign(
-            "speed_limiter", Category.CAT2, 30.0, 0.7),
-    }
     characteristics = characteristic_catalog() if args.characteristics else []
     result = CombinedAssessment(
-        worksite_item_model(), HazardCatalog(), designs, worksite_zone_model(),
+        worksite_item_model(), HazardCatalog(), worksite_safety_designs(),
+        worksite_zone_model(),
         characteristics=characteristics,
         deployed_measures=args.measures or [],
     ).run()
@@ -604,22 +599,15 @@ def cmd_sac(args) -> int:
     from repro.assurance.sac import SacBuilder
     from repro.core.methodology import CombinedAssessment
     from repro.safety.hazards import HazardCatalog
-    from repro.safety.iso13849 import Category, SafetyFunctionDesign
-    from repro.scenarios.worksite import worksite_item_model
+    from repro.scenarios.worksite import (
+        worksite_item_model, worksite_safety_designs,
+    )
     from repro.sos.zones import worksite_zone_model
 
-    designs = {
-        "people_detection_stop": SafetyFunctionDesign(
-            "people_detection_stop", Category.CAT3, 40.0, 0.95),
-        "geofence": SafetyFunctionDesign("geofence", Category.CAT2, 25.0, 0.85),
-        "protective_stop": SafetyFunctionDesign(
-            "protective_stop", Category.CAT3, 60.0, 0.95),
-        "speed_limiter": SafetyFunctionDesign(
-            "speed_limiter", Category.CAT2, 30.0, 0.7),
-    }
     item = worksite_item_model()
     result = CombinedAssessment(
-        item, HazardCatalog(), designs, worksite_zone_model(),
+        item, HazardCatalog(), worksite_safety_designs(),
+        worksite_zone_model(),
     ).run()
     registry = EvidenceRegistry()
     registry.add(Evidence("ev-tara", "analysis", "worksite TARA", "cli"))
@@ -755,10 +743,10 @@ def cmd_sweep(args) -> int:
     try:
         policy = _retry_policy_from_args(args)
         spec = _sweep_spec_from_args(args)
+        specs = spec.expand()
     except (ValueError, OSError) as exc:
         print(f"sweep spec error: {exc}", file=sys.stderr)
         return 2
-    specs = spec.expand()
     if not specs:
         print("sweep spec expands to zero runs", file=sys.stderr)
         return 2
@@ -970,7 +958,10 @@ def cmd_profile(args) -> int:
     from repro.perf import counters as perf_counters
     from repro.scenarios.factory import compose_spec
 
-    prepared = compose_spec(_spec(args, "baseline", None))
+    spec = _spec(args, "baseline")
+    if spec is None:
+        return 2
+    prepared = compose_spec(spec)
     if args.perf:
         perf_counters.enable(True)
         perf_counters.reset()

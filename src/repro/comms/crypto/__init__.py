@@ -11,6 +11,8 @@ layer; this subpackage implements one with only the standard library:
 * :mod:`repro.comms.crypto.keys` — Schnorr key pairs and signatures;
 * :mod:`repro.comms.crypto.certificates` — certificates, a CA, chain
   validation and revocation;
+* :mod:`repro.comms.crypto.replay` — the anti-replay window shared by the
+  record layer and the ground-station endpoints;
 * :mod:`repro.comms.crypto.secure_channel` — a signed-DH handshake and an
   AEAD record layer with replay protection.
 
@@ -38,6 +40,7 @@ from repro.comms.crypto.certificates import (
     CertificateError,
     verify_chain,
 )
+from repro.comms.crypto.replay import REPLAY_WINDOW, ReplayWindow
 from repro.comms.crypto.secure_channel import (
     ChannelError,
     HandshakeError,
@@ -64,6 +67,8 @@ __all__ = [
     "CertificateAuthority",
     "CertificateError",
     "verify_chain",
+    "REPLAY_WINDOW",
+    "ReplayWindow",
     "ChannelError",
     "HandshakeError",
     "SecureChannel",

@@ -12,10 +12,10 @@ root; the CA maintains a revocation list.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.canonical import canonical_json
 from repro.comms.crypto.keys import KeyPair, SchnorrSignature, sign, verify
 from repro.comms.crypto.numbers import DhGroup, MODP_2048
 
@@ -50,7 +50,7 @@ class Certificate:
             "roles": list(self.roles),
             "is_ca": self.is_ca,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        return canonical_json(body).encode()
 
     def valid_at(self, now: float) -> bool:
         return self.not_before <= now <= self.not_after

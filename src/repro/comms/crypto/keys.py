@@ -62,9 +62,6 @@ class KeyPair:
             x = secrets.randbelow(group.q - 1) + 1
         return KeyPair(group=group, secret=x, public=group.pow(group.g, x))
 
-    def public_bytes(self) -> bytes:
-        return self.group.encode(self.public)
-
 
 def _hash_to_range(data: bytes, modulus: int) -> int:
     need = (modulus.bit_length() + 7) // 8 + 8
@@ -102,17 +99,3 @@ def verify(group: DhGroup, public: int, message: bytes, signature: SchnorrSignat
     ) % group.p
     e_prime = group.hash_to_exponent(group.encode(r_prime) + message)
     return e_prime == signature.e
-
-
-class KeyStore:
-    """A node's private key material plus known peer public keys."""
-
-    def __init__(self, own: KeyPair) -> None:
-        self.own = own
-        self._peers: dict = {}
-
-    def add_peer(self, name: str, public: int) -> None:
-        self._peers[name] = public
-
-    def peer_public(self, name: str) -> Optional[int]:
-        return self._peers.get(name)

@@ -17,7 +17,8 @@ The record layer supports three profiles so the crypto-overhead ablation
 * ``INTEGRITY`` — HMAC over ``seq || aad || payload`` (authenticity only);
 * ``AEAD``      — full encrypt-then-MAC with replay protection.
 
-Replay protection is a sliding window over record sequence numbers.
+Replay protection is a :class:`~repro.comms.crypto.replay.ReplayWindow`
+over record sequence numbers.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.comms.crypto.primitives import (
     hmac_sha256,
     nonce_from_sequence,
 )
+from repro.comms.crypto.replay import ReplayWindow
 from repro.perf import counters as perf
 
 
@@ -113,8 +115,6 @@ class SecureChannel:
     step-wise handshake helpers below.
     """
 
-    REPLAY_WINDOW = 64
-
     def __init__(
         self,
         local: str,
@@ -138,8 +138,7 @@ class SecureChannel:
         else:
             self._send_subkeys = self._recv_subkeys = None
         self._send_seq = 0
-        self._recv_max = -1
-        self._recv_seen: set = set()
+        self._replay = ReplayWindow()
         self.records_sealed = 0
         self.records_opened = 0
         self.records_rejected = 0
@@ -188,7 +187,16 @@ class SecureChannel:
                 f"profile mismatch: record {record.profile}, channel {self.profile.value}"
             )
         if self.profile is not SecurityProfile.PLAINTEXT:
-            self._check_replay(record.seq)
+            # judged before the tag, recorded only after it verifies, so a
+            # forged record never moves the window
+            verdict = self._replay.verdict(record.seq)
+            if verdict is not None:
+                self.records_rejected += 1
+                raise ChannelError(
+                    f"replayed record seq={record.seq}"
+                    if verdict == "replay"
+                    else f"record seq={record.seq} below the replay window"
+                )
         try:
             if self.profile is SecurityProfile.PLAINTEXT:
                 plaintext = record.body
@@ -217,24 +225,9 @@ class SecureChannel:
             self.records_rejected += 1
             raise
         if self.profile is not SecurityProfile.PLAINTEXT:
-            self._mark_seen(record.seq)
+            self._replay.accept(record.seq)
         self.records_opened += 1
         return plaintext
-
-    def _check_replay(self, seq: int) -> None:
-        if seq in self._recv_seen:
-            self.records_rejected += 1
-            raise ChannelError(f"replayed record seq={seq}")
-        if seq <= self._recv_max - self.REPLAY_WINDOW:
-            self.records_rejected += 1
-            raise ChannelError(f"record seq={seq} below the replay window")
-
-    def _mark_seen(self, seq: int) -> None:
-        self._recv_seen.add(seq)
-        if seq > self._recv_max:
-            self._recv_max = seq
-        floor = self._recv_max - self.REPLAY_WINDOW
-        self._recv_seen = {s for s in self._recv_seen if s > floor}
 
     # -- handshake ----------------------------------------------------------
     @staticmethod

@@ -12,6 +12,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple, Type
 
+from repro.canonical import canonical_json
+
 
 @dataclass(frozen=True)
 class Message:
@@ -40,7 +42,7 @@ class Message:
     msg_type: str = "message"
 
     def encode(self) -> bytes:
-        """Canonical byte encoding (sorted-key JSON)."""
+        """Canonical byte encoding (:func:`~repro.canonical.canonical_json`)."""
         body = {
             "type": self.msg_type,
             "sender": self.sender,
@@ -49,7 +51,7 @@ class Message:
             "timestamp": self.timestamp,
             "seq": self.seq,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return canonical_json(body).encode("utf-8")
 
     @property
     def size_bytes(self) -> int:

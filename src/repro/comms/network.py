@@ -10,7 +10,7 @@ are counted and surfaced to the IDS layer.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.comms.crypto.certificates import Certificate, CertificateAuthority
 from repro.comms.crypto.keys import KeyPair
@@ -90,9 +90,6 @@ class CommNode:
     # -- channels -----------------------------------------------------------
     def attach_channel(self, peer: str, channel: SecureChannel) -> None:
         self._channels[peer] = channel
-
-    def channel_to(self, peer: str) -> Optional[SecureChannel]:
-        return self._channels.get(peer)
 
     def channel_stats(self) -> Dict[str, Dict[str, int]]:
         """Record-layer counters per attached peer channel."""

@@ -130,9 +130,6 @@ class CountermeasureCatalog:
         found = [m for m in self.measures if attack_type in m.mitigates]
         return sorted(found, key=lambda m: (-m.feasibility_increase, m.cost))
 
-    def for_requirement(self, fr: str) -> List[Countermeasure]:
-        return [m for m in self.measures if m.foundational_requirement == fr]
-
     def sl_capability(self, fr: str, deployed: Sequence[str]) -> int:
         """Achieved SL-C for ``fr`` given the deployed measure names."""
         levels = [

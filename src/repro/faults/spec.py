@@ -16,6 +16,7 @@ Schedules load from TOML files (``[[fault]]`` tables, see
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -68,11 +69,14 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.start_s < 0.0:
-            raise ValueError(f"fault start must be >= 0, got {self.start_s}")
-        if self.duration_s is not None and self.duration_s <= 0.0:
+        if not 0.0 <= self.start_s < math.inf:
             raise ValueError(
-                f"fault duration must be positive, got {self.duration_s}"
+                f"fault start must be finite and >= 0, got {self.start_s}"
+            )
+        if self.duration_s is not None and not 0.0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"fault duration must be finite and positive, "
+                f"got {self.duration_s}"
             )
 
     @property
@@ -168,17 +172,6 @@ class FaultSchedule:
             tuple(fault.to_primitives() for fault in self.faults),
             self.jitter_s,
         )
-
-    @property
-    def key(self) -> str:
-        """Stable content hash (used in run labels and result stores)."""
-        import hashlib
-
-        payload = json.dumps(
-            [list(f.to_primitives()) for f in self.faults] + [self.jitter_s],
-            sort_keys=True, separators=(",", ":"), default=list,
-        ).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:12]
 
 
 def schedule_from_primitives(data: Sequence, jitter_s: float = 0.0) -> FaultSchedule:

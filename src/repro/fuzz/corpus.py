@@ -29,9 +29,9 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.canonical import canonical_json
 from repro.fuzz.coverage import CoverageMap
 from repro.runner.spec import RunSpec
-from repro.telemetry.writer import canonical_line
 
 STATE_SCHEMA = 1
 
@@ -131,7 +131,7 @@ class Corpus:
         self.entries.append(entry)
         self.root.mkdir(parents=True, exist_ok=True)
         with self.corpus_path.open("a", encoding="utf-8") as handle:
-            handle.write(canonical_line(entry) + "\n")
+            handle.write(canonical_json(entry) + "\n")
         return entry
 
     def add_failure(self, origin: str, key: str, report: dict) -> Path:

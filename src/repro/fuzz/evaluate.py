@@ -30,11 +30,11 @@ import hashlib
 import traceback
 from typing import Callable, List, Optional
 
+from repro.canonical import canonical_json
 from repro.invariants.engine import InvariantEngine
 from repro.invariants.oracle import record_run
 from repro.fuzz.coverage import signatures_from_records
 from repro.runner.spec import RunSpec
-from repro.telemetry.writer import canonical_line
 
 Mutator = Callable[[List[dict]], object]
 
@@ -43,7 +43,7 @@ def trace_digest(records: List[dict]) -> str:
     """SHA-256 over the canonical JSONL encoding of a record stream."""
     digest = hashlib.sha256()
     for record in records:
-        digest.update(canonical_line(record).encode("utf-8"))
+        digest.update(canonical_json(record).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
 

@@ -41,7 +41,6 @@ from repro.groundstation.station import (
     ControlStation,
     GroundStation,
     Operator,
-    ReplayState,
     VehicleAgent,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "GsKeyring",
     "GsMessage",
     "Operator",
-    "ReplayState",
     "VehicleAgent",
     "decode",
     "decode_unverified",

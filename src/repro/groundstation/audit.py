@@ -33,6 +33,7 @@ import hashlib
 import json
 from typing import IO, List, Optional, Sequence
 
+from repro.canonical import canonical_json
 from repro.comms.crypto.primitives import hmac_sha256
 
 #: domain separator for entry signatures (distinct from the message codec)
@@ -62,16 +63,10 @@ def station_key(seed: int) -> bytes:
     return GsKeyring(seed).key_for(AUDIT_PRINCIPAL)
 
 
-def _canonical(entry: dict) -> bytes:
-    return json.dumps(
-        entry, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-
-
 def entry_hash(entry: dict) -> str:
     """SHA-256 over the canonical entry minus ``hash``/``sig``."""
     body = {k: v for k, v in entry.items() if k not in ("hash", "sig")}
-    return hashlib.sha256(_canonical(body)).hexdigest()
+    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def entry_sig(entry_hash_hex: str, key: bytes) -> str:
@@ -120,7 +115,7 @@ class AuditLog:
 
     def _write_line(self, obj: dict) -> None:
         if self._fh is not None:
-            self._fh.write(_canonical(obj).decode("utf-8") + "\n")
+            self._fh.write(canonical_json(obj) + "\n")
             self._fh.flush()
 
     def append(

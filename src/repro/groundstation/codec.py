@@ -1,8 +1,8 @@
 """The signed ground-station message codec.
 
-One wire format for everything on the plane: a canonical JSON body (sorted
-keys, no whitespace, ``allow_nan=False`` — the same encoding discipline as
-:mod:`repro.telemetry.writer`) followed by a 32-byte HMAC-SHA256 tag over a
+One wire format for everything on the plane: a canonical JSON body
+(:func:`repro.canonical.canonical_json`, the encoding trace lines and
+audit entries use) followed by a 32-byte HMAC-SHA256 tag over a
 domain-separated digest of the body.  The canonical encoding makes the
 codec bijective on its message space: ``encode(decode(wire)) == wire`` for
 every accepted wire, and any single-byte corruption — in the body or the
@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
+from repro.canonical import canonical_json
 from repro.comms.crypto.primitives import constant_time_equal, hmac_sha256
 
 #: domain separator for message signatures (never shared with the channel
@@ -88,9 +89,7 @@ def _body_bytes(message: GsMessage) -> bytes:
         "t": message.t,
         "topic": message.topic,
     }
-    return json.dumps(
-        body, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return canonical_json(body).encode("utf-8")
 
 
 def sign(body: bytes, key: bytes) -> bytes:

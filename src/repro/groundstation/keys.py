@@ -13,7 +13,7 @@ which is exactly what the command-forgery attack exercises.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.comms.crypto.primitives import hmac_sha256
 
@@ -49,7 +49,3 @@ class GsKeyring:
 
     def is_operator(self, principal: str) -> bool:
         return self._roles.get(principal) == "operator"
-
-    @property
-    def principals(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._roles))

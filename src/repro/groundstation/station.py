@@ -2,8 +2,9 @@
 
 Verification is end-to-end and per-receiver: the bus is untrusted, so the
 vehicle *and* the control station each check the signature against the
-claimed sender's key and run their own replay window (the SecureChannel
-discipline: a bounded window with a seen-set for in-window duplicates).
+claimed sender's key and run their own per-sender
+:class:`~repro.comms.crypto.replay.ReplayWindow`, the window the
+SecureChannel record layer runs.
 Accepted commands execute through a dedicated per-vehicle
 :class:`~repro.faults.modes.ModeMachine` (namespaced ``gs-<vehicle>`` so
 it never collides with the fault injector's machines), and everything the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.comms.crypto.replay import ReplayWindow
 from repro.comms.protocols import phase_offset
 from repro.defense.recovery import ContinuityManager, RecoveryPlan
 from repro.faults.modes import ModeMachine
@@ -37,9 +39,6 @@ from repro.groundstation.keys import GsKeyring
 from repro.sim.events import EventCategory, EventLog
 from repro.telemetry import tracer as trace
 
-#: replay window width, mirroring SecureChannel's discipline
-REPLAY_WINDOW = 64
-
 #: vehicle status beacon period (the alert stream the watchdog expects)
 STATUS_INTERVAL_S = 5.0
 
@@ -56,28 +55,6 @@ DEFAULT_SCRIPT: Tuple[Tuple[float, str, str], ...] = (
     (60.0, "forwarder", "safe_stop"),
     (75.0, "forwarder", "rejoin"),
 )
-
-
-class ReplayState:
-    """Per-sender anti-replay window (counter high-water mark + seen set)."""
-
-    def __init__(self, window: int = REPLAY_WINDOW) -> None:
-        self.window = window
-        self.max = -1
-        self._seen: Set[int] = set()
-
-    def admit(self, counter: int) -> str:
-        """``"ok"`` and record the counter, or ``"replay"``."""
-        if counter <= self.max - self.window:
-            return "replay"
-        if counter in self._seen:
-            return "replay"
-        self._seen.add(counter)
-        if counter > self.max:
-            self.max = counter
-            horizon = self.max - self.window
-            self._seen = {c for c in self._seen if c > horizon}
-        return "ok"
 
 
 class Operator:
@@ -134,7 +111,7 @@ class VehicleAgent:
         self.forwarder = forwarder
         self.counter = -1
         self.verdicts: Dict[str, int] = {}
-        self._replay: Dict[str, ReplayState] = {}
+        self._replay: Dict[str, ReplayWindow] = {}
         self._key = keyring.register(name, "vehicle")
         self.machine = None
         if forwarder is not None:
@@ -214,10 +191,11 @@ class VehicleAgent:
         except GsCodecError:
             self._verdict("bad_signature", sender, command, counter)
             return
-        state = self._replay.setdefault(sender, ReplayState())
-        if state.admit(counter) != "ok":
+        window = self._replay.setdefault(sender, ReplayWindow())
+        if window.verdict(counter) is not None:
             self._verdict("replay", sender, command, counter)
             return
+        window.accept(counter)
         if not self.keyring.is_operator(sender):
             self._verdict("unauthorized", sender, command, counter)
             return
@@ -275,7 +253,7 @@ class ControlStation:
         self.bus = bus
         self.audit = audit
         self.verdicts: Dict[str, int] = {}
-        self._replay: Dict[str, ReplayState] = {}
+        self._replay: Dict[str, ReplayWindow] = {}
         #: vehicle -> time of its last verified status beacon
         self._last_status: Dict[str, float] = {v: sim.now for v in vehicles}
         self._gap_flagged: Set[str] = set()
@@ -298,15 +276,14 @@ class ControlStation:
             except GsCodecError:
                 verdict = "bad_signature"
             else:
-                state = self._replay.setdefault(sender, ReplayState())
-                if state.admit(counter) != "ok":
+                window = self._replay.setdefault(sender, ReplayWindow())
+                if window.verdict(counter) is not None:
                     verdict = "replay"
-                elif topic.startswith("gs/cmd/") and not self.keyring.is_operator(
-                    sender
-                ):
-                    verdict = "unauthorized"
                 else:
-                    verdict = "ok"
+                    window.accept(counter)
+                    unauthorized = topic.startswith("gs/cmd/") and \
+                        not self.keyring.is_operator(sender)
+                    verdict = "unauthorized" if unauthorized else "ok"
         self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
         if verdict == "ok" and kind == "status" and sender in self._last_status:
             self._last_status[sender] = self.sim.now

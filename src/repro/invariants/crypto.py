@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Set, Tuple
 
-from repro.comms.crypto.secure_channel import SecureChannel
+from repro.comms.crypto.replay import REPLAY_WINDOW
 from repro.invariants.base import Invariant, Violation
 
 Direction = Tuple[str, str]
@@ -86,13 +86,15 @@ class ReplayWindowInvariant(Invariant):
     means a replayed record got through; one at or below
     ``max_seen - REPLAY_WINDOW`` means the sliding window stopped being
     enforced.  Directions whose reverse ``record.seal`` stream is
-    plaintext are exempt (no replay protection is promised there).
+    plaintext are exempt (no replay protection is promised there).  The
+    seen sets are kept here on purpose, as a reference independent of the
+    channel's bitmap :class:`~repro.comms.crypto.replay.ReplayWindow`.
     """
 
     name = "crypto.replay_window"
     subsystem = "comms.crypto"
 
-    def __init__(self, window: int = SecureChannel.REPLAY_WINDOW) -> None:
+    def __init__(self, window: int = REPLAY_WINDOW) -> None:
         self.window = window
         self._seen: Dict[Direction, Set[int]] = {}
         self._max: Dict[Direction, int] = {}

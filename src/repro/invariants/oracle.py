@@ -20,10 +20,11 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Mapping, Optional
 
+from repro.canonical import canonical_json
 from repro.invariants.engine import InvariantEngine
 from repro.telemetry.spans import has_spans
 from repro.telemetry.tracer import Tracer
-from repro.telemetry.writer import canonical_line, read_trace
+from repro.telemetry.writer import read_trace
 
 if TYPE_CHECKING:
     from repro.runner.spec import RunSpec
@@ -116,8 +117,8 @@ def diff_records(
     for index in range(max(len(recorded), len(replayed))):
         old = recorded[index] if index < len(recorded) else None
         new = replayed[index] if index < len(replayed) else None
-        old_line = canonical_line(old) if old is not None else None
-        new_line = canonical_line(new) if new is not None else None
+        old_line = canonical_json(old) if old is not None else None
+        new_line = canonical_json(new) if new is not None else None
         if old_line == new_line:
             continue
         total += 1

@@ -12,23 +12,12 @@ weighted by attack-potential points.  Supports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.defense.countermeasures import CountermeasureCatalog
 from repro.risk.feasibility import default_potential
-
-
-@dataclass(frozen=True)
-class AttackEdge:
-    """One attack action between attacker states."""
-
-    source: str
-    target: str
-    attack_type: str
-    description: str = ""
 
 
 class AttackGraph:

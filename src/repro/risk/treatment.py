@@ -38,10 +38,6 @@ class RiskTreatment:
     residual_risk: int = 0
     rationale: str = ""
 
-    @property
-    def risk_reduction(self) -> int:
-        return self.initial_risk - self.residual_risk
-
 
 @dataclass
 class TreatmentPlan:
@@ -64,9 +60,6 @@ class TreatmentPlan:
 
     def residual_above(self, threshold: int) -> List[RiskTreatment]:
         return [t for t in self.treatments if t.residual_risk > threshold]
-
-    def max_residual(self) -> int:
-        return max((t.residual_risk for t in self.treatments), default=0)
 
 
 def plan_treatment(

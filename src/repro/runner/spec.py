@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.canonical import canonical_json
 from repro.sim.rng import derive_seed
 
 #: sentinel campaign name for the benign no-attack baseline
@@ -78,6 +80,24 @@ class RunSpec:
     #: fault timeline as FaultSpec.to_primitives() tuples (empty = no faults)
     faults: Tuple[tuple, ...] = ()
 
+    def __post_init__(self) -> None:
+        # the key encodes the spec canonically, which has no token for a
+        # non-finite number: refuse one here, where the spec is built
+        numbers = [("horizon_s", self.horizon_s)]
+        for name, start, duration in self.plan:
+            numbers += [(f"{name} start", start),
+                        (f"{name} duration", duration)]
+        numbers += [(f"override {key}", value)
+                    for key, value in self.overrides]
+        for kind, target, start, duration, params in self.faults:
+            numbers += [(f"{kind} fault start", start),
+                        (f"{kind} fault duration", duration)]
+            numbers += [(f"{kind} fault {key}", value)
+                        for key, value in params]
+        for what, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{what} must be finite, got {value}")
+
     @classmethod
     def single(
         cls,
@@ -112,9 +132,7 @@ class RunSpec:
     @property
     def key(self) -> str:
         """Stable content hash of the spec (cache / store key)."""
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        payload = canonical_json(self.to_dict()).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]
 
     @property

@@ -181,6 +181,3 @@ class HazardCatalog:
 
     def for_machine(self, machine: str) -> List[Hazard]:
         return [h for h in self.hazards if h.machine == machine]
-
-    def required_levels(self) -> Dict[str, str]:
-        return {h.hazard_id: h.required_pl() for h in self.hazards}

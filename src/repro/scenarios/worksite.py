@@ -35,6 +35,7 @@ from repro.defense.ids.spec import ProtocolSpec, SpecificationIds
 from repro.risk.impact import SfopImpact
 from repro.risk.model import Asset, CybersecurityProperty, DamageScenario, ItemModel
 from repro.risk.stride import enumerate_threats
+from repro.safety.iso13849 import Category, SafetyFunctionDesign
 from repro.safety.monitor import SafetyMonitor
 from repro.safety.people_detection import CollaborativePeopleDetection
 from repro.sensors.camera import Camera
@@ -598,6 +599,19 @@ def worksite_item_model() -> ItemModel:
     ]
     item.threat_scenarios = enumerate_threats(item)
     return item
+
+
+def worksite_safety_designs() -> Dict[str, SafetyFunctionDesign]:
+    """The ISO 13849 designs of the worksite's four safety functions."""
+    return {
+        "people_detection_stop": SafetyFunctionDesign(
+            "people_detection_stop", Category.CAT3, 40.0, 0.95),
+        "geofence": SafetyFunctionDesign("geofence", Category.CAT2, 25.0, 0.85),
+        "protective_stop": SafetyFunctionDesign(
+            "protective_stop", Category.CAT3, 60.0, 0.95),
+        "speed_limiter": SafetyFunctionDesign(
+            "speed_limiter", Category.CAT2, 30.0, 0.7),
+    }
 
 
 def worksite_attack_graph():

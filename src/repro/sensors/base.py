@@ -113,11 +113,6 @@ class Sensor:
         """Fault: systematic output bias as a multiplicative gain."""
         self.fault_gain = float(gain)
 
-    def clear_faults(self) -> None:
-        self.fault_dropout = False
-        self.fault_frozen = False
-        self.fault_gain = 1.0
-
     def healthy(self, now: float) -> bool:
         """Sensor-health vote input: operational and not faulted."""
         return self.operational(now) and not self.fault_frozen

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
 
 from repro.sim.weather import Weather, WeatherConditions
 
@@ -37,30 +36,9 @@ class DegradationModel:
 
     def __init__(self, weather: Weather) -> None:
         self.weather = weather
-        # fault-injection multipliers per modality; empty in nominal runs,
-        # so factors() returns the pure weather curves unchanged
-        self._fault_factors: Dict[str, float] = {}
-
-    def set_fault_factor(self, modality: str, factor: float) -> None:
-        """Fault hook: degrade ``modality`` by an extra multiplier."""
-        self._fault_factors[modality] = float(factor)
-
-    def clear_fault_factor(self, modality: str) -> None:
-        """Remove a fault multiplier.  Idempotent."""
-        self._fault_factors.pop(modality, None)
 
     def factors(self) -> DegradationFactors:
-        base = self.factors_for(self.weather.conditions())
-        if not self._fault_factors:
-            return base
-        f = self._fault_factors
-        clamp = lambda v: max(0.0, min(1.0, v))
-        return DegradationFactors(
-            camera=clamp(base.camera * f.get("camera", 1.0)),
-            lidar=clamp(base.lidar * f.get("lidar", 1.0)),
-            ultrasonic=clamp(base.ultrasonic * f.get("ultrasonic", 1.0)),
-            gnss=clamp(base.gnss * f.get("gnss", 1.0)),
-        )
+        return self.factors_for(self.weather.conditions())
 
     @staticmethod
     @lru_cache(maxsize=64)

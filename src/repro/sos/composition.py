@@ -116,9 +116,6 @@ class SystemOfSystems:
                 spofs.append(name)
         return spofs
 
-    def safety_interfaces(self) -> List[Interface]:
-        return [i for i in self.interfaces if i.criticality == "safety"]
-
     def cross_operator_interfaces(self) -> List[Interface]:
         """Interfaces crossing a management boundary."""
         crossing = []

@@ -50,7 +50,7 @@ from repro.telemetry.tracer import (
     installed,
     uninstall,
 )
-from repro.telemetry.writer import TraceWriter, canonical_line, read_trace
+from repro.telemetry.writer import TraceWriter, read_trace
 
 __all__ = [
     "DROP_CAUSES",
@@ -62,7 +62,6 @@ __all__ = [
     "TraceWriter",
     "Tracer",
     "build_span_tree",
-    "canonical_line",
     "critical_path",
     "env_enabled",
     "env_spans_enabled",

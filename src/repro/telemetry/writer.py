@@ -1,10 +1,9 @@
 """Streaming JSONL trace writer with a canonical, deterministic encoding.
 
-One record per line, encoded with sorted keys and no whitespace, so the
+One record per line in :func:`repro.canonical.canonical_json`, so the
 bytes on disk are a pure function of the record stream: the same scenario
-and seed write byte-identical files on every run (and ``allow_nan=False``
-turns any non-finite value — which would also break equality checks — into
-an immediate error rather than a silent ``NaN`` token).
+and seed write byte-identical files on every run, and a non-finite value
+is an immediate error rather than a silent ``NaN`` token.
 """
 
 from __future__ import annotations
@@ -12,14 +11,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
-
-def canonical_line(record: dict) -> str:
-    """The canonical single-line JSON encoding of one record."""
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+from repro.canonical import canonical_json
 
 
 class TraceWriter:
@@ -40,7 +34,7 @@ class TraceWriter:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("w", encoding="utf-8", newline="\n")
-        self._fh.write(canonical_line(record))
+        self._fh.write(canonical_json(record))
         self._fh.write("\n")
         self.lines_written += 1
 

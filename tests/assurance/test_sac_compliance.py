@@ -8,8 +8,10 @@ from repro.assurance.export import render_gsn_dot, render_gsn_text, render_markd
 from repro.assurance.sac import SacBuilder
 from repro.core.methodology import CombinedAssessment
 from repro.safety.hazards import HazardCatalog
-from repro.safety.iso13849 import Category, SafetyFunctionDesign
-from repro.scenarios.worksite import worksite_item_model
+from repro.scenarios.worksite import (
+    worksite_item_model,
+    worksite_safety_designs,
+)
 from repro.sos.zones import worksite_zone_model
 
 
@@ -77,15 +79,7 @@ class TestCompliance:
 
 @pytest.fixture
 def combined_result():
-    designs = {
-        "people_detection_stop": SafetyFunctionDesign(
-            "people_detection_stop", Category.CAT3, 40.0, 0.95),
-        "geofence": SafetyFunctionDesign("geofence", Category.CAT2, 25.0, 0.85),
-        "protective_stop": SafetyFunctionDesign(
-            "protective_stop", Category.CAT3, 60.0, 0.95),
-        "speed_limiter": SafetyFunctionDesign(
-            "speed_limiter", Category.CAT2, 30.0, 0.7),
-    }
+    designs = worksite_safety_designs()
     item = worksite_item_model()
     assessment = CombinedAssessment(
         item, HazardCatalog(), designs, worksite_zone_model()

@@ -194,6 +194,29 @@ class TestSecureChannel:
         with pytest.raises(ChannelError, match="replay"):
             chan_b.open(record)
 
+    def test_record_below_the_window_rejected(self, ca):
+        a = make_identity(ca, "alice")
+        b = make_identity(ca, "bob")
+        chan_a, chan_b, _ = SecureChannel.establish_pair(a, b)
+        records = [chan_a.seal(b"%d" % i) for i in range(65)]
+        chan_b.open(records[-1])
+        assert chan_b.open(records[1]) == b"1"
+        with pytest.raises(ChannelError,
+                           match="seq=1 below the replay window"):
+            chan_b.open(records[0])
+
+    def test_forged_record_does_not_move_the_window(self, ca):
+        from repro.comms.crypto.secure_channel import Record
+
+        a = make_identity(ca, "alice")
+        b = make_identity(ca, "bob")
+        chan_a, chan_b, _ = SecureChannel.establish_pair(a, b)
+        record = chan_a.seal(b"msg")
+        forged = Record(seq=10 ** 6, body=record.body, profile=record.profile)
+        with pytest.raises(ChannelError):
+            chan_b.open(forged)
+        assert chan_b.open(record) == b"msg"
+
     def test_reordering_within_window_accepted(self, ca):
         a = make_identity(ca, "alice")
         b = make_identity(ca, "bob")

@@ -18,8 +18,10 @@ from repro.core.sos_assessment import SosAssessment
 from repro.risk.feasibility import FeasibilityRating
 from repro.risk.tara import Tara
 from repro.safety.hazards import HazardCatalog
-from repro.safety.iso13849 import Category, SafetyFunctionDesign
-from repro.scenarios.worksite import worksite_item_model
+from repro.scenarios.worksite import (
+    worksite_item_model,
+    worksite_safety_designs,
+)
 from repro.sos.composition import worksite_sos
 from repro.sos.zones import worksite_zone_model
 
@@ -31,15 +33,7 @@ def item():
 
 @pytest.fixture
 def designs():
-    return {
-        "people_detection_stop": SafetyFunctionDesign(
-            "people_detection_stop", Category.CAT3, 40.0, 0.95),
-        "geofence": SafetyFunctionDesign("geofence", Category.CAT2, 25.0, 0.85),
-        "protective_stop": SafetyFunctionDesign(
-            "protective_stop", Category.CAT3, 60.0, 0.95),
-        "speed_limiter": SafetyFunctionDesign(
-            "speed_limiter", Category.CAT2, 30.0, 0.7),
-    }
+    return worksite_safety_designs()
 
 
 class TestCharacteristics:

@@ -6,12 +6,9 @@ import json
 
 import pytest
 
+from repro.comms.crypto.replay import ReplayWindow
 from repro.groundstation.audit import verify_chain
-from repro.groundstation.station import (
-    GAP_TIMEOUT_S,
-    PAUSE_SPEED_LIMIT,
-    ReplayState,
-)
+from repro.groundstation.station import GAP_TIMEOUT_S, PAUSE_SPEED_LIMIT
 from repro.runner import RunSpec, execute_run, run_sweep
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 
@@ -29,27 +26,32 @@ def run_plane(gs_attacks="", seed=SEED, horizon=HORIZON, **config_over):
     return scenario
 
 
-class TestReplayState:
+class TestReplayWindow:
+    """The per-sender window the vehicles and the control station run."""
+
     def test_fresh_counters_admitted(self):
-        state = ReplayState()
-        assert [state.admit(c) for c in (0, 1, 2)] == ["ok"] * 3
+        window = ReplayWindow()
+        for counter in (0, 1, 2):
+            assert window.verdict(counter) is None
+            window.accept(counter)
 
     def test_duplicate_rejected(self):
-        state = ReplayState()
-        state.admit(5)
-        assert state.admit(5) == "replay"
+        window = ReplayWindow()
+        window.accept(5)
+        assert window.verdict(5) == "replay"
 
     def test_out_of_order_within_window_admitted_once(self):
-        state = ReplayState()
-        state.admit(10)
-        assert state.admit(3) == "ok"
-        assert state.admit(3) == "replay"
+        window = ReplayWindow()
+        window.accept(10)
+        assert window.verdict(3) is None
+        window.accept(3)
+        assert window.verdict(3) == "replay"
 
     def test_below_window_horizon_rejected(self):
-        state = ReplayState(window=8)
-        state.admit(100)
-        assert state.admit(92) == "replay"
-        assert state.admit(93) == "ok"
+        window = ReplayWindow()
+        window.accept(100)
+        assert window.verdict(36) == "stale"
+        assert window.verdict(37) is None
 
 
 class TestScriptedSession:

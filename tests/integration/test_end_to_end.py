@@ -11,12 +11,12 @@ from repro.core.continuous import ContinuousRiskAssessment, RiskPosture
 from repro.core.methodology import CombinedAssessment
 from repro.risk.tara import Tara
 from repro.safety.hazards import HazardCatalog
-from repro.safety.iso13849 import Category, SafetyFunctionDesign
 from repro.scenarios.campaigns import build_campaign
 from repro.scenarios.worksite import (
     ScenarioConfig,
     build_worksite,
     worksite_item_model,
+    worksite_safety_designs,
 )
 from repro.sos.zones import worksite_zone_model
 
@@ -155,15 +155,7 @@ class TestMethodologyLoop:
             "ev-tara", "analysis", "worksite TARA", "E-T1",
         ))
 
-        designs = {
-            "people_detection_stop": SafetyFunctionDesign(
-                "people_detection_stop", Category.CAT3, 40.0, 0.95),
-            "geofence": SafetyFunctionDesign("geofence", Category.CAT2, 25.0, 0.85),
-            "protective_stop": SafetyFunctionDesign(
-                "protective_stop", Category.CAT3, 60.0, 0.95),
-            "speed_limiter": SafetyFunctionDesign(
-                "speed_limiter", Category.CAT2, 30.0, 0.7),
-        }
+        designs = worksite_safety_designs()
         item = worksite_item_model()
         result = CombinedAssessment(
             item, HazardCatalog(), designs, worksite_zone_model(),

@@ -718,3 +718,39 @@ class TestRunWithChecking:
             "--out", out, "--no-report",
         ]) == 0
         assert "12 checked, 0 violation(s)" in capsys.readouterr().out
+
+
+class TestNonFiniteInputs:
+    """A non-finite number exits 2 with one stderr line, no traceback."""
+
+    def _refused(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "must be finite" in err[0], err
+
+    def test_run_minutes_nan(self, capsys):
+        self._refused(capsys, ["run", "--minutes", "nan"])
+
+    def test_trace_start_nan(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        self._refused(capsys, [
+            "trace", "--minutes", "1", "--campaign", "rf_jamming",
+            "--start", "nan", "--out", str(out),
+        ])
+        assert not out.exists()
+
+    def test_sweep_spec_attack_start_nan(self, tmp_path, capsys):
+        spec = tmp_path / "grid.toml"
+        spec.write_text('campaigns = ["rf_jamming"]\nseeds = [1]\n'
+                        'horizon_s = 30.0\nattack_start = nan\n')
+        out = tmp_path / "s.jsonl"
+        self._refused(capsys, ["sweep", "--spec", str(spec),
+                               "--out", str(out)])
+        assert not out.exists() and not out.with_suffix(".db").exists()
+
+    def test_run_fault_file_start_nan(self, tmp_path, capsys):
+        faults = tmp_path / "faults.toml"
+        faults.write_text('[[fault]]\nkind = "node_crash"\n'
+                          'target = "drone"\nstart = nan\nduration = 5.0\n')
+        self._refused(capsys, ["run", "--minutes", "1",
+                               "--faults", str(faults)])
