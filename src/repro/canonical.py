@@ -1,15 +1,10 @@
 """The one canonical JSON encoding behind every signed, hashed or replayed byte.
 
-Trace lines, audit entries and their hashes, ground-station message
-bodies, record-layer message bodies, certificate to-be-signed bytes,
-run-spec cache keys and the fuzzer's trace digests all go through
-:func:`canonical_json`: sorted keys, no whitespace, ASCII escapes, and
-``allow_nan=False``, so the bytes are a pure function of the value and a
-non-finite number (whose ``NaN`` token would also break equality checks)
-raises ``ValueError`` instead of reaching a signature or a digest.
-
-Human-facing reports (indented JSON) and the campaign store's text
-columns keep their own formats: nothing signs, hashes or replays them.
+Sorted keys, no whitespace, ASCII escapes and ``allow_nan=False``: the
+bytes are a pure function of the value, and a non-finite number raises
+``ValueError`` instead of reaching a signature or a digest as ``NaN``.
+Indented reports and the campaign store's text columns keep their own
+formats; nothing signs, hashes or replays them.
 """
 
 from __future__ import annotations

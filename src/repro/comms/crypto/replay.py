@@ -1,24 +1,21 @@
 """The anti-replay window every receiver runs (RFC 4303 §3.4.3).
 
-The record layer (:class:`~repro.comms.crypto.secure_channel.SecureChannel`)
-and the ground-station endpoints (vehicle agents and the control station)
-admit a sequence number or counter only once, and only while it is within
-:data:`REPLAY_WINDOW` of the highest one accepted so far.
-
-The window is ``top``, the highest accepted number (``-1`` before any),
-plus a bitmap whose bit ``i`` is set once ``top - i`` was accepted.  A
-receiver asks :meth:`ReplayWindow.verdict` before it authenticates a
-message and calls :meth:`ReplayWindow.accept` only after, so a forged
-message never moves the window.  Sliding ahead shifts the bitmap by the
-gap only when the gap is below the window; a larger jump (however large
-the sender made it) starts a fresh bitmap.
+The record layer and both ground-station endpoints admit a number once,
+and only while it is within :data:`REPLAY_WINDOW` of the highest one
+accepted.  The window is that highest number, ``top`` (``-1`` before
+any), plus a bitmap whose bit ``i`` is set once ``top - i`` was accepted.
+Receivers ask :meth:`ReplayWindow.verdict` before authenticating and call
+:meth:`ReplayWindow.accept` only after, so a forged message never moves
+the window.  A jump of a whole window or more starts a fresh bitmap
+rather than shifting by the sender's gap.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-#: how far below the highest accepted number a late arrival is admitted
+#: window width: a number this far or further below the highest accepted
+#: one is stale
 REPLAY_WINDOW = 64
 
 _MASK = (1 << REPLAY_WINDOW) - 1

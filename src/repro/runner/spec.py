@@ -89,7 +89,7 @@ class RunSpec:
                         (f"{name} duration", duration)]
         numbers += [(f"override {key}", value)
                     for key, value in self.overrides]
-        for kind, target, start, duration, params in self.faults:
+        for kind, _, start, duration, params in self.faults:
             numbers += [(f"{kind} fault start", start),
                         (f"{kind} fault duration", duration)]
             numbers += [(f"{kind} fault {key}", value)
