@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -81,22 +80,15 @@ class RunSpec:
     faults: Tuple[tuple, ...] = ()
 
     def __post_init__(self) -> None:
-        # the key encodes the spec canonically, which has no token for a
-        # non-finite number: refuse one here, where the spec is built
-        numbers = [("horizon_s", self.horizon_s)]
-        for name, start, duration in self.plan:
-            numbers += [(f"{name} start", start),
-                        (f"{name} duration", duration)]
-        numbers += [(f"override {key}", value)
-                    for key, value in self.overrides]
-        for kind, _, start, duration, params in self.faults:
-            numbers += [(f"{kind} fault start", start),
-                        (f"{kind} fault duration", duration)]
-            numbers += [(f"{kind} fault {key}", value)
-                        for key, value in params]
-        for what, value in numbers:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{what} must be finite, got {value}")
+        # the key's canonical encoding refuses a non-finite number: apply
+        # that rule here, where the spec is built
+        data = self.to_dict()
+        try:
+            canonical_json(data)
+        except ValueError:
+            raise ValueError(
+                f"run spec has a non-finite number: {data}"
+            ) from None
 
     @classmethod
     def single(

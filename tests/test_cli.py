@@ -723,10 +723,10 @@ class TestRunWithChecking:
 class TestNonFiniteInputs:
     """A non-finite number exits 2 with one stderr line, no traceback."""
 
-    def _refused(self, capsys, argv):
+    def _refused(self, capsys, argv, reason="run spec has a non-finite number"):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "must be finite" in err[0], err
+        assert len(err) == 1 and reason in err[0], err
 
     def test_run_minutes_nan(self, capsys):
         self._refused(capsys, ["run", "--minutes", "nan"])
@@ -753,4 +753,5 @@ class TestNonFiniteInputs:
         faults.write_text('[[fault]]\nkind = "node_crash"\n'
                           'target = "drone"\nstart = nan\nduration = 5.0\n')
         self._refused(capsys, ["run", "--minutes", "1",
-                               "--faults", str(faults)])
+                               "--faults", str(faults)],
+                      reason="fault start must be finite")

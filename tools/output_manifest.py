@@ -51,8 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "integration" / "golden" / "outputs.json"
 
 
-def load(path: Path = MANIFEST) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def load() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
 def _sha256(data: bytes) -> str:
@@ -157,9 +157,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--update", action="store_true",
                         help="rewrite the manifest's digests in place")
-    parser.add_argument("--manifest", default=str(MANIFEST), metavar="PATH")
     args = parser.parse_args(argv)
-    manifest = load(args.manifest)
+    manifest = load()
     with tempfile.TemporaryDirectory(prefix="outputs-") as workdir:
         results = compute(manifest, Path(workdir))
     lines = moved(manifest, results)
@@ -167,11 +166,11 @@ def main(argv=None) -> int:
         print(f"moved: {line}")
     total = sum(len(r["digests"]) for r in results.values())
     if args.update:
-        Path(args.manifest).write_text(
+        MANIFEST.write_text(
             json.dumps(update(manifest, results), indent=2) + "\n",
             encoding="utf-8",
         )
-        print(f"updated {args.manifest}: {total} digests, "
+        print(f"updated {MANIFEST.relative_to(ROOT)}: {total} digests, "
               f"{len(lines)} moved")
         return 0
     print(f"{total} digests, {len(lines)} moved")
