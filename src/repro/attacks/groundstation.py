@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from repro.attacks.base import Attack
 from repro.groundstation.codec import GsMessage, encode
+from repro.inputs import InputError
 from repro.sim.engine import Simulator
 from repro.sim.events import EventLog
 
@@ -177,7 +178,7 @@ def build_gs_attacks(
         elif kind == "alert_suppression":
             attack = AlertSuppressionAttack("gs-suppress", sim, log, gs)
         else:
-            raise ValueError(
+            raise InputError(
                 f"unknown groundstation attack kind {kind!r} "
                 f"(expected one of {GS_ATTACK_KINDS})"
             )

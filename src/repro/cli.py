@@ -71,6 +71,9 @@ during ``run`` and ``trace`` (and inside sweep workers, whose records
 gain an ``invariants`` block); a violation makes the command exit
 non-zero.
 
+Exit status: 0 ok; 1 a run, check or verification failed; 2 input
+refused, with one stderr line ``<command> error: <message>``.
+
 Examples::
 
     repro-worksite run --seed 7 --minutes 30
@@ -115,9 +118,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional
+
+from repro.inputs import InputError
 
 
 def _fault_schedule(args) -> Optional["FaultSchedule"]:
@@ -129,7 +135,7 @@ def _fault_schedule(args) -> Optional["FaultSchedule"]:
     path = getattr(args, "faults", None)
     campaign = getattr(args, "fault_campaign", None)
     if path and campaign:
-        raise ValueError("--faults and --fault-campaign are mutually exclusive")
+        raise InputError("--faults and --fault-campaign are mutually exclusive")
     if path:
         from repro.faults import load_fault_schedule
 
@@ -145,9 +151,9 @@ def _fault_schedule(args) -> Optional["FaultSchedule"]:
     return None
 
 
-def _spec(args, campaign: str, **extra) -> Optional["RunSpec"]:
-    """The RunSpec of a single-run command's shared flags, or None once a
-    one-line spec error is printed (a bad fault file, a non-finite time).
+def _spec(args, campaign: str, **extra) -> "RunSpec":
+    """The RunSpec of a single-run command's shared flags; a bad fault
+    file or a non-finite time raises :class:`InputError`.
 
     The fault schedule is the one :func:`_fault_schedule` requests.  Its
     jitter is resolved here from the run's seed: these are the starts the
@@ -162,21 +168,17 @@ def _spec(args, campaign: str, **extra) -> Optional["RunSpec"]:
     overrides = dict(extra.pop("overrides", {}))
     if args.no_drone:
         overrides["drone_enabled"] = False
-    try:
-        faults = _fault_schedule(args)
-        resolved = faults.resolve(RngStreams(args.seed)) if faults else ()
-        return RunSpec.single(
-            campaign,
-            seed=args.seed,
-            horizon_s=args.minutes * 60.0,
-            profile="undefended" if args.undefended else "defended",
-            overrides=overrides,
-            faults=tuple(fault.to_primitives() for fault in resolved),
-            **extra,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return None
+    faults = _fault_schedule(args)
+    resolved = faults.resolve(RngStreams(args.seed)) if faults else ()
+    return RunSpec.single(
+        campaign,
+        seed=args.seed,
+        horizon_s=args.minutes * 60.0,
+        profile="undefended" if args.undefended else "defended",
+        overrides=overrides,
+        faults=tuple(fault.to_primitives() for fault in resolved),
+        **extra,
+    )
 
 
 def _print_resilience(injector, horizon_s: float) -> None:
@@ -233,20 +235,16 @@ def cmd_run(args) -> int:
 
     metrics_out = args.metrics_json or args.metrics_prom
     if args.metrics_interval is not None and not metrics_out:
-        # previously this was silently ignored; make the dead flag loud
-        print("run: --metrics-interval has no effect without "
-              "--metrics-json or --metrics-prom", file=sys.stderr)
-        return 2
+        raise InputError("--metrics-interval has no effect without "
+                         "--metrics-json or --metrics-prom")
     interval = None
     if metrics_out:
         interval = (
             args.metrics_interval if args.metrics_interval is not None
             else 5.0
         )
-    spec = _spec(args, "baseline")
-    if spec is None:
-        return 2
-    prepared = compose_spec(spec, metrics_interval_s=interval)
+    prepared = compose_spec(_spec(args, "baseline"),
+                            metrics_interval_s=interval)
     scenario = prepared.scenario
     print(f"running worksite seed={args.seed} for {args.minutes} min ...")
     checker = tracer = None
@@ -307,9 +305,8 @@ def cmd_trace(args) -> int:
             from repro.telemetry.spans import flamegraph_folded, has_spans
 
             if not has_spans(records):
-                print("flamegraph: trace has no span records "
-                      "(record with trace --spans)", file=sys.stderr)
-                return 2
+                raise InputError("trace has no span records "
+                                 "(record with trace --spans)")
             target = Path(args.flamegraph)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(flamegraph_folded(records), encoding="utf-8")
@@ -317,17 +314,12 @@ def cmd_trace(args) -> int:
         return 0
 
     if args.flamegraph:
-        print("trace: --flamegraph requires --analyze PATH", file=sys.stderr)
-        return 2
-
+        raise InputError("--flamegraph requires --analyze PATH")
     if args.campaign and args.campaign not in CAMPAIGN_BUILDERS:
-        print(f"unknown campaign {args.campaign!r}; "
-              f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"unknown campaign {args.campaign!r}; "
+                         f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}")
     if (args.gs_attacks or args.audit_out) and not args.gs:
-        print("trace: --gs-attacks/--audit-out require --gs", file=sys.stderr)
-        return 2
+        raise InputError("--gs-attacks/--audit-out require --gs")
     overrides = {}
     if args.gs:
         overrides["groundstation_enabled"] = True
@@ -339,8 +331,6 @@ def cmd_trace(args) -> int:
         args, args.campaign or "baseline",
         start=args.start, duration=args.duration, overrides=overrides,
     )
-    if spec is None:
-        return 2
     if args.audit_out:
         Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
     prepared = compose_spec(spec, audit_path=args.audit_out)
@@ -410,13 +400,8 @@ def cmd_check(args) -> int:
         return 0 if report["ok"] else 1
 
     if not args.trace:
-        print("check: --trace PATH (or --selftest) required", file=sys.stderr)
-        return 2
-    try:
-        report = check_trace(args.trace, replay=not args.no_replay)
-    except (OSError, ValueError) as exc:
-        print(f"check error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError("--trace PATH (or --selftest) required")
+    report = check_trace(args.trace, replay=not args.no_replay)
     print(check_report(report))
     if args.report:
         print(f"report:           {write_report(report, args.report)}")
@@ -451,16 +436,10 @@ def cmd_audit_verify(args) -> int:
         return 0 if report["ok"] else 1
 
     if not args.audit:
-        print("audit verify: --audit PATH (or --selftest) required",
-              file=sys.stderr)
-        return 2
-    try:
-        report = verify_audit_file(
-            args.audit, require_close=not args.allow_partial
-        )
-    except (OSError, ValueError) as exc:
-        print(f"audit verify error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError("--audit PATH (or --selftest) required")
+    report = verify_audit_file(
+        args.audit, require_close=not args.allow_partial
+    )
     print(f"audit chain:      {report['entries']} entries, "
           f"seed {report['seed']}")
     print(f"head:             {report['head']}")
@@ -514,20 +493,16 @@ def cmd_fuzz(args) -> int:
 
         monitor = SweepMonitor()
         status_path = Path(args.corpus) / "status.json"
-    try:
-        report = run_fuzz(
-            args.corpus,
-            args.seed,
-            iterations=args.iterations,
-            time_budget_s=args.time_budget,
-            resume=args.resume,
-            log=log,
-            monitor=monitor,
-            status_path=status_path,
-        )
-    except (FileExistsError, ValueError) as exc:
-        print(f"fuzz error: {exc}", file=sys.stderr)
-        return 2
+    report = run_fuzz(
+        args.corpus,
+        args.seed,
+        iterations=args.iterations,
+        time_budget_s=args.time_budget,
+        resume=args.resume,
+        log=log,
+        monitor=monitor,
+        status_path=status_path,
+    )
     print()
     print(fuzz_report_text(report))
     print(f"corpus:           {args.corpus}")
@@ -540,16 +515,11 @@ def cmd_attack(args) -> int:
     from repro.scenarios.factory import compose_spec
 
     if args.campaign not in CAMPAIGN_BUILDERS:
-        print(f"unknown campaign {args.campaign!r}; "
-              f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}",
-              file=sys.stderr)
-        return 2
-    spec = _spec(
+        raise InputError(f"unknown campaign {args.campaign!r}; "
+                         f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}")
+    prepared = compose_spec(_spec(
         args, args.campaign, start=args.start, duration=args.duration,
-    )
-    if spec is None:
-        return 2
-    prepared = compose_spec(spec)
+    ))
     print(f"running {args.campaign!r} against "
           f"{'undefended' if args.undefended else 'defended'} worksite ...")
     prepared.run()
@@ -654,12 +624,17 @@ def _sweep_spec_from_args(args) -> "SweepSpec":
     unknown = [c for c in spec.campaigns
                if c not in CAMPAIGN_BUILDERS and c != "baseline"]
     if unknown:
-        raise ValueError(
+        raise InputError(
             f"unknown campaigns {unknown}; "
             f"available: baseline, {', '.join(sorted(CAMPAIGN_BUILDERS))}"
         )
     if args.seeds:
-        spec.seeds = [int(s) for s in _parse_csv(args.seeds)]
+        seeds = _parse_csv(args.seeds)
+        if not all(re.fullmatch(r"[+-]?\d+", seed) for seed in seeds):
+            raise InputError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}"
+            )
+        spec.seeds = [int(seed) for seed in seeds]
     if args.base_seed is not None:
         spec.base_seed = args.base_seed
         spec.seeds = []
@@ -680,7 +655,7 @@ def _sweep_spec_from_args(args) -> "SweepSpec":
         from repro.faults import FAULT_CAMPAIGNS
 
         if args.fault_campaign not in FAULT_CAMPAIGNS:
-            raise ValueError(
+            raise InputError(
                 f"unknown fault campaign {args.fault_campaign!r}; "
                 f"available: {', '.join(sorted(FAULT_CAMPAIGNS))}"
             )
@@ -696,9 +671,9 @@ def _retry_policy_from_args(args) -> "Optional[CellRetryPolicy]":
     """Validate the execution flags; returns the cell retry policy
     requested by ``--max-attempts`` (or None for the engine default)."""
     if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     if args.cell_timeout is not None and not args.cell_timeout > 0:
-        raise ValueError(
+        raise InputError(
             f"--cell-timeout must be > 0, got {args.cell_timeout}"
         )
     if args.max_attempts is None:
@@ -706,7 +681,7 @@ def _retry_policy_from_args(args) -> "Optional[CellRetryPolicy]":
     from repro.runner import CellRetryPolicy
 
     if args.max_attempts < 1:
-        raise ValueError(
+        raise InputError(
             f"--max-attempts must be >= 1, got {args.max_attempts}"
         )
     return CellRetryPolicy(max_attempts=args.max_attempts)
@@ -733,6 +708,7 @@ def _print_sweep_outcome(report, status_path) -> None:
 
 def cmd_sweep(args) -> int:
     from repro.runner import (
+        CampaignStore,
         SweepMonitor,
         SweepRunner,
         aggregate_table,
@@ -740,34 +716,21 @@ def cmd_sweep(args) -> int:
         progress_line,
     )
 
-    try:
-        policy = _retry_policy_from_args(args)
-        spec = _sweep_spec_from_args(args)
-        specs = spec.expand()
-    except (ValueError, OSError) as exc:
-        print(f"sweep spec error: {exc}", file=sys.stderr)
-        return 2
+    policy = _retry_policy_from_args(args)
+    spec = _sweep_spec_from_args(args)
+    specs = spec.expand()
     if not specs:
-        print("sweep spec expands to zero runs", file=sys.stderr)
-        return 2
+        raise InputError("sweep spec expands to zero runs")
     out = Path(args.out)
     db = Path(args.campaign_db or out.with_suffix(".db"))
     if db.resolve() == out.resolve():
-        print(f"sweep spec error: --out {out} is the campaign database",
-              file=sys.stderr)
-        return 2
-    campaign_store = _open_campaign_db(db)
-    if campaign_store is None:
-        return 2
+        raise InputError(f"--out {out} is the campaign database")
+    campaign_store = CampaignStore(db)
     name = args.campaign_name
     if campaign_store.campaign_id(name) is None and out.exists():
         # a JSONL store from before SQLite was the only store: promote it
         # so its results are neither lost to the export nor re-executed
-        try:
-            campaign_store.import_jsonl(out, name)
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"campaign import error: {exc}", file=sys.stderr)
-            return 2
+        campaign_store.import_jsonl(out, name)
     campaign_store.ensure_campaign(name, specs, meta={"source": "sweep"})
     store = campaign_store.bind(name)
     status_path = db.parent / "status.json"
@@ -797,17 +760,6 @@ def cmd_sweep(args) -> int:
             title=f"sweep aggregate over {len(spec.resolved_seeds())} seed(s)",
         ).print()
     return 1 if report.failed else 0
-
-
-def _open_campaign_db(path):
-    """The campaign store at ``path``, or None once the refusal is printed."""
-    from repro.runner import CampaignSchemaError, CampaignStore
-
-    try:
-        return CampaignStore(path)
-    except CampaignSchemaError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return None
 
 
 def _run_campaign(store, name, specs, policy, args) -> int:
@@ -847,36 +799,22 @@ def _grid_requested(args) -> bool:
 
 
 def cmd_campaign_start(args) -> int:
-    try:
-        policy = _retry_policy_from_args(args)
-    except ValueError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    store = _open_campaign_db(args.db)
-    if store is None:
-        return 2
+    from repro.runner import CampaignStore
+
+    policy = _retry_policy_from_args(args)
+    store = CampaignStore(args.db)
     if store.campaign_id(args.name) is not None:
-        print(f"campaign {args.name!r} already exists in {args.db}; "
-              "use 'campaign resume' to continue it", file=sys.stderr)
-        return 2
+        raise InputError(f"campaign {args.name!r} already exists in "
+                         f"{args.db}; use 'campaign resume' to continue it")
     if not args.from_jsonl and not _grid_requested(args):
-        print("campaign start: give a sweep grid (--campaigns, "
-              "--spec, ...) or --from-jsonl PATH", file=sys.stderr)
-        return 2
+        raise InputError("give a sweep grid (--campaigns, --spec, ...) "
+                         "or --from-jsonl PATH")
     specs = []
     if _grid_requested(args):
-        try:
-            specs = _sweep_spec_from_args(args).expand()
-        except (ValueError, OSError) as exc:
-            print(f"campaign error: {exc}", file=sys.stderr)
-            return 2
+        specs = _sweep_spec_from_args(args).expand()
     store.ensure_campaign(args.name, specs, meta={"source": "campaign-cli"})
     if args.from_jsonl:
-        try:
-            imported = store.import_jsonl(args.from_jsonl, args.name)
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"campaign import error: {exc}", file=sys.stderr)
-            return 2
+        imported = store.import_jsonl(args.from_jsonl, args.name)
         print(f"imported {imported['cells']} cell(s) from "
               f"{args.from_jsonl} ({imported['ok']} ok, "
               f"{imported['failed']} failed)")
@@ -885,27 +823,18 @@ def cmd_campaign_start(args) -> int:
 
 
 def cmd_campaign_resume(args) -> int:
-    try:
-        policy = _retry_policy_from_args(args)
-    except ValueError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    store = _open_campaign_db(args.db)
-    if store is None:
-        return 2
-    try:
-        specs = store.specs(args.name)
-    except ValueError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    return _run_campaign(store, args.name, specs, policy, args)
+    from repro.runner import CampaignStore
+
+    policy = _retry_policy_from_args(args)
+    store = CampaignStore(args.db)
+    return _run_campaign(store, args.name, store.specs(args.name), policy,
+                         args)
 
 
 def cmd_campaign_list(args) -> int:
-    store = _open_campaign_db(args.db)
-    if store is None:
-        return 2
-    campaigns = store.list_campaigns()
+    from repro.runner import CampaignStore
+
+    campaigns = CampaignStore(args.db).list_campaigns()
     if not campaigns:
         print(f"no campaigns in {args.db}")
         return 0
@@ -921,14 +850,10 @@ def cmd_campaign_list(args) -> int:
 
 
 def cmd_campaign_show(args) -> int:
-    store = _open_campaign_db(args.db)
-    if store is None:
-        return 2
-    try:
-        detail = store.show(args.name)
-    except ValueError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
+    from repro.runner import CampaignStore
+
+    store = CampaignStore(args.db)
+    detail = store.show(args.name)
     print(f"campaign: {detail['name']}")
     print(f"cells:    {detail['cells']} total, {detail['ok']} ok, "
           f"{detail['failed']} failed, {detail['pending']} pending")
@@ -958,10 +883,7 @@ def cmd_profile(args) -> int:
     from repro.perf import counters as perf_counters
     from repro.scenarios.factory import compose_spec
 
-    spec = _spec(args, "baseline")
-    if spec is None:
-        return 2
-    prepared = compose_spec(spec)
+    prepared = compose_spec(_spec(args, "baseline"))
     if args.perf:
         perf_counters.enable(True)
         perf_counters.reset()
@@ -1001,15 +923,9 @@ def cmd_status(args) -> int:
     if target.is_dir():
         target = target / "status.json"
     if not target.exists():
-        print(f"status: {target} not found (sweeps write it next to the "
-              "result store; fuzz needs --progress)", file=sys.stderr)
-        return 2
-    try:
-        status = read_status(target)
-    except ValueError as exc:
-        print(f"status: {target} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    print(render_status(status))
+        raise InputError(f"{target} not found (sweeps write it next to the "
+                         "result store; fuzz needs --progress)")
+    print(render_status(read_status(target)))
     return 0
 
 
@@ -1333,9 +1249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; refused input (an :class:`InputError`, or a named
+    file that cannot be opened) exits 2 with one stderr line."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (InputError, OSError) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.inputs import InputError
 
 
 def _crash_brownout(start: float, duration: float) -> FaultSchedule:
@@ -78,7 +79,7 @@ def build_fault_campaign(
     try:
         builder = FAULT_CAMPAIGNS[name]
     except KeyError:
-        raise ValueError(
+        raise InputError(
             f"unknown fault campaign {name!r}; "
             f"known: {', '.join(sorted(FAULT_CAMPAIGNS))}"
         ) from None

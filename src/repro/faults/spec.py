@@ -15,12 +15,11 @@ Schedules load from TOML files (``[[fault]]`` tables, see
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.inputs import InputError, load_table
 from repro.sim.rng import RngStreams
 
 #: the fault taxonomy (see docs/resilience.md for semantics per kind)
@@ -66,15 +65,15 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
-            raise ValueError(
+            raise InputError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
         if not 0.0 <= self.start_s < math.inf:
-            raise ValueError(
+            raise InputError(
                 f"fault start must be finite and >= 0, got {self.start_s}"
             )
         if self.duration_s is not None and not 0.0 < self.duration_s < math.inf:
-            raise ValueError(
+            raise InputError(
                 f"fault duration must be finite and positive, "
                 f"got {self.duration_s}"
             )
@@ -187,7 +186,7 @@ def schedule_from_mapping(data: Mapping) -> FaultSchedule:
     known = {"fault", "jitter_s"}
     unknown = sorted(set(data) - known)
     if unknown:
-        raise ValueError(
+        raise InputError(
             f"unknown fault schedule keys {unknown}; known: {sorted(known)}"
         )
     faults = []
@@ -196,7 +195,7 @@ def schedule_from_mapping(data: Mapping) -> FaultSchedule:
         entry_known = {"kind", "target", "start", "duration", "params"}
         entry_unknown = sorted(set(entry) - entry_known)
         if entry_unknown:
-            raise ValueError(
+            raise InputError(
                 f"unknown [[fault]] keys {entry_unknown}; "
                 f"known: {sorted(entry_known)}"
             )
@@ -214,11 +213,4 @@ def schedule_from_mapping(data: Mapping) -> FaultSchedule:
 
 def load_fault_schedule(path: str) -> FaultSchedule:
     """Load a fault schedule from a TOML (or JSON) file."""
-    raw = Path(path).read_bytes()
-    if str(path).endswith(".json"):
-        data = json.loads(raw.decode("utf-8"))
-    else:
-        import tomllib
-
-        data = tomllib.loads(raw.decode("utf-8"))
-    return schedule_from_mapping(data)
+    return load_table(path, schedule_from_mapping)

@@ -30,10 +30,24 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.canonical import canonical_json
-from repro.fuzz.coverage import CoverageMap
+from repro.fuzz.coverage import COVERAGE_SCHEMA, CoverageMap
+from repro.inputs import InputError, iter_json_objects, read_json_object
 from repro.runner.spec import RunSpec
 
 STATE_SCHEMA = 1
+
+#: the integer counters a resumed session reads from ``state.json`` and
+#: from each of its heatmap cells
+_STATE_COUNTS = ("iterations_done", "failures", "unshrinkable",
+                 "seed_signatures")
+_CELL_COUNTS = ("runs", "new_signatures", "violations", "failures")
+
+
+def _counts(data: object, *keys: str) -> bool:
+    """Whether ``data`` is an object with an integer at every key."""
+    return isinstance(data, dict) and all(
+        type(data.get(key)) is int for key in keys
+    )
 
 
 def _dump(path: Path, payload: dict) -> None:
@@ -86,24 +100,34 @@ class Corpus:
         return self.state_path.exists()
 
     def load(self) -> "Corpus":
-        """Load a previously persisted corpus for ``--resume``."""
-        self.state = json.loads(self.state_path.read_text(encoding="utf-8"))
-        if self.state.get("schema") != STATE_SCHEMA:
-            raise ValueError(
-                f"unsupported corpus state schema in {self.state_path}: "
-                f"{self.state.get('schema')!r}"
-            )
+        """Load a previously persisted corpus for ``--resume``; a file this
+        version did not write raises :class:`InputError`."""
+        state = read_json_object(self.state_path, STATE_SCHEMA)
+        cells = state.get("heatmap")
+        if not ("seed" in state and _counts(state, *_STATE_COUNTS)
+                and isinstance(cells, dict) and all(
+                    _counts(cell, *_CELL_COUNTS) for cell in cells.values())):
+            raise InputError(f"{self.state_path} is not a corpus state "
+                             "this version of repro resumes")
+        self.state = state
         if self.coverage_path.exists():
-            self.coverage = CoverageMap.from_dict(
-                json.loads(self.coverage_path.read_text(encoding="utf-8"))
-            )
+            coverage = read_json_object(self.coverage_path, COVERAGE_SCHEMA)
+            hits = coverage.get("signatures")
+            if not (isinstance(hits, dict)
+                    and all(_counts(hit, "count") for hit in hits.values())):
+                raise InputError(f"{self.coverage_path} is not a coverage "
+                                 "map this version of repro reads")
+            self.coverage = CoverageMap.from_dict(coverage)
         self.entries = []
         if self.corpus_path.exists():
-            with self.corpus_path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        self.entries.append(json.loads(line))
+            for number, entry in iter_json_objects(self.corpus_path):
+                try:
+                    RunSpec.from_dict(entry.get("spec"))
+                except InputError as exc:
+                    raise InputError(
+                        f"{self.corpus_path}:{number}: {exc}"
+                    ) from None
+                self.entries.append(entry)
         return self
 
     def save(self) -> None:

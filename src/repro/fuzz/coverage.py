@@ -28,6 +28,9 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 #: signature family prefixes, in report order
 FAMILIES = ("drop", "mode", "ids", "service", "deauth", "safety")
 
+#: ``coverage.json`` layout version
+COVERAGE_SCHEMA = 1
+
 
 def signatures_from_records(records: Sequence[Mapping]) -> List[str]:
     """The sorted set of behavioural signatures a record stream exhibits."""
@@ -112,7 +115,7 @@ class CoverageMap:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": COVERAGE_SCHEMA,
             "signatures": {
                 signature: dict(entry)
                 for signature, entry in sorted(self._hits.items())

@@ -27,6 +27,7 @@ from repro.fuzz.corpus import Corpus
 from repro.fuzz.evaluate import evaluate_spec, failure_id
 from repro.fuzz.generator import ScenarioGenerator
 from repro.fuzz.shrink import shrink_report, shrink_spec
+from repro.inputs import InputError
 from repro.runner.spec import RunSpec
 from repro.sim.rng import derive_seed
 from repro.telemetry.analysis import fuzz_report
@@ -87,7 +88,7 @@ class FuzzSession:
                 )
             self.corpus.load()
             if self.corpus.state.get("seed") != self.seed:
-                raise ValueError(
+                raise InputError(
                     f"corpus at {self.corpus.root} was built with seed "
                     f"{self.corpus.state.get('seed')}, not {self.seed}; "
                     "resuming under a different seed would fork the trajectory"

@@ -30,11 +30,11 @@ stream, so same-seed runs produce byte-identical chains.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import IO, List, Optional, Sequence
 
 from repro.canonical import canonical_json
 from repro.comms.crypto.primitives import hmac_sha256
+from repro.inputs import InputError, decode_json
 
 #: domain separator for entry signatures (distinct from the message codec)
 AUDIT_SIG_DOMAIN = b"repro-gs-audit:v1:"
@@ -285,26 +285,28 @@ def load_audit_file(path: str) -> dict:
 
     A torn final line (killed writer) is dropped and flagged, never treated
     as a tamper: flush-per-entry guarantees at most one incomplete line.
+    Any other line that does not parse, or a missing or foreign header,
+    raises :class:`InputError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if lines and lines[-1] == b"":
         lines.pop()
     parsed: List[dict] = []
     torn_tail = False
     for i, line in enumerate(lines):
         try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError:
+            parsed.append(decode_json(line.decode("utf-8")))
+        except ValueError:
             if i == len(lines) - 1:
                 torn_tail = True
                 break
-            raise ValueError(f"{path}:{i + 1}: unparseable audit line")
+            raise InputError(f"{path}:{i + 1}: unparseable audit line")
     if not parsed:
-        raise ValueError(f"{path}: no audit header")
+        raise InputError(f"{path}: no audit header")
     header, entries = parsed[0], parsed[1:]
     if not isinstance(header, dict) or header.get("audit") != AUDIT_VERSION:
-        raise ValueError(f"{path}: not an audit v{AUDIT_VERSION} file")
+        raise InputError(f"{path}: not an audit v{AUDIT_VERSION} file")
     return {"header": header, "entries": entries, "torn_tail": torn_tail}
 
 
@@ -317,7 +319,9 @@ def verify_audit_file(path: str, *, require_close: bool = True) -> dict:
     """
     loaded = load_audit_file(path)
     header = loaded["header"]
-    seed = int(header.get("seed", 0))
+    seed = header.get("seed", 0)
+    if type(seed) is not int:
+        raise InputError(f"{path}: header seed {seed!r} is not an integer")
     report = verify_chain(
         loaded["entries"], seed, require_close=require_close
     )

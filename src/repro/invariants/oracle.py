@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.canonical import canonical_json
+from repro.inputs import InputError
 from repro.invariants.engine import InvariantEngine
 from repro.telemetry.spans import has_spans
 from repro.telemetry.tracer import Tracer
@@ -146,9 +147,15 @@ def check_trace(
     """Full oracle pass over a trace file: invariants, then replay diff.
 
     Returns the violation report (see ``docs/testing.md`` for the shape);
-    ``report["ok"]`` is the overall verdict.
+    ``report["ok"]`` is the overall verdict.  A file with no records, or
+    a header whose ``spec`` is not an object, raises :class:`InputError`.
     """
     records = read_trace(path)
+    if not records:
+        raise InputError(f"{path}: trace has no records")
+    if records[0].get("type") == "trace.meta" and not isinstance(
+            records[0].get("spec", {}), Mapping):
+        raise InputError(f"{path}: the trace.meta spec is not an object")
     engine = InvariantEngine(invariants)
     engine.check(records)
     violations = [v.to_dict() for v in engine.violations]

@@ -40,6 +40,7 @@ from contextlib import closing
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.inputs import InputError
 from repro.runner.spec import RunSpec
 
 #: campaign database layout version (stored in ``PRAGMA user_version``)
@@ -78,11 +79,15 @@ CREATE INDEX IF NOT EXISTS idx_attempts_cell
 """
 
 
-class CampaignSchemaError(ValueError):
-    """The database was written under another campaign schema version."""
+class CampaignSchemaError(InputError):
+    """The file is not a campaign database of this schema version (or, with
+    ``found`` None, not an SQLite database at all)."""
 
-    def __init__(self, path: os.PathLike, found: int) -> None:
+    def __init__(self, path: os.PathLike, found: Optional[int],
+                 reason: str = "") -> None:
         super().__init__(
+            f"{path} cannot be read as an SQLite database: {reason}"
+            if found is None else
             f"{path} has campaign schema version {found}; this version of "
             f"repro reads schema version {CAMPAIGN_SCHEMA} only"
         )
@@ -94,8 +99,9 @@ class CampaignStore:
     """SQLite-backed store for durable, resumable sweep campaigns.
 
     Raises :class:`CampaignSchemaError`, without writing anything, when the
-    database carries a schema version other than :data:`CAMPAIGN_SCHEMA`;
-    a new file (version 0) is stamped with the current version.
+    file is not an SQLite database or carries a schema version other than
+    :data:`CAMPAIGN_SCHEMA`; a new file (version 0) is stamped with the
+    current version.
     """
 
     def __init__(self, path: os.PathLike, *,
@@ -105,8 +111,11 @@ class CampaignStore:
         self._clock = clock if clock is not None else time.time
         # read the version on a plain connection: _connect() switches the
         # journal mode, which already writes to the file
-        with closing(sqlite3.connect(self.path, timeout=30.0)) as conn:
-            (found,) = conn.execute("PRAGMA user_version").fetchone()
+        try:
+            with closing(sqlite3.connect(self.path, timeout=30.0)) as conn:
+                (found,) = conn.execute("PRAGMA user_version").fetchone()
+        except sqlite3.DatabaseError as exc:
+            raise CampaignSchemaError(self.path, None, str(exc)) from None
         if found not in (0, CAMPAIGN_SCHEMA):
             raise CampaignSchemaError(self.path, found)
         with closing(self._connect()) as conn, conn:
@@ -265,7 +274,7 @@ class CampaignStore:
     def _require(self, name: str) -> int:
         campaign = self.campaign_id(name)
         if campaign is None:
-            raise ValueError(f"no campaign named {name!r} in {self.path}")
+            raise InputError(f"no campaign named {name!r} in {self.path}")
         return campaign
 
     # -- JSONL import -------------------------------------------------------
@@ -279,6 +288,12 @@ class CampaignStore:
         the file is read.
         """
         records = read_jsonl(jsonl_path)
+        bad = [key for key, r in records.items() if "spec" not in r
+               or type(r.get("attempt", 1)) is not int
+               or type(r.get("attempts", 1)) is not int]
+        if bad:
+            raise InputError(f"{jsonl_path}: records {bad} lack a spec or "
+                             "integer attempt counts")
         specs = [RunSpec.from_dict(r["spec"]) for r in records.values()]
         campaign = self.ensure_campaign(
             name, specs, meta={"imported_from": str(jsonl_path)},
@@ -398,21 +413,23 @@ def read_jsonl(path: os.PathLike) -> Dict[str, dict]:
 
     The last record for a key wins, a missing file reads as empty, and a
     line that does not parse (the torn tail of a killed writer) is
-    skipped; a line that parses to anything but an object raises
-    ``ValueError``.
+    skipped; a line that is not UTF-8 or parses to anything but an object
+    raises :class:`InputError`.
     """
     records: Dict[str, dict] = {}
     path = Path(path)
     if not path.exists():
         return records
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for number, line in enumerate(fh, 1):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
+            except UnicodeDecodeError:
+                raise InputError(f"{path}:{number}: not UTF-8 text") from None
             if not isinstance(record, dict):
-                raise ValueError(f"{path}:{number}: not a run record")
+                raise InputError(f"{path}:{number}: not a run record")
             if record.get("key"):
                 records[record["key"]] = record
     return records

@@ -28,6 +28,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.inputs import read_json_object
 from repro.sim.metrics import percentile
 
 #: status.json layout version (2: retries / stall_events / degraded_from
@@ -224,8 +225,9 @@ class SweepMonitor:
 
 
 def read_status(path: os.PathLike) -> dict:
-    """Load a ``status.json`` written by :meth:`SweepMonitor.write_status`."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a ``status.json`` written by :meth:`SweepMonitor.write_status`;
+    raises :class:`~repro.inputs.InputError` for any other file."""
+    return read_json_object(path, STATUS_SCHEMA)
 
 
 def progress_line(status: dict) -> str:

@@ -17,12 +17,11 @@ or from a TOML/JSON spec file (:func:`load_sweep_spec`).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.canonical import canonical_json
+from repro.inputs import InputError, load_table
 from repro.sim.rng import derive_seed
 
 #: sentinel campaign name for the benign no-attack baseline
@@ -86,7 +85,7 @@ class RunSpec:
         try:
             canonical_json(data)
         except ValueError:
-            raise ValueError(
+            raise InputError(
                 f"run spec has a non-finite number: {data}"
             ) from None
 
@@ -156,16 +155,24 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunSpec":
-        return cls(
-            campaign=str(data.get("campaign", BASELINE)),
-            seed=int(data.get("seed", 42)),
-            horizon_s=float(data.get("horizon_s", 900.0)),
-            profile=str(data.get("profile", "defended")),
-            plan=_freeze_plan(data.get("plan", ())),
-            ids_family=data.get("ids_family"),
-            overrides=_freeze_overrides(data.get("overrides")),
-            faults=_freeze_faults(data.get("faults", ())),
-        )
+        """The spec a :meth:`to_dict` mapping describes; raises
+        :class:`InputError` for a value that does not convert."""
+        if not isinstance(data, Mapping):
+            raise InputError("run spec is not an object")
+        try:
+            fields = dict(
+                campaign=str(data.get("campaign", BASELINE)),
+                seed=int(data.get("seed", 42)),
+                horizon_s=float(data.get("horizon_s", 900.0)),
+                profile=str(data.get("profile", "defended")),
+                plan=_freeze_plan(data.get("plan", ())),
+                ids_family=data.get("ids_family"),
+                overrides=_freeze_overrides(data.get("overrides")),
+                faults=_freeze_faults(data.get("faults", ())),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"run spec does not convert: {exc}") from None
+        return cls(**fields)
 
 
 def derive_sweep_seeds(base_seed: int, n_seeds: int) -> List[int]:
@@ -269,14 +276,7 @@ def load_sweep_spec(path: str) -> SweepSpec:
         [variants.no_drone]
         drone_enabled = false
     """
-    raw = Path(path).read_bytes()
-    if path.endswith(".json"):
-        data = json.loads(raw.decode("utf-8"))
-    else:
-        import tomllib
-
-        data = tomllib.loads(raw.decode("utf-8"))
-    return sweep_spec_from_mapping(data)
+    return load_table(path, sweep_spec_from_mapping)
 
 
 def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
@@ -289,7 +289,7 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
     }
     unknown = sorted(set(data) - known)
     if unknown:
-        raise ValueError(
+        raise InputError(
             f"unknown sweep spec keys {unknown}; known: {sorted(known)}"
         )
     spec = SweepSpec()

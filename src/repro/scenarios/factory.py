@@ -31,6 +31,7 @@ from repro.defense.ids.signature import SignatureIds
 from repro.defense.ids.spec import ProtocolSpec, SpecificationIds
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSchedule, schedule_from_primitives
+from repro.inputs import InputError
 from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
 from repro.scenarios.worksite import (
     ScenarioConfig,
@@ -72,7 +73,7 @@ def scenario_config_from_primitives(
     is given by name (``"clear"``, ``"rain"``, ...).
     """
     if profile not in PROFILES:
-        raise ValueError(
+        raise InputError(
             f"unknown profile {profile!r}; expected one of {PROFILES}"
         )
     kwargs: Dict[str, object] = {"seed": int(seed)}
@@ -87,7 +88,7 @@ def scenario_config_from_primitives(
     for name, value in dict(overrides or {}).items():
         if name not in _OVERRIDABLE:
             hint = "overridable" if name in valid else "known"
-            raise ValueError(
+            raise InputError(
                 f"{name!r} is not an {hint} ScenarioConfig field; "
                 f"overridable: {sorted(_OVERRIDABLE)}"
             )
@@ -105,7 +106,7 @@ def standalone_ids_family(name: str, scenario: WorksiteScenario) -> IdsManager:
     separately so channel-level protections do not mask its behaviour.
     """
     if name not in IDS_FAMILIES:
-        raise ValueError(
+        raise InputError(
             f"unknown IDS family {name!r}; expected one of {IDS_FAMILIES}"
         )
     manager = IdsManager()
@@ -245,7 +246,7 @@ def compose_run(
     """
     for name, _, _ in plan:
         if name not in CAMPAIGN_BUILDERS:
-            raise ValueError(
+            raise InputError(
                 f"unknown campaign {name!r}; "
                 f"available: {sorted(CAMPAIGN_BUILDERS)}"
             )

@@ -32,6 +32,7 @@ from repro.defense.ids.anomaly import AnomalyIds
 from repro.defense.ids.manager import IdsManager
 from repro.defense.ids.signature import SignatureIds
 from repro.defense.ids.spec import ProtocolSpec, SpecificationIds
+from repro.inputs import InputError
 from repro.risk.impact import SfopImpact
 from repro.risk.model import Asset, CybersecurityProperty, DamageScenario, ItemModel
 from repro.risk.stride import enumerate_threats
@@ -454,7 +455,7 @@ def build_worksite(config: Optional[ScenarioConfig] = None) -> WorksiteScenario:
         if config.gs_attacks:
             build_gs_attacks(config.gs_attacks, groundstation, sim, log)
     elif config.gs_attacks:
-        raise ValueError(
+        raise InputError(
             "gs_attacks requires groundstation_enabled=True"
         )
 

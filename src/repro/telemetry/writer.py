@@ -8,12 +8,13 @@ is an immediate error rather than a silent ``NaN`` token.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Iterator, List
 
 from repro.canonical import canonical_json
+from repro.inputs import InputError, iter_json_objects
+from repro.telemetry.schema import SCHEMA_VERSION
 
 
 class TraceWriter:
@@ -56,9 +57,12 @@ def read_trace(path: os.PathLike) -> List[dict]:
 
 
 def iter_trace(path: os.PathLike) -> Iterator[dict]:
-    """Yield records from a JSONL trace file one at a time."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    """Yield records from a JSONL trace file one at a time; a line that is
+    not a JSON object whose ``"v"`` is :data:`SCHEMA_VERSION` (every record
+    the tracer writes carries it) raises :class:`InputError`."""
+    for number, record in iter_json_objects(path):
+        if record.get("v") != SCHEMA_VERSION:
+            raise InputError(f"{path}:{number}: trace schema version "
+                             f"{record.get('v')!r}; this version of repro "
+                             f"reads version {SCHEMA_VERSION} only")
+        yield record

@@ -11,7 +11,14 @@ Used by ``tests/faults/test_property.py``, the fuzzer unit/property
 tiers, and any future property module that needs scenario inputs.
 :func:`assert_valid_spec` is the matching envelope checker — the
 assertion side of the same contract the strategies generate against.
+
+The artefact strategies at the end describe what the readers load —
+traces, ``status.json``, fuzz corpora, fault schedules, sweep specs and
+audit logs — valid, and with one field replaced by a future version or a
+value of the wrong type (``tests/property/test_property_readers.py``).
 """
+
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -21,6 +28,7 @@ from repro.groundstation.codec import ALERT_KINDS, COMMANDS, GsMessage
 from repro.runner.spec import RunSpec
 from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
 from repro.scenarios.factory import IDS_FAMILIES, PROFILES
+from repro.telemetry.schema import RECORD_TYPES, SCHEMA_VERSION
 
 #: fault targets that live on the drone (invalid when the drone is disabled)
 DRONE_TARGETS = ("drone", "cam-drone")
@@ -247,3 +255,156 @@ def assert_valid_spec(spec: RunSpec) -> None:
             assert target not in DRONE_TARGETS
     for key, _value in spec.overrides:
         assert key in cfg.override_keys
+
+
+# -- artefacts the readers load ----------------------------------------------
+
+#: any JSON document; ``json.dumps`` writes a non-finite float as ``NaN``
+#: or ``Infinity``, which every reader must refuse
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def one_field_replaced(draw, artefact: dict,
+                       version_key: Optional[str] = None) -> dict:
+    """``artefact`` with one top-level field replaced: the version field
+    by a future version or any other value, the rest by a JSON value of
+    another type."""
+    key = draw(st.sampled_from(sorted(artefact)))
+    old = artefact[key]
+    other_type = json_values.filter(lambda value: type(value) is not type(old))
+    if key == version_key:
+        other_type = st.integers(old + 1, old + 1000) | other_type
+    return {**artefact, key: draw(other_type)}
+
+
+@st.composite
+def one_record_replaced(draw, records: list,
+                        version_key: Optional[str] = None) -> list:
+    """``records`` with one field of one record replaced (see
+    :func:`one_field_replaced`)."""
+    index = draw(st.integers(0, len(records) - 1))
+    changed = list(records)
+    changed[index] = draw(one_field_replaced(records[index], version_key))
+    return changed
+
+
+@st.composite
+def trace_records(draw) -> list:
+    """A self-describing trace: a header embedding a valid run spec, then
+    a few event records."""
+    spec = draw(run_specs(max_plan_steps=1, max_faults=1))
+    records = [{
+        "v": SCHEMA_VERSION, "i": 0, "t": 0.0, "type": "trace.meta",
+        "schema": SCHEMA_VERSION, "seed": spec.seed, "spec": spec.to_dict(),
+    }]
+    for rtype in draw(st.lists(st.sampled_from(sorted(RECORD_TYPES)),
+                               max_size=4)):
+        index = len(records)
+        records.append({"v": SCHEMA_VERSION, "i": index,
+                        "t": float(index), "type": rtype})
+    return records
+
+
+@st.composite
+def status_snapshots(draw) -> dict:
+    """A ``status.json`` payload folded from a finished sweep's events."""
+    from repro.runner import SweepMonitor
+
+    monitor = SweepMonitor()
+    total = draw(st.integers(0, 4))
+    monitor.on_event({"event": "sweep_started", "total": total, "jobs": 1,
+                      "t": 0.0})
+    for n in range(draw(st.integers(0, total))):
+        monitor.on_event({"event": "cell_finished", "key": f"c{n}",
+                          "status": "ok", "cached": False, "wall_s": 1.0,
+                          "t": float(n + 1)})
+    return monitor.snapshot()
+
+
+@st.composite
+def corpus_files(draw) -> dict:
+    """A fuzz corpus directory: ``{file name: JSON content}``, with the
+    ``corpus.jsonl`` content as its list of entries."""
+    from repro.fuzz.corpus import STATE_SCHEMA
+    from repro.fuzz.coverage import CoverageMap
+
+    specs = draw(st.lists(run_specs(max_plan_steps=1, max_faults=1),
+                          min_size=1, max_size=3))
+    coverage = CoverageMap()
+    entries = []
+    for n, spec in enumerate(specs):
+        origin = f"seed:{n}"
+        new = coverage.observe([f"drop:cause-{n}"], origin)
+        entries.append({"schema": STATE_SCHEMA, "key": spec.key,
+                        "origin": origin, "new_signatures": new,
+                        "spec": spec.to_dict()})
+    state = {
+        "schema": STATE_SCHEMA, "seed": draw(seeds),
+        "iterations_done": len(specs), "failures": 0, "unshrinkable": 0,
+        "seed_signatures": len(coverage),
+        "heatmap": {"baseline|none": {"runs": 1, "new_signatures": 1,
+                                      "violations": 0, "failures": 0}},
+    }
+    return {"state.json": state, "coverage.json": coverage.to_dict(),
+            "corpus.jsonl": entries}
+
+
+def fault_schedule_mapping(schedule: FaultSchedule) -> dict:
+    """The ``[[fault]]`` table a fault-schedule file holds for ``schedule``."""
+    return {
+        "jitter_s": schedule.jitter_s,
+        "fault": [
+            {"kind": fault.kind, "target": fault.target,
+             "start": fault.start_s, "duration": fault.duration_s,
+             "params": fault.param_dict()}
+            for fault in schedule.faults
+        ],
+    }
+
+
+@st.composite
+def sweep_specs(draw):
+    """A sweep grid with every field set (a spec file holds its
+    ``dataclasses.asdict``)."""
+    from repro.faults.campaigns import FAULT_CAMPAIGNS
+    from repro.runner.spec import BASELINE, SweepSpec
+
+    return SweepSpec(
+        campaigns=draw(st.lists(campaign_names | st.just(BASELINE),
+                                min_size=1, max_size=3)),
+        seeds=draw(st.lists(seeds, max_size=3)),
+        base_seed=draw(seeds),
+        n_seeds=draw(st.integers(1, 3)),
+        horizon_s=float(draw(st.sampled_from((60.0, 90.0, 120.0)))),
+        profiles=draw(st.lists(profiles, min_size=1, max_size=2)),
+        attack_start=draw(starts),
+        attack_duration=draw(st.none() | durations),
+        variants=draw(st.dictionaries(st.sampled_from(("a", "b")),
+                                      scenario_overrides(), max_size=2)),
+        ids_families=draw(st.lists(st.none() | ids_families,
+                                   min_size=1, max_size=2)),
+        fault_campaign=draw(st.none()
+                            | st.sampled_from(sorted(FAULT_CAMPAIGNS))),
+        fault_start=draw(starts),
+        fault_duration=draw(durations),
+    )
+
+
+@st.composite
+def audit_lines(draw) -> list:
+    """A closed audit log, one dict per line: the header, then entries."""
+    from repro.groundstation.audit import AuditLog
+
+    log = AuditLog(draw(seeds))
+    for n in range(draw(st.integers(0, 3))):
+        log.append(float(n), "gs/cmd/forwarder", draw(gs_principals), n,
+                   "command", "ok")
+    log.close(4.0)
+    return [log.header(), *log.entries]

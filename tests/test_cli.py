@@ -507,7 +507,7 @@ class TestCampaignCommand:
                      "--db", str(tmp_path / "c.db")]) == 2
         assert "no campaign named" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
+    STORE_COMMANDS = [
         ["campaign", "start", "night", "--db", "{db}",
          "--campaigns", "baseline", "--seeds", "11"],
         ["campaign", "resume", "night", "--db", "{db}"],
@@ -515,16 +515,32 @@ class TestCampaignCommand:
         ["campaign", "show", "night", "--db", "{db}"],
         ["sweep", "--campaigns", "baseline", "--seeds", "11",
          "--campaign-db", "{db}", "--out", "{db}.jsonl"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("command", STORE_COMMANDS)
     def test_other_schema_version_exits_2(self, tmp_path, capsys, command):
-        db = str(tmp_path / "c.db")
+        db = tmp_path / "c.db"
         with closing(sqlite3.connect(db)) as conn, conn:
             conn.execute("PRAGMA user_version = 2")
+        before = db.read_bytes()
         assert main([arg.format(db=db) for arg in command]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("campaign error: ")
+        assert err.startswith(f"{command[0]} error: ")
         assert "schema version 2" in err
         assert "Traceback" not in err
+        assert db.read_bytes() == before
+
+    @pytest.mark.parametrize("command", STORE_COMMANDS)
+    def test_not_an_sqlite_database_exits_2(self, tmp_path, capsys,
+                                            command):
+        db = tmp_path / "c.db"
+        db.write_text("these are notes, not a campaign store\n")
+        before = db.read_bytes()
+        assert main([arg.format(db=db) for arg in command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{command[0]} error: ")
+        assert "cannot be read as an SQLite database" in err[0]
+        assert db.read_bytes() == before
 
     def test_list_campaigns(self, tmp_path, capsys):
         db = str(tmp_path / "c.db")
@@ -755,3 +771,216 @@ class TestNonFiniteInputs:
         self._refused(capsys, ["run", "--minutes", "1",
                                "--faults", str(faults)],
                       reason="fault start must be finite")
+
+
+_META = '{"i":0,"t":0.0,"type":"trace.meta","v":1}\n'
+_STATE = ('{"failures": 0, "heatmap": {}, "iterations_done": 0, '
+          '"schema": 1, "seed": 42, "seed_signatures": 0, '
+          '"unshrinkable": 0}')
+_FUZZ = ["fuzz", "--corpus", "{tmp}/fz", "--iterations", "0", "--quiet"]
+
+
+def _campaign_night(path):
+    from repro.runner import CampaignStore
+
+    CampaignStore(path).ensure_campaign("night", [])
+
+
+#: every refusal a command printed itself at the parent of the one refusal
+#: path: ``{id: (argv, files)}``.  ``{tmp}`` is the test directory; a file
+#: is its text, or a function that builds it.
+REFUSALS = {
+    "run-metrics-interval": (["run", "--metrics-interval", "2"], {}),
+    "run-faults-missing": (["run", "--faults", "{tmp}/none.toml"], {}),
+    "run-faults-malformed": (["run", "--faults", "{tmp}/f.toml"],
+                             {"f.toml": "[[fault]\n"}),
+    "run-fault-campaign-unknown": (["run", "--fault-campaign", "nope"], {}),
+    "run-faults-and-campaign": (["run", "--faults", "{tmp}/f.toml",
+                                 "--fault-campaign", "crash_brownout"],
+                                {"f.toml": ""}),
+    "attack-unknown": (["attack", "zero_day"], {}),
+    "attack-minutes-nan": (["attack", "rf_jamming", "--minutes", "nan"], {}),
+    "profile-minutes-nan": (["profile", "--minutes", "nan"], {}),
+    "trace-flamegraph-without-analyze": (
+        ["trace", "--flamegraph", "{tmp}/t.folded"], {}),
+    "trace-unknown-campaign": (
+        ["trace", "--campaign", "zero_day", "--out", "{tmp}/t.jsonl"], {}),
+    "trace-gs-attacks-without-gs": (
+        ["trace", "--gs-attacks", "command_forgery",
+         "--out", "{tmp}/t.jsonl"], {}),
+    "trace-faults-and-campaign": (
+        ["trace", "--faults", "{tmp}/f.toml", "--fault-campaign",
+         "crash_brownout", "--out", "{tmp}/t.jsonl"], {"f.toml": ""}),
+    "trace-flamegraph-without-spans": (
+        ["trace", "--analyze", "{tmp}/t.jsonl",
+         "--flamegraph", "{tmp}/t.folded"], {"t.jsonl": _META}),
+    "check-without-trace": (["check"], {}),
+    "check-missing-trace": (["check", "--trace", "{tmp}/none.jsonl"], {}),
+    "check-non-json-line": (["check", "--trace", "{tmp}/t.jsonl"],
+                            {"t.jsonl": _META + "nope\n"}),
+    "check-spec-horizon-not-a-number": (
+        ["check", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"spec":{"horizon_s":"abc"},"t":0.0,'
+                    '"type":"trace.meta","v":1}\n'}),
+    "audit-without-file": (["audit", "verify"], {}),
+    "audit-missing-file": (["audit", "verify", "--audit", "{tmp}/a.jsonl"],
+                           {}),
+    "audit-not-an-audit-log": (
+        ["audit", "verify", "--audit", "{tmp}/a.jsonl"],
+        {"a.jsonl": '{"x": 1}\n'}),
+    "audit-header-seed-not-an-integer": (
+        ["audit", "verify", "--audit", "{tmp}/a.jsonl"],
+        {"a.jsonl": '{"audit":1,"genesis":"00","seed":"abc"}\n'}),
+    "fuzz-existing-corpus-without-resume": (
+        _FUZZ, {"fz/state.json": _STATE}),
+    "fuzz-resume-other-seed": (
+        [*_FUZZ, "--seed", "5", "--resume"], {"fz/state.json": _STATE}),
+    "fuzz-resume-state-other-schema": (
+        [*_FUZZ, "--resume"], {"fz/state.json": '{"schema": 99}'}),
+    "fuzz-resume-coverage-not-json": (
+        [*_FUZZ, "--resume"],
+        {"fz/state.json": _STATE, "fz/coverage.json": "nope"}),
+    "fuzz-resume-corpus-line-not-json": (
+        [*_FUZZ, "--resume"],
+        {"fz/state.json": _STATE, "fz/corpus.jsonl": "nope\n"}),
+    "sweep-seeds-not-integers": (
+        ["sweep", "--seeds", "a", "--out", "{tmp}/s.jsonl"], {}),
+    "sweep-unknown-campaign": (
+        ["sweep", "--campaigns", "zero_day", "--out", "{tmp}/s.jsonl"], {}),
+    "sweep-unknown-fault-campaign": (
+        ["sweep", "--fault-campaign", "nope", "--out", "{tmp}/s.jsonl"], {}),
+    "sweep-jobs-zero": (
+        ["sweep", "--jobs", "0", "--out", "{tmp}/s.jsonl"], {}),
+    "sweep-spec-missing": (
+        ["sweep", "--spec", "{tmp}/none.toml", "--out", "{tmp}/s.jsonl"],
+        {}),
+    "sweep-spec-unknown-key": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": "bogus = 1\n"}),
+    "sweep-zero-runs": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = [1]\nprofiles = []\n'}),
+    "sweep-out-is-the-database": (
+        ["sweep", "--seeds", "1", "--out", "{tmp}/s.db"], {}),
+    "sweep-legacy-line-not-a-record": (
+        ["sweep", "--seeds", "1", "--out", "{tmp}/s.jsonl"],
+        {"s.jsonl": "[1, 2]\n"}),
+    "campaign-start-max-attempts-zero": (
+        ["campaign", "start", "night", "--db", "{tmp}/c.db",
+         "--seeds", "1", "--max-attempts", "0"], {}),
+    "campaign-start-existing-name": (
+        ["campaign", "start", "night", "--db", "{tmp}/c.db", "--seeds", "1"],
+        {"c.db": _campaign_night}),
+    "campaign-start-without-grid": (
+        ["campaign", "start", "night", "--db", "{tmp}/c.db"], {}),
+    "campaign-start-seeds-not-integers": (
+        ["campaign", "start", "night", "--db", "{tmp}/c.db",
+         "--seeds", "a"], {}),
+    "campaign-start-import-record-without-spec": (
+        ["campaign", "start", "night", "--db", "{tmp}/c.db",
+         "--from-jsonl", "{tmp}/old.jsonl"],
+        {"old.jsonl": '{"key": "aa", "status": "ok"}\n'}),
+    "campaign-start-import-attempts-not-an-integer": (
+        ["campaign", "start", "night", "--db", "{tmp}/c.db",
+         "--from-jsonl", "{tmp}/old.jsonl"],
+        {"old.jsonl": '{"attempts": "x", "key": "aa", "spec": {}}\n'}),
+    "campaign-resume-jobs-zero": (
+        ["campaign", "resume", "night", "--db", "{tmp}/c.db", "--jobs", "0"],
+        {}),
+    "campaign-resume-unknown": (
+        ["campaign", "resume", "ghost", "--db", "{tmp}/c.db"], {}),
+    "campaign-show-unknown": (
+        ["campaign", "show", "ghost", "--db", "{tmp}/c.db"], {}),
+    "status-missing": (["status", "{tmp}"], {}),
+    "status-truncated": (["status", "{tmp}/status.json"],
+                         {"status.json": '{"schema": 2, "done"'}),
+}
+
+#: input the parent did not refuse — artefacts malformed, empty or of
+#: another version, and one flag value — but read anyway (a traceback, or
+#: a quiet exit 0): ``{id: (argv, files)}`` as above
+MALFORMED = {
+    "check-line-not-an-object": (["check", "--trace", "{tmp}/t.jsonl"],
+                                 {"t.jsonl": _META + "[1, 2]\n"}),
+    "trace-analyze-line-not-an-object": (
+        ["trace", "--analyze", "{tmp}/t.jsonl"],
+        {"t.jsonl": _META + "[1, 2]\n"}),
+    "trace-analyze-line-not-json": (
+        ["trace", "--analyze", "{tmp}/t.jsonl"],
+        {"t.jsonl": _META + "nope\n"}),
+    "trace-analyze-missing": (["trace", "--analyze", "{tmp}/t.jsonl"], {}),
+    "check-future-trace-version": (
+        ["check", "--no-replay", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"t":0.0,"type":"trace.meta","v":2}\n'
+                    '{"i":1,"t":1.0,"type":"trace.end","v":2}\n'}),
+    "check-empty-trace": (["check", "--trace", "{tmp}/t.jsonl"],
+                          {"t.jsonl": ""}),
+    "check-spec-not-an-object": (
+        ["check", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"spec":[1,2],"t":0.0,'
+                    '"type":"trace.meta","v":1}\n'}),
+    "status-other-schema": (["status", "{tmp}/status.json"],
+                            {"status.json": '{"schema": 99}'}),
+    "status-not-an-object": (["status", "{tmp}/status.json"],
+                             {"status.json": "[1]"}),
+    "fuzz-resume-state-not-an-object": (
+        [*_FUZZ, "--resume"], {"fz/state.json": "[1, 2]"}),
+    "fuzz-resume-state-without-counters": (
+        [*_FUZZ, "--seed", "42", "--resume"],
+        {"fz/state.json": '{"schema": 1, "seed": 42}'}),
+    "sweep-spec-campaigns-not-a-list": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": "campaigns = 5\n"}),
+    "run-fault-without-kind": (
+        ["run", "--faults", "{tmp}/f.toml"],
+        {"f.toml": '[[fault]]\ntarget = "drone"\n'}),
+    "run-fault-not-a-table": (["run", "--faults", "{tmp}/f.toml"],
+                              {"f.toml": "fault = 5\n"}),
+    "trace-gs-attack-unknown": (
+        ["trace", "--gs", "--gs-attacks", "bogus", "--minutes", "0.1",
+         "--out", "{tmp}/t.jsonl"], {}),
+}
+
+
+def _assert_refused(capsys, tmp_path, argv, files):
+    """Exit 2 with one stderr line ``<command> error: ...``."""
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(content, encoding="utf-8")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"{argv[0]} error: "), lines
+
+
+class TestOneRefusalPath:
+    """Every refused input leaves through ``main``: exit 2, one line."""
+
+    @pytest.mark.parametrize("argv, files", REFUSALS.values(),
+                             ids=REFUSALS.keys())
+    def test_refusal_exits_2_with_one_line(self, tmp_path, capsys, argv,
+                                           files):
+        _assert_refused(capsys, tmp_path, argv, files)
+
+    @pytest.mark.parametrize("argv, files", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_malformed_artefact_exits_2(self, tmp_path, capsys, argv, files):
+        _assert_refused(capsys, tmp_path, argv, files)
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        # a ValueError that is not an InputError is a defect, not refused
+        # input: main must not report it as exit 2
+        from repro import cli
+
+        def broken(args):
+            raise ValueError("defect")
+
+        monkeypatch.setattr(cli, "cmd_campaigns", broken)
+        with pytest.raises(ValueError, match="defect"):
+            main(["campaigns"])
