@@ -82,7 +82,7 @@ def iter_json_objects(path: os.PathLike) -> Iterator[Tuple[int, dict]]:
                 value = decode_json(line.decode("utf-8"))
             except ValueError as exc:
                 raise InputError(f"{path}:{number}: {exc}") from None
-            if type(value) is not dict:
+            if not isinstance(value, dict):
                 raise InputError(f"{path}:{number}: a JSON "
                                  f"{type(value).__name__}, not an object")
             yield number, value

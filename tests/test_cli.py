@@ -786,9 +786,9 @@ def _campaign_night(path):
     CampaignStore(path).ensure_campaign("night", [])
 
 
-#: every refusal a command printed itself at the parent of the one refusal
-#: path: ``{id: (argv, files)}``.  ``{tmp}`` is the test directory; a file
-#: is its text, or a function that builds it.
+#: one case per refusal a command makes of its flags or files: ``{id:
+#: (argv, files)}``.  ``{tmp}`` is the test directory; a file is its text,
+#: or a function that builds it.
 REFUSALS = {
     "run-metrics-interval": (["run", "--metrics-interval", "2"], {}),
     "run-faults-missing": (["run", "--faults", "{tmp}/none.toml"], {}),
@@ -896,9 +896,9 @@ REFUSALS = {
                          {"status.json": '{"schema": 2, "done"'}),
 }
 
-#: input the parent did not refuse — artefacts malformed, empty or of
-#: another version, and one flag value — but read anyway (a traceback, or
-#: a quiet exit 0): ``{id: (argv, files)}`` as above
+#: artefacts that are malformed, empty or of another version, and one
+#: flag value, that must be refused rather than read (a traceback, or a
+#: quiet exit 0, before readers failed closed): ``{id: (argv, files)}``
 MALFORMED = {
     "check-line-not-an-object": (["check", "--trace", "{tmp}/t.jsonl"],
                                  {"t.jsonl": _META + "[1, 2]\n"}),
