@@ -262,16 +262,16 @@ def cmd_run(args) -> int:
     if prepared.fault_injector is not None:
         _print_resilience(prepared.fault_injector, prepared.horizon_s)
     if metrics_out:
-        from repro.telemetry import TelemetryHub
+        from repro.telemetry import hub
 
         scenario.collect_metrics()
-        hub = TelemetryHub()
-        hub.register_collector("worksite", scenario.metrics)
         if args.metrics_json:
-            written = hub.export_json(args.metrics_json)
+            written = hub.write_metrics_json(scenario.metrics,
+                                             args.metrics_json)
             print(f"metrics:          {written}")
         if args.metrics_prom:
-            written = hub.export_prometheus(args.metrics_prom)
+            written = hub.write_prometheus(scenario.metrics,
+                                           args.metrics_prom)
             print(f"metrics (prom):   {written}")
     if checker is not None and not checker.ok:
         return 1
@@ -957,10 +957,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     fault_flags(run_p)
     run_p.add_argument("--metrics-json", default=None, metavar="PATH",
-                       help="write the unified telemetry snapshot (counters, "
+                       help="write the run's metrics snapshot (counters, "
                             "gauges, series summaries) as JSON")
     run_p.add_argument("--metrics-prom", default=None, metavar="PATH",
-                       help="write the telemetry snapshot in the "
+                       help="write the metrics snapshot in the "
                             "Prometheus text exposition format")
     run_p.add_argument("--metrics-interval", type=float, default=None,
                        help="series sampling interval in seconds (default "

@@ -161,8 +161,11 @@ class ModeMachine:
         prev = self.mode
         self.mode = mode
         now = self.sim.now
+        extra = {"reason": reason}
         if mode is VehicleMode.SAFE_STOP and self._down:
-            self.safe_stop_latencies.append(now - min(self._down.values()))
+            latency = now - min(self._down.values())
+            self.safe_stop_latencies.append(latency)
+            extra["latency_s"] = round(latency, 6)
         self.transitions.append((now, prev.value, mode.value, reason))
         self.log.emit(
             now, EventCategory.SYSTEM, "mode_transition", self.machine,
@@ -170,7 +173,7 @@ class ModeMachine:
         )
         if trace.ACTIVE:
             trace.TRACER.mode_transition(
-                self.machine, mode.value, prev.value, reason=reason
+                self.machine, mode.value, prev.value, **extra
             )
         handler = self._handlers.get(mode)
         if handler is not None:

@@ -245,19 +245,30 @@ def verify_chain(
             flag(index, "close", f"entry after close entry {close_at}")
         if entry["kind"] == "close":
             close_at = index
-        elif entry["verdict"] in ("ok", "executed"):
-            last = counters.get(entry["sender"])
-            if last is not None and entry["counter"] <= last:
+        # a sender, counter or t of the wrong type cannot be compared: it
+        # is flagged at its entry, and verification goes on
+        sender, counter, t = entry["sender"], entry["counter"], entry["t"]
+        if type(sender) is not str:
+            flag(index, "counter", f"sender {sender!r} is not a string")
+        elif type(counter) is not int:
+            flag(index, "counter", f"counter {counter!r} is not an integer")
+        elif (entry["kind"] != "close"
+              and entry["verdict"] in ("ok", "executed")):
+            last = counters.get(sender)
+            if last is not None and counter <= last:
                 flag(
                     index, "counter",
-                    f"counter {entry['counter']} not above {last} "
-                    f"for sender {entry['sender']!r}",
+                    f"counter {counter} not above {last} "
+                    f"for sender {sender!r}",
                 )
             else:
-                counters[entry["sender"]] = entry["counter"]
-        if last_t is not None and entry["t"] < last_t:
-            flag(index, "time", f"t {entry['t']} before predecessor {last_t}")
-        last_t = entry["t"] if isinstance(entry["t"], (int, float)) else last_t
+                counters[sender] = counter
+        if type(t) not in (int, float):
+            flag(index, "time", f"t {t!r} is not a number")
+        else:
+            if last_t is not None and t < last_t:
+                flag(index, "time", f"t {t} before predecessor {last_t}")
+            last_t = t
         # chain forward from the *recorded* hash so one corrupt entry
         # yields one localised violation, not a cascade to the tail
         prev = entry["hash"] if isinstance(entry["hash"], str) else prev

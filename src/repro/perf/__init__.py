@@ -2,15 +2,12 @@
 
 The hot per-frame pipeline (medium → link budget → AEAD) carries optional
 counters that cost one module-attribute check when disabled.
-Enable them with the ``REPRO_PERF=1`` environment variable or
-:func:`repro.perf.counters.enable`; read them with
-:func:`repro.perf.counters.snapshot` or the ``repro-worksite profile``
-subcommand.
+``repro-worksite profile --perf`` is their one reader: it turns them on
+with :func:`repro.perf.counters.enable` and prints their report.
 """
 
 from repro.perf.counters import (
     enable,
-    enabled,
     incr,
     report,
     reset,
@@ -19,7 +16,6 @@ from repro.perf.counters import (
 
 __all__ = [
     "enable",
-    "enabled",
     "incr",
     "report",
     "reset",

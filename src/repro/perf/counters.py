@@ -1,4 +1,4 @@
-"""Env-gated counters for the per-frame hot path.
+"""Opt-in counters for the per-frame hot path.
 
 Design constraints:
 
@@ -8,31 +8,24 @@ Design constraints:
 * **deterministic** — counters observe the simulation, they never feed back
   into it, so enabling them cannot change RNG draws, event ordering or any
   metric (the byte-identical determinism guarantee is unaffected);
-* **process-local** — the registry is a module singleton; sweep workers in
-  other processes carry their own.
+* **process-local** — the registry is a module singleton.
 
-Enable with ``REPRO_PERF=1`` in the environment (read once at import) or
-programmatically with :func:`enable`.
+Off by default; ``repro-worksite profile --perf`` turns them on with
+:func:`enable` and prints :func:`report`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
 #: instrumented sites guard on this module attribute; flipped by enable()
-ACTIVE: bool = os.environ.get("REPRO_PERF", "") not in ("", "0")
+ACTIVE: bool = False
 
 _counts: Dict[str, int] = {}
 
 
-def enabled() -> bool:
-    """Whether instrumentation is currently recording."""
-    return ACTIVE
-
-
 def enable(on: bool = True) -> None:
-    """Turn instrumentation on/off at runtime (overrides ``REPRO_PERF``)."""
+    """Turn instrumentation on/off."""
     global ACTIVE
     ACTIVE = bool(on)
 

@@ -43,7 +43,7 @@ def summarize_group(records: Sequence[dict]) -> dict:
     summaries = [r["summary"] for r in ok]
     detections = [r["detection"] for r in ok if r.get("detection")]
     channels = [r["channel"] for r in ok]
-    summary = {
+    return {
         "runs": len(records),
         "failed": sum(1 for r in records if r.get("status") != "ok"),
         "delivered_m3": _mean([s["delivered_m3"] for s in summaries]),
@@ -67,83 +67,6 @@ def summarize_group(records: Sequence[dict]) -> dict:
             [float(c["deauths_accepted"]) for c in channels]
         ),
     }
-    telemetry = [r["telemetry"] for r in ok if r.get("telemetry")]
-    if telemetry:
-        summary["telemetry"] = {
-            "trace_records": _mean(
-                [float(t["records"]) for t in telemetry]
-            ),
-            "frames_dropped": _mean(
-                [float(t["frames"]["dropped"]) for t in telemetry]
-            ),
-            "detection_latency_p95_s": _mean(
-                [t["detection"]["latency_p95_s"] for t in telemetry]
-            ),
-            "safety_interventions": _mean(
-                [float(t["safety"]["interventions"]) for t in telemetry]
-            ),
-        }
-    resilience = [r["resilience"] for r in ok if r.get("resilience")]
-    if resilience:
-        services = sorted(
-            {name for res in resilience for name in res["availability"]}
-        )
-        summary["resilience"] = {
-            "faults_injected": _mean(
-                [float(res["faults"]["injected"]) for res in resilience]
-            ),
-            "availability": {
-                name: _mean([
-                    res["availability"].get(name) for res in resilience
-                ])
-                for name in services
-            },
-            "mttr_s": _mean([res["mttr_s"] for res in resilience]),
-            "safe_stop_p95_s": _mean(
-                [res["safe_stop_latency"]["p95_s"] for res in resilience]
-            ),
-            "retry_exhausted": _mean([
-                float(res["delivery"]["retry_exhausted"]) for res in resilience
-            ]),
-            "rejoins": _mean(
-                [float(res["delivery"]["rejoins"]) for res in resilience]
-            ),
-        }
-    invariants = [r["invariants"] for r in ok if r.get("invariants")]
-    if invariants:
-        flagged = [inv for inv in invariants if inv["violations"]]
-        kinds = sorted(
-            {name for inv in flagged for name in inv["by_invariant"]}
-        )
-        summary["invariants"] = {
-            "checked_runs": len(invariants),
-            "violations": sum(inv["violations"] for inv in invariants),
-            "runs_with_violations": len(flagged),
-            "by_invariant": {
-                name: sum(
-                    inv["by_invariant"].get(name, 0) for inv in flagged
-                )
-                for name in kinds
-            },
-        }
-    perf_snaps = [
-        r["perf"] for r in records
-        if r.get("status") == "ok" and r.get("perf")
-    ]
-    if perf_snaps:
-        counter_names = sorted(
-            {name for snap in perf_snaps for name in snap.get("counters", {})}
-        )
-        summary["perf"] = {
-            "counters": {
-                name: _mean(
-                    [float(s.get("counters", {}).get(name, 0.0))
-                     for s in perf_snaps]
-                )
-                for name in counter_names
-            },
-        }
-    return summary
 
 
 def aggregate_rows(records: Sequence[dict]) -> List[dict]:

@@ -28,7 +28,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.inputs import read_json_object
+from repro.inputs import InputError, read_json_object
 from repro.sim.metrics import percentile
 
 #: status.json layout version (2: retries / stall_events / degraded_from
@@ -224,10 +224,64 @@ class SweepMonitor:
         return target
 
 
+_COUNT = (int,)
+_SECONDS = (int, float)
+_MAYBE_SECONDS = (int, float, type(None))
+
+#: the JSON types of every ``status.json`` field that :func:`render_status`
+#: and :func:`progress_line` read (a missing field renders its default)
+_STATUS_FIELDS = {
+    "kind": (str,), "total": _COUNT, "done": _COUNT, "failed": _COUNT,
+    "cached": _COUNT, "retries": _COUNT, "stall_events": _COUNT,
+    "degraded_from": (int, type(None)), "jobs": _COUNT, "pending": _COUNT,
+    "elapsed_s": _SECONDS, "throughput_per_min": _MAYBE_SECONDS,
+    "eta_s": _MAYBE_SECONDS, "stall_threshold_s": _MAYBE_SECONDS,
+    "running": (list,), "workers": (dict,), "durations": (dict,),
+}
+_CELL_FIELDS = {
+    "key": (str,), "label": (str,), "age_s": _SECONDS,
+    "pid": (int, type(None)), "attempt": _COUNT, "stalled": (bool,),
+}
+_WORKER_FIELDS = {"idle_s": _SECONDS}
+_DURATION_FIELDS = {
+    "count": _COUNT, "p50_s": _MAYBE_SECONDS, "p95_s": _MAYBE_SECONDS,
+}
+
+
+def _wrong_type(path, field: str, value) -> InputError:
+    return InputError(f"{path}: field {field} has the wrong type "
+                      f"({type(value).__name__})")
+
+
+def _check_fields(path, value: dict, fields: dict, where: str = "") -> None:
+    """Raise :class:`InputError` for the first of ``fields`` present in
+    ``value`` whose JSON type is not one of its types."""
+    for name, types in fields.items():
+        if name in value and type(value[name]) not in types:
+            raise _wrong_type(path, where + name, value[name])
+
+
 def read_status(path: os.PathLike) -> dict:
     """Load a ``status.json`` written by :meth:`SweepMonitor.write_status`;
-    raises :class:`~repro.inputs.InputError` for any other file."""
-    return read_json_object(path, STATUS_SCHEMA)
+    raises :class:`~repro.inputs.InputError` for any other file, including
+    one where a field that :func:`render_status` reads has the wrong type."""
+    status = read_json_object(path, STATUS_SCHEMA)
+    _check_fields(path, status, _STATUS_FIELDS)
+    nested = [
+        (f"running[{index}]", cell, _CELL_FIELDS)
+        for index, cell in enumerate(status.get("running", []))
+    ]
+    nested += [
+        (f"workers.{pid}", worker, _WORKER_FIELDS)
+        for pid, worker in status.get("workers", {}).items()
+    ]
+    nested.append(("durations", status.get("durations", {}),
+                   _DURATION_FIELDS))
+    for where, value, fields in nested:
+        if type(value) is not dict:
+            raise _wrong_type(path, where, value)
+        _check_fields(path, value, fields, where + ".")
+    return status
 
 
 def progress_line(status: dict) -> str:

@@ -10,11 +10,10 @@ of propagating, so one broken cell never kills the sweep.
 
 The record's ``result`` sub-dict is a pure function of the spec (the
 determinism contract the cache relies on); wall-clock timing lives outside
-it under ``wall_s``, and so does the optional ``perf`` counter snapshot
-(its ``timings`` carry wall-clock seconds).  The deterministic telemetry
-summary recorded under ``REPRO_TRACE=1`` *is* spec-pure, so it rides inside
-``result`` as ``result["telemetry"]``; likewise the invariant report
-recorded under ``REPRO_CHECK=1`` rides as ``result["invariants"]``.
+it under ``wall_s``.  The deterministic telemetry summary recorded under
+``REPRO_TRACE=1`` *is* spec-pure, so it rides inside ``result`` as
+``result["telemetry"]``; likewise the invariant report recorded under
+``REPRO_CHECK=1`` rides as ``result["invariants"]``.
 
 A run is composed by :func:`~repro.scenarios.factory.compose_spec` and
 executed by :meth:`~repro.scenarios.factory.PreparedRun.run`, the path
@@ -29,7 +28,6 @@ import time
 import traceback
 from typing import Mapping, Optional, Union
 
-from repro.perf import counters as perf
 from repro.runner.spec import RunSpec
 
 
@@ -42,8 +40,6 @@ def execute_run(spec: Union[RunSpec, Mapping], attempt: int = 1) -> dict:
     """
     if not isinstance(spec, RunSpec):
         spec = RunSpec.from_dict(spec)
-    if perf.enabled():
-        perf.reset()
     started = time.perf_counter()
     try:
         result = _simulate(spec)
@@ -53,7 +49,7 @@ def execute_run(spec: Union[RunSpec, Mapping], attempt: int = 1) -> dict:
         error = "".join(
             traceback.format_exception_only(type(exc), exc)
         ).strip()
-    record = {
+    return {
         "key": spec.key,
         "spec": spec.to_dict(),
         "status": status,
@@ -66,9 +62,6 @@ def execute_run(spec: Union[RunSpec, Mapping], attempt: int = 1) -> dict:
         # which retry attempt produced this record (1 = first try)
         "attempt": int(attempt),
     }
-    if perf.enabled():
-        record["perf"] = perf.snapshot()
-    return record
 
 
 def _simulate(spec: RunSpec) -> dict:

@@ -1,11 +1,10 @@
 """Time-series metric collection for simulation runs.
 
-Components record named counters and sampled series through a single
-:class:`MetricsCollector`; the experiment harness summarises them afterwards.
-Two bounded-memory aggregates back the observability plane:
-:class:`Histogram` (fixed log-spaced buckets, quantile estimates, the
-shape the Prometheus text exposition expects) and :class:`RateWindow`
-(a fixed-slot ring buffer yielding trailing-window event rates).
+Components record named counters, gauges and sampled series through a
+single :class:`MetricsCollector`; the experiment harness summarises them
+afterwards.  :class:`Histogram` (fixed log-spaced buckets, quantile
+estimates) is the bounded-memory aggregate behind the span report's
+per-kind durations.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ class Histogram:
     ``buckets_per_decade`` per power of ten between ``lower`` and
     ``upper`` — so the same relative resolution covers microseconds and
     kiloseconds.  Quantiles interpolate linearly inside the bucket, the
-    same estimate Prometheus's ``histogram_quantile`` computes from the
-    exported cumulative buckets.
+    same estimate Prometheus's ``histogram_quantile`` makes.
     """
 
     __slots__ = (
@@ -151,96 +149,14 @@ class Histogram:
             return lo + (hi - lo) * frac
         return self.maximum
 
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, Prometheus-style
-        (the final ``+Inf`` bucket is the total count)."""
-        out: List[Tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            out.append((bound, cumulative))
-        out.append((math.inf, self.count))
-        return out
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical buckets into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def as_dict(self) -> dict:
-        """Compact JSON form (what hub snapshots and span reports carry)."""
-        return {
-            "count": self.count,
-            "sum": round(self.total, 9),
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-            "p50": round(self.quantile(0.50), 9),
-            "p95": round(self.quantile(0.95), 9),
-            "p99": round(self.quantile(0.99), 9),
-        }
-
-
-class RateWindow:
-    """Trailing-window event rate over a fixed-slot ring buffer.
-
-    ``add`` assigns each event to a time slot; memory is O(slots)
-    forever.  Events are assumed to arrive in non-decreasing time order
-    (the simulator clock guarantees it); a slot is lazily reset when its
-    ring position is reused by a later epoch.
-    """
-
-    __slots__ = ("slot_s", "_counts", "_epochs")
-
-    def __init__(self, window_s: float = 60.0, slots: int = 60) -> None:
-        if window_s <= 0 or slots < 1:
-            raise ValueError(
-                f"invalid rate window: window_s={window_s}, slots={slots}"
-            )
-        self.slot_s = window_s / slots
-        self._counts: List[float] = [0.0] * slots
-        self._epochs: List[Optional[int]] = [None] * slots
-
-    @property
-    def window_s(self) -> float:
-        return self.slot_s * len(self._counts)
-
-    def add(self, t: float, amount: float = 1.0) -> None:
-        epoch = int(t // self.slot_s)
-        position = epoch % len(self._counts)
-        if self._epochs[position] != epoch:
-            self._epochs[position] = epoch
-            self._counts[position] = 0.0
-        self._counts[position] += amount
-
-    def rate(self, now: float) -> float:
-        """Events per second over the window ending at ``now``."""
-        now_epoch = int(now // self.slot_s)
-        slots = len(self._counts)
-        total = sum(
-            self._counts[i] for i in range(slots)
-            if self._epochs[i] is not None
-            and 0 <= now_epoch - self._epochs[i] < slots
-        )
-        # a window that has not fully elapsed yet normalises over the
-        # elapsed portion, so early rates are not diluted by empty slots
-        effective = min(self.window_s, max(self.slot_s, now))
-        return total / effective
-
 
 class MetricsCollector:
-    """Named counters, gauges, timestamped series and histograms."""
+    """Named counters, gauges and timestamped series."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._series: Dict[str, List[Tuple[float, float]]] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     # -- counters ---------------------------------------------------------
     def increment(self, name: str, amount: float = 1.0) -> None:
@@ -280,41 +196,9 @@ class MetricsCollector:
     def summarize(self, name: str) -> SeriesSummary:
         return SeriesSummary.of(self.series_values(name))
 
-    # -- histograms -------------------------------------------------------
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation in the named histogram (auto-created)."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram()
-        histogram.observe(value)
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        return self._histograms.get(name)
-
-    def histogram_names(self) -> List[str]:
-        return sorted(self._histograms)
-
     def ratio(self, numerator: str, denominator: str) -> Optional[float]:
         """Counter ratio, or None when the denominator is zero."""
         denom = self.counter(denominator)
         if denom == 0.0:
             return None
         return self.counter(numerator) / denom
-
-    def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's counters, series and histograms in."""
-        for name, value in other._counters.items():
-            self.increment(name, value)
-        for name, points in other._series.items():
-            self._series.setdefault(name, []).extend(points)
-        self._gauges.update(other._gauges)
-        for name, histogram in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = Histogram(
-                    lower=histogram.bounds[0],
-                    upper=histogram.bounds[-1],
-                )
-                mine.bounds = list(histogram.bounds)
-                mine.counts = [0] * len(histogram.counts)
-            mine.merge(histogram)

@@ -1,15 +1,14 @@
 """Deterministic, sim-time-stamped telemetry for worksite runs.
 
-Three cooperating pieces:
+Cooperating pieces:
 
 * :mod:`repro.telemetry.tracer` — a :class:`Tracer` that records typed
   span/event records (frame lifecycle, attack windows, IDS detections,
   safety interventions, mission phases) behind the same
   one-attribute-check-when-disabled guard as :mod:`repro.perf`;
-* :mod:`repro.telemetry.hub` — a :class:`TelemetryHub` registry that
-  unifies :class:`~repro.sim.metrics.MetricsCollector` contents, the
-  :mod:`repro.perf` counters and a tracer summary under one snapshot /
-  JSON-export surface;
+* :mod:`repro.telemetry.hub` — the one exporter of a run's
+  :class:`~repro.sim.metrics.MetricsCollector`: the JSON snapshot and the
+  Prometheus exposition behind ``run --metrics-json`` / ``--metrics-prom``;
 * :mod:`repro.telemetry.analysis` — report generation over recorded
   traces (per-link delivery/drop breakdown, detection-latency
   percentiles, attack-vs-defense timeline), driving the
@@ -25,7 +24,6 @@ and seed always produce byte-identical trace files (asserted by
 ``tests/integration/test_trace_determinism.py``).
 """
 
-from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.schema import (
     DROP_CAUSES,
     RECORD_TYPES,
@@ -58,7 +56,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SPAN_KINDS",
     "SpanEmitter",
-    "TelemetryHub",
     "TraceWriter",
     "Tracer",
     "build_span_tree",

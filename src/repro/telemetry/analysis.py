@@ -127,8 +127,9 @@ def resilience_metrics(
     emitting :class:`~repro.defense.recovery.ContinuityManager` carries no
     scope).  An outage still open at end-of-trace is charged up to
     ``horizon_s`` (defaulting to the last record's timestamp).  Safe-stop
-    latency pairs each ``mode.transition`` into ``safe_stop`` with the most
-    recent preceding ``fault.inject``.
+    latency is the ``latency_s`` each ``mode.transition`` into
+    ``safe_stop`` carries: the mode machine's own measure, from its
+    earliest open outage, so the trace reports what ``run`` reports.
     """
     downs = of_type(records, "service.down")
     ups = of_type(records, "service.up")
@@ -169,16 +170,10 @@ def resilience_metrics(
         if closed_durations else None
     )
 
-    # safe-stop latency: last fault onset before each safe_stop entry
-    latencies: List[float] = []
-    fault_times = [r["t"] for r in faults]
-    for record in transitions:
-        if record.get("mode") != "safe_stop":
-            continue
-        onsets = [t for t in fault_times if t <= record["t"]]
-        if onsets:
-            latencies.append(record["t"] - onsets[-1])
-    latency = SeriesSummary.of(latencies)
+    latency = SeriesSummary.of([
+        r["latency_s"] for r in transitions
+        if r.get("mode") == "safe_stop" and r.get("latency_s") is not None
+    ])
 
     return {
         "horizon_s": horizon_s,

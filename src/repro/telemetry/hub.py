@@ -1,18 +1,13 @@
-"""The unified snapshot surface over every telemetry source in a run.
+"""The one exporter of a run's metrics (``run --metrics-json|--metrics-prom``).
 
-Before this hub existed the repo had three disjoint observability outputs:
-:class:`~repro.sim.metrics.MetricsCollector` (counters/gauges/series, only
-reachable from code), the env-gated :mod:`repro.perf` counters (their own
-``snapshot()``), and ad-hoc ``summary()`` dicts on individual subsystems.
-:class:`TelemetryHub` registers any number of collectors plus an optional
-tracer and renders them as **one** JSON-serialisable snapshot, which is
-what ``repro-worksite run --metrics-json`` writes and what tests assert
-against.  The same registry also renders the Prometheus text exposition
-format (``run --metrics-prom``): counters map to ``counter`` samples,
-gauges to ``gauge``, series summaries to ``summary`` quantiles, and
-:class:`~repro.sim.metrics.Histogram` aggregates to cumulative
-``_bucket{le=...}`` families — so one scrape-ready file captures the
-whole run without a client-library dependency.
+A worksite run records its counters, gauges and sampled series in one
+:class:`~repro.sim.metrics.MetricsCollector`.  This module renders that
+collector, under the name :data:`COLLECTOR`, as a JSON snapshot
+(:func:`metrics_snapshot`, written by :func:`write_metrics_json`) and as
+the Prometheus text exposition format (:func:`render_prometheus`, written
+by :func:`write_prometheus`): counters map to ``counter`` samples, gauges
+to ``gauge`` and series summaries to ``summary`` quantiles, so one
+scrape-ready file captures the run without a client-library dependency.
 """
 
 from __future__ import annotations
@@ -22,14 +17,13 @@ import math
 import os
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List
 
-from repro.perf import counters as perf
 from repro.sim.metrics import MetricsCollector
 from repro.telemetry.schema import SCHEMA_VERSION
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.tracer import Tracer
+#: the name the worksite collector is exported under
+COLLECTOR = "worksite"
 
 #: characters allowed in a Prometheus metric name; everything else
 #: collapses to "_" (labels are not used for metric identity here)
@@ -53,139 +47,72 @@ def _prom_value(value: float) -> str:
     return repr(value)
 
 
-class TelemetryHub:
-    """Registry unifying metrics collectors, perf counters and a tracer."""
+def _write(path: os.PathLike, text: str) -> Path:
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")
+    return target
 
-    def __init__(self) -> None:
-        self._collectors: Dict[str, MetricsCollector] = {}
-        self._tracer: Optional["Tracer"] = None
 
-    # -- registration -------------------------------------------------------
-    def register_collector(self, name: str, collector: MetricsCollector) -> None:
-        """Expose ``collector`` under ``name`` in every snapshot."""
-        if name in self._collectors:
-            raise ValueError(f"duplicate collector name {name!r}")
-        self._collectors[name] = collector
+def metrics_snapshot(collector: MetricsCollector) -> dict:
+    """The collector's counters, gauges and series summaries as one
+    JSON-serialisable dict, under ``metrics.worksite``."""
+    section = {
+        "counters": collector.counters,
+        "gauges": collector.gauges,
+        "series": {
+            series: collector.summarize(series).as_dict()
+            for series in collector.series_names()
+        },
+    }
+    return {"schema": SCHEMA_VERSION, "metrics": {COLLECTOR: section}}
 
-    def collector(self, name: str) -> MetricsCollector:
-        return self._collectors[name]
 
-    def set_tracer(self, tracer: Optional["Tracer"]) -> None:
-        self._tracer = tracer
+def write_metrics_json(collector: MetricsCollector, path: os.PathLike) -> Path:
+    """Write the snapshot as indented JSON; returns the written path."""
+    return _write(path, json.dumps(
+        metrics_snapshot(collector), indent=2, sort_keys=True
+    ) + "\n")
 
-    # -- snapshot -----------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Everything every registered source knows, as one plain dict.
 
-        The ``perf`` section is present only while the perf counters are
-        enabled, mirroring their near-zero-overhead-when-off contract; the
-        ``trace`` section is present only when a tracer is registered.
-        """
-        metrics: Dict[str, dict] = {}
-        for name in sorted(self._collectors):
-            collector = self._collectors[name]
-            section = {
-                "counters": collector.counters,
-                "gauges": collector.gauges,
-                "series": {
-                    series: collector.summarize(series).as_dict()
-                    for series in collector.series_names()
-                },
-            }
-            histograms = {
-                hist: collector.histogram(hist).as_dict()
-                for hist in collector.histogram_names()
-            }
-            if histograms:
-                section["histograms"] = histograms
-            metrics[name] = section
-        snapshot = {"schema": SCHEMA_VERSION, "metrics": metrics}
-        if perf.enabled():
-            snapshot["perf"] = perf.snapshot()
-        if self._tracer is not None:
-            snapshot["trace"] = self._tracer.summary()
-        return snapshot
+def render_prometheus(collector: MetricsCollector) -> str:
+    """The Prometheus text exposition format (version 0.0.4).
 
-    def export_json(self, path: os.PathLike) -> Path:
-        """Write the snapshot as indented JSON; returns the written path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+    Metric names are ``repro_worksite_<metric>``; counters become
+    ``counter`` samples, gauges ``gauge`` and series summaries ``summary``
+    (p50/p95 quantiles plus ``_sum``/``_count``).  Deterministic: metric
+    names render in sorted order.
+    """
+    lines: List[str] = []
+
+    def emit(name: str, mtype: str, help_text: str) -> None:
+        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {mtype}")
+
+    for metric in sorted(collector.counters):
+        name = _prom_name("repro", COLLECTOR, metric, "total")
+        emit(name, "counter",
+             f"Counter {metric!r} from collector {COLLECTOR!r}.")
+        lines.append(f"{name} {_prom_value(collector.counter(metric))}")
+    for metric in sorted(collector.gauges):
+        name = _prom_name("repro", COLLECTOR, metric)
+        emit(name, "gauge",
+             f"Gauge {metric!r} from collector {COLLECTOR!r}.")
+        lines.append(f"{name} {_prom_value(collector.gauge(metric))}")
+    for metric in collector.series_names():
+        summary = collector.summarize(metric)
+        name = _prom_name("repro", COLLECTOR, metric)
+        emit(name, "summary",
+             f"Series {metric!r} from collector {COLLECTOR!r}.")
+        lines.append(f'{name}{{quantile="0.5"}} {_prom_value(summary.p50)}')
+        lines.append(f'{name}{{quantile="0.95"}} {_prom_value(summary.p95)}')
+        lines.append(
+            f"{name}_sum {_prom_value(summary.mean * summary.count)}"
         )
-        return target
+        lines.append(f"{name}_count {summary.count}")
+    return "\n".join(lines) + "\n"
 
-    # -- Prometheus exposition ----------------------------------------------
-    def render_prometheus(self) -> str:
-        """The Prometheus text exposition format (version 0.0.4).
 
-        Metric names are ``repro_<collector>_<metric>``; counters become
-        ``counter`` samples, gauges ``gauge``, series summaries ``summary``
-        (p50/p95 quantiles plus ``_sum``/``_count``), and histograms the
-        cumulative ``_bucket{le=...}`` family.  Deterministic: collectors
-        and metric names render in sorted order.
-        """
-        lines: List[str] = []
-
-        def emit(name: str, mtype: str, help_text: str) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {mtype}")
-
-        for collector_name in sorted(self._collectors):
-            collector = self._collectors[collector_name]
-            for metric in sorted(collector.counters):
-                name = _prom_name("repro", collector_name, metric, "total")
-                emit(name, "counter", f"Counter {metric!r} from "
-                     f"collector {collector_name!r}.")
-                lines.append(f"{name} {_prom_value(collector.counter(metric))}")
-            for metric in sorted(collector.gauges):
-                name = _prom_name("repro", collector_name, metric)
-                emit(name, "gauge", f"Gauge {metric!r} from "
-                     f"collector {collector_name!r}.")
-                lines.append(f"{name} {_prom_value(collector.gauge(metric))}")
-            for metric in collector.series_names():
-                summary = collector.summarize(metric)
-                name = _prom_name("repro", collector_name, metric)
-                emit(name, "summary", f"Series {metric!r} from "
-                     f"collector {collector_name!r}.")
-                lines.append(
-                    f'{name}{{quantile="0.5"}} {_prom_value(summary.p50)}'
-                )
-                lines.append(
-                    f'{name}{{quantile="0.95"}} {_prom_value(summary.p95)}'
-                )
-                lines.append(
-                    f"{name}_sum "
-                    f"{_prom_value(summary.mean * summary.count)}"
-                )
-                lines.append(f"{name}_count {summary.count}")
-            for metric in collector.histogram_names():
-                histogram = collector.histogram(metric)
-                name = _prom_name("repro", collector_name, metric)
-                emit(name, "histogram", f"Histogram {metric!r} from "
-                     f"collector {collector_name!r}.")
-                for bound, cum in histogram.cumulative():
-                    lines.append(
-                        f'{name}_bucket{{le="{_prom_value(bound)}"}} {cum}'
-                    )
-                lines.append(f"{name}_sum {_prom_value(histogram.total)}")
-                lines.append(f"{name}_count {histogram.count}")
-        if self._tracer is not None:
-            summary = self._tracer.summary()
-            name = _prom_name("repro", "trace", "records")
-            emit(name, "gauge", "Event records emitted by the tracer.")
-            lines.append(f"{name} {summary.get('records', 0)}")
-            spans = summary.get("spans")
-            if spans is not None:
-                name = _prom_name("repro", "trace", "span", "records")
-                emit(name, "gauge", "Span records emitted by the tracer.")
-                lines.append(f"{name} {spans.get('records', 0)}")
-        return "\n".join(lines) + "\n"
-
-    def export_prometheus(self, path: os.PathLike) -> Path:
-        """Write the Prometheus exposition; returns the written path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.render_prometheus(), encoding="utf-8")
-        return target
+def write_prometheus(collector: MetricsCollector, path: os.PathLike) -> Path:
+    """Write the Prometheus exposition; returns the written path."""
+    return _write(path, render_prometheus(collector))

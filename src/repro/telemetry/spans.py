@@ -28,9 +28,9 @@ every span parents directly to the run span: the tree is shallow by
 design, and strict child-within-parent containment holds.
 
 The analysis half (:func:`build_span_tree`, :func:`critical_path`,
-:func:`span_kind_histograms`, :func:`flamegraph_folded`,
-:func:`span_report`) reconstructs the tree from a recorded stream and
-drives ``repro-worksite trace --analyze`` / ``--flamegraph``.
+:func:`flamegraph_folded`, :func:`span_report`) reconstructs the tree
+from a recorded stream and drives ``repro-worksite trace --analyze`` /
+``--flamegraph``.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class _Open:
 class SpanEmitter:
     """Derive span records from the event stream the tracer emits.
 
-    Driven by :meth:`on_record` from the tracer's post-write hook, so it
+    After writing each event record, the tracer calls the handler that
+    :attr:`_dispatch` holds for the record's type, so the emitter
     observes exactly the records that hit the wire and can never perturb
     them.  All state is keyed on record fields only — no RNG, no wall
     clock — so the span stream inherits the trace determinism contract.
@@ -283,13 +284,6 @@ class SpanEmitter:
         "service.up": _on_service_up,
     }
 
-    # -- stream interface ---------------------------------------------------
-    def on_record(self, record: dict) -> None:
-        """Observe one just-written event record; emit any derived spans."""
-        handler = self._dispatch.get(record["type"])
-        if handler is not None:
-            handler(record)
-
     @property
     def open_count(self) -> int:
         """Open spans, excluding the run span itself."""
@@ -409,19 +403,6 @@ def span_kind_durations(records: Sequence[dict]) -> Dict[str, List[float]]:
         if span.dur_s is not None:
             durations.setdefault(span.kind, []).append(span.dur_s)
     return durations
-
-
-def span_kind_histograms(records: Sequence[dict]) -> Dict[str, dict]:
-    """Per-kind bounded-memory duration histograms (p50/p95/p99)."""
-    from repro.sim.metrics import Histogram
-
-    out: Dict[str, dict] = {}
-    for kind, values in sorted(span_kind_durations(records).items()):
-        histogram = Histogram()
-        for value in values:
-            histogram.observe(value)
-        out[kind] = histogram.as_dict()
-    return out
 
 
 def critical_path(records: Sequence[dict]) -> List[Span]:

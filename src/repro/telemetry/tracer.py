@@ -138,8 +138,6 @@ class Tracer:
         self._links: Dict[str, Dict[str, int]] = {}
         self._latencies: List[float] = []
         self._alerts_in_window = 0
-        # fault onset times, for safe-stop latency attribution
-        self._fault_onsets: List[float] = []
 
     # -- core ---------------------------------------------------------------
     def _emit(self, rtype: str, **fields) -> None:
@@ -318,7 +316,6 @@ class Tracer:
 
     # -- fault injection and resilience ---------------------------------------
     def fault_inject(self, fault: str, target: str) -> None:
-        self._fault_onsets.append(self.sim.now)
         self._emit("fault.inject", fault=fault, target=target)
 
     def fault_clear(self, fault: str, target: str) -> None:
@@ -327,11 +324,8 @@ class Tracer:
     def mode_transition(
         self, machine: str, mode: str, prev: str, **extra
     ) -> None:
-        if mode == "safe_stop" and self._fault_onsets:
-            # latency from the most recent fault onset to this safe stop
-            extra.setdefault(
-                "latency_s", round(self.sim.now - self._fault_onsets[-1], 6)
-            )
+        """A mode change; a safe stop carries the mode machine's
+        ``latency_s``, measured from its earliest open outage."""
         self._emit(
             "mode.transition", machine=machine, mode=mode, prev=prev, **extra
         )

@@ -113,6 +113,41 @@ class TestVerifyChain:
             for v in report["violations"]
         )
 
+    #: (field, a value of the wrong type, the check that flags it)
+    WRONG_TYPES = [
+        ("counter", "x", "counter"),
+        ("sender", ["forwarder"], "counter"),
+        ("t", "noon", "time"),
+    ]
+
+    @pytest.mark.parametrize("field,value,check", WRONG_TYPES)
+    def test_wrong_typed_field_edit_is_localised(self, field, value, check):
+        log = build_log()
+        log.close(10.0)
+        log.entries[2][field] = value
+        report = verify_chain(log.entries, 7)
+        assert [
+            (v["index"], v["check"]) for v in report["violations"]
+        ] == [(2, "hash"), (2, check)]
+
+    @pytest.mark.parametrize("field,value,check", WRONG_TYPES)
+    def test_resigned_wrong_typed_field_is_localised(self, field, value,
+                                                     check):
+        # an insider with the station key re-chains and re-signs the log,
+        # so only the field's type gives the edit away
+        log = build_log()
+        log.close(10.0)
+        log.entries[2][field] = value
+        prev = log.entries[1]["hash"]
+        for entry in log.entries[2:]:
+            entry["prev"] = prev
+            entry["hash"] = prev = entry_hash(entry)
+            entry["sig"] = entry_sig(entry["hash"], station_key(7))
+        report = verify_chain(log.entries, 7)
+        assert [
+            (v["index"], v["check"]) for v in report["violations"]
+        ] == [(2, check)]
+
 
 class TestAuditFile:
     def test_file_round_trip(self, tmp_path):

@@ -6,18 +6,22 @@
 * the crash_brownout campaign run twice — and once more through the
   parallel sweep runner — yields identical aggregated resilience metrics;
 * faulted traces validate against the schema and feed the resilience
-  analysis report.
+  analysis report;
+* the trace report and ``run`` read the same availability, MTTR and
+  safe-stop latency off the same run.
 """
 
 import pytest
 
 from repro.defense.recovery import RecoveryPlan
 from repro.faults import FaultInjector, build_fault_campaign
-from repro.faults.spec import FaultSpec, FaultSchedule
+from repro.faults.spec import FaultSpec, FaultSchedule, load_fault_schedule
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_run
+from repro.scenarios.factory import compose_spec
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
+from repro.sim.rng import RngStreams
 from repro.telemetry.analysis import resilience_metrics
 from repro.telemetry.schema import validate_trace
 from repro.telemetry.tracer import Tracer, installed
@@ -141,3 +145,50 @@ class TestFaultedTraceAnalysis:
         summary = tracer.summary()
         assert summary["resilience"]["faults_injected"] == 2
         assert summary["resilience"]["mode_transitions"] >= 4
+
+
+def _rounded(metrics: dict) -> dict:
+    """The resilience figures both reports print, at 3 decimals."""
+    return {
+        key: round(value, 3) if isinstance(value, float) else value
+        for key, value in metrics.items()
+    }
+
+
+class TestOneSafeStopLatency:
+    """The trace report and ``run`` share one safe-stop latency: from the
+    mode machine's earliest open outage, not from the last fault onset."""
+
+    @pytest.mark.parametrize("campaign,horizon", [
+        ("crash_brownout", 120.0), ("storm", 180.0),
+    ])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_trace_metrics_equal_run_summary(self, campaign, horizon, seed):
+        if campaign == "storm":
+            schedule = load_fault_schedule("examples/faults_storm.toml")
+        else:
+            schedule = build_fault_campaign(campaign, start=20.0,
+                                            duration=30.0)
+        faults = schedule.resolve(RngStreams(seed))
+        prepared = compose_spec(RunSpec.single(
+            "baseline", seed=seed, horizon_s=horizon,
+            faults=tuple(fault.to_primitives() for fault in faults),
+        ))
+        tracer = Tracer(prepared.scenario.sim, keep_records=True)
+        prepared.run(tracer)
+
+        traced = resilience_metrics(tracer.records, horizon_s=horizon)
+        summary = prepared.fault_injector.resilience_summary(horizon)
+        stops = summary["safe_stop_latency"]
+        assert stops["count"] > 0
+        assert _rounded(traced["availability"]) == \
+            _rounded(summary["availability"])
+        assert traced["outages"]["mttr_s"] == round(summary["mttr_s"], 3)
+        assert _rounded({
+            "count": traced["safe_stop"]["count"],
+            "p50": traced["safe_stop"]["latency_p50_s"],
+            "p95": traced["safe_stop"]["latency_p95_s"],
+        }) == _rounded({
+            "count": stops["count"], "p50": stops["p50_s"],
+            "p95": stops["p95_s"],
+        })

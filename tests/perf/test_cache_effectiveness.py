@@ -81,28 +81,3 @@ class TestSubkeyCacheFloor:
             f"seal/open hits over {derivations} derivations "
             f"(floor {SUBKEY_HITS_PER_DERIVATION_FLOOR}x)"
         )
-
-
-class TestWorkerPerfRecord:
-    def test_sweep_record_carries_crypto_counters(self):
-        """A perf-enabled sweep worker records the cache counters."""
-        from repro.runner.spec import RunSpec
-        from repro.runner.worker import execute_run
-
-        was_active = counters.ACTIVE
-        counters.enable(True)
-        try:
-            record = execute_run(RunSpec.single(
-                "rf_jamming", seed=3, horizon_s=60.0,
-                start=10.0, duration=20.0,
-                overrides={"width": 160.0, "height": 160.0,
-                           "tree_density": 0.01, "n_workers": 1,
-                           "drone_enabled": False},
-            ))
-        finally:
-            counters.enable(was_active)
-            counters.reset()
-        assert record["status"] == "ok"
-        perf = record["perf"]["counters"]
-        assert perf["crypto.subkey_derivations"] > 0
-        assert perf["crypto.subkey_cache_hits"] > 0

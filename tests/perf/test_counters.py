@@ -1,4 +1,4 @@
-"""Tests for the env-gated perf-counter layer and its instrumentation."""
+"""Tests for the opt-in perf-counter layer and its instrumentation."""
 
 import pytest
 
@@ -23,13 +23,13 @@ def clean_counters():
 
 class TestCounterPrimitives:
     def test_disabled_by_default_in_tests(self):
-        assert not counters.enabled()
+        assert not counters.ACTIVE
 
     def test_enable_toggle(self):
         counters.enable(True)
-        assert counters.enabled()
+        assert counters.ACTIVE
         counters.enable(False)
-        assert not counters.enabled()
+        assert not counters.ACTIVE
 
     def test_incr_accumulates(self):
         counters.incr("x")

@@ -5,7 +5,9 @@ Each reader is fed three kinds of input: the bytes of a valid artefact
 values, and a valid artefact with one field replaced by a future version
 or a value of the wrong type.  Whatever the input, the reader returns or
 raises :class:`~repro.inputs.InputError` — never any other exception, so
-the CLI can refuse it with exit 2 instead of a traceback.
+the CLI can refuse it with exit 2 instead of a traceback.  What the status
+and audit readers return is also handed to the code the CLI runs next
+(``render_status``, ``verify_chain``), which must not fail on it either.
 """
 
 import dataclasses
@@ -17,9 +19,9 @@ from hypothesis import given, strategies as st
 
 from repro.fuzz.corpus import Corpus
 from repro.faults.spec import load_fault_schedule
-from repro.groundstation.audit import load_audit_file
+from repro.groundstation.audit import load_audit_file, verify_audit_file
 from repro.inputs import InputError
-from repro.runner.monitor import read_status
+from repro.runner.monitor import progress_line, read_status, render_status
 from repro.runner.spec import RunSpec, load_sweep_spec
 from repro.telemetry.writer import read_trace
 
@@ -60,6 +62,15 @@ def _read(reader, name, data: bytes):
             return reader(str(path))
         except InputError:
             return None
+
+
+def _read_status(data: bytes):
+    """``read_status`` on ``data``; what it returns must render."""
+    status = _read(read_status, "status.json", data)
+    if status is not None:
+        render_status(status)
+        progress_line(status)
+    return status
 
 
 def _load_corpus(files: dict):
@@ -112,17 +123,16 @@ class TestTraceReader:
 class TestStatusReader:
     @given(status=status_snapshots())
     def test_valid_status_round_trips(self, status):
-        data = json.dumps(status).encode()
-        assert _read(read_status, "status.json", data) == status
+        assert _read_status(json.dumps(status).encode()) == status
 
     @given(data=file_bytes | json_files)
     def test_arbitrary_input_is_read_or_refused(self, data):
-        _read(read_status, "status.json", data)
+        _read_status(data)
 
     @given(status=status_snapshots().flatmap(
         lambda s: one_field_replaced(s, "schema")))
     def test_replaced_field_is_read_or_refused(self, status):
-        _read(read_status, "status.json", json.dumps(status).encode())
+        _read_status(json.dumps(status).encode())
 
 
 class TestCorpusLoader:
@@ -194,12 +204,13 @@ class TestAuditLoader:
 
     @given(data=file_bytes | json_files)
     def test_arbitrary_input_is_read_or_refused(self, data):
-        _read(load_audit_file, "a.jsonl", data)
+        _read(verify_audit_file, "a.jsonl", data)
 
     @given(lines=audit_lines().flatmap(
         lambda lines: one_record_replaced(lines, "audit")))
     def test_replaced_field_is_read_or_refused(self, lines):
-        _read(load_audit_file, "a.jsonl", _jsonl(lines))
+        # verify_audit_file runs verify_chain on what load_audit_file reads
+        _read(verify_audit_file, "a.jsonl", _jsonl(lines))
 
 
 class TestRunSpecFromDict:

@@ -1,15 +1,12 @@
-"""TelemetryHub: registration, unified snapshot, JSON export."""
+"""The worksite metrics exporter: JSON snapshot and Prometheus exposition."""
 
 import json
 
 import pytest
 
-from repro.perf import counters as perf
-from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.telemetry.hub import TelemetryHub
+from repro.telemetry import hub
 from repro.telemetry.schema import SCHEMA_VERSION
-from repro.telemetry.tracer import Tracer
 
 
 @pytest.fixture
@@ -22,100 +19,42 @@ def collector():
     return c
 
 
-class TestRegistration:
-    def test_duplicate_name_rejected(self, collector):
-        hub = TelemetryHub()
-        hub.register_collector("a", collector)
-        with pytest.raises(ValueError):
-            hub.register_collector("a", MetricsCollector())
-
-    def test_collector_lookup(self, collector):
-        hub = TelemetryHub()
-        hub.register_collector("a", collector)
-        assert hub.collector("a") is collector
-
-
 class TestSnapshot:
     def test_metrics_section(self, collector):
-        hub = TelemetryHub()
-        hub.register_collector("worksite", collector)
-        snapshot = hub.snapshot()
+        snapshot = hub.metrics_snapshot(collector)
         assert snapshot["schema"] == SCHEMA_VERSION
+        assert list(snapshot["metrics"]) == ["worksite"]
         section = snapshot["metrics"]["worksite"]
+        assert sorted(section) == ["counters", "gauges", "series"]
         assert section["counters"] == {"frames": 10}
         assert section["gauges"] == {"ratio": 0.9}
         assert section["series"]["speed"]["count"] == 2
         assert section["series"]["speed"]["p50"] == 2.0
 
-    def test_perf_section_only_when_enabled(self):
-        hub = TelemetryHub()
-        assert "perf" not in hub.snapshot()
-        perf.enable(True)
-        perf.reset()
-        try:
-            perf.incr("x")
-            assert hub.snapshot()["perf"]["counters"]["x"] == 1
-        finally:
-            perf.enable(False)
-
-    def test_trace_section_when_tracer_set(self):
-        hub = TelemetryHub()
-        assert "trace" not in hub.snapshot()
-        tracer = Tracer(Simulator())
-        tracer.meta(seed=1)
-        hub.set_tracer(tracer)
-        assert hub.snapshot()["trace"]["records"] == 1
-
     def test_snapshot_is_json_serialisable(self, collector):
-        hub = TelemetryHub()
-        hub.register_collector("a", collector)
-        hub.set_tracer(Tracer(Simulator()))
-        json.dumps(hub.snapshot())
+        json.dumps(hub.metrics_snapshot(collector))
 
 
 class TestExport:
     def test_export_creates_parents_and_round_trips(self, collector, tmp_path):
-        hub = TelemetryHub()
-        hub.register_collector("a", collector)
         target = tmp_path / "deep" / "metrics.json"
-        written = hub.export_json(target)
+        written = hub.write_metrics_json(collector, target)
         assert written == target
         loaded = json.loads(target.read_text())
-        assert loaded == hub.snapshot()
-
-
-class TestHistogramSection:
-    def test_histograms_appear_in_snapshot(self):
-        collector = MetricsCollector()
-        for value in (0.001, 0.002, 0.004):
-            collector.observe("latency_s", value)
-        hub = TelemetryHub()
-        hub.register_collector("a", collector)
-        section = hub.snapshot()["metrics"]["a"]
-        assert section["histograms"]["latency_s"]["count"] == 3
-        assert section["histograms"]["latency_s"]["p50"] > 0
-
-    def test_no_histogram_key_without_observations(self, collector):
-        hub = TelemetryHub()
-        hub.register_collector("a", collector)
-        assert "histograms" not in hub.snapshot()["metrics"]["a"]
+        assert loaded == hub.metrics_snapshot(collector)
 
 
 class TestPrometheus:
-    def _hub(self):
+    def _collector(self):
         collector = MetricsCollector()
         collector.increment("frames.sent", 10)
         collector.set_gauge("delivery.ratio", 0.9)
         collector.sample("speed", 1.0, 1.0)
         collector.sample("speed", 2.0, 3.0)
-        collector.observe("latency_s", 0.002)
-        collector.observe("latency_s", 0.004)
-        hub = TelemetryHub()
-        hub.register_collector("worksite", collector)
-        return hub
+        return collector
 
     def test_counter_gauge_summary_families(self):
-        text = self._hub().render_prometheus()
+        text = hub.render_prometheus(self._collector())
         assert "# TYPE repro_worksite_frames_sent_total counter" in text
         assert "repro_worksite_frames_sent_total 10" in text
         assert "# TYPE repro_worksite_delivery_ratio gauge" in text
@@ -123,20 +62,8 @@ class TestPrometheus:
         assert 'repro_worksite_speed{quantile="0.5"}' in text
         assert "repro_worksite_speed_count 2" in text
 
-    def test_histogram_family_is_cumulative(self):
-        text = self._hub().render_prometheus()
-        assert "# TYPE repro_worksite_latency_s histogram" in text
-        buckets = [
-            line for line in text.splitlines()
-            if line.startswith("repro_worksite_latency_s_bucket")
-        ]
-        assert buckets[-1] == 'repro_worksite_latency_s_bucket{le="+Inf"} 2'
-        counts = [int(b.rsplit(" ", 1)[1]) for b in buckets]
-        assert counts == sorted(counts)
-        assert "repro_worksite_latency_s_count 2" in text
-
     def test_names_are_sanitised(self):
-        text = self._hub().render_prometheus()
+        text = hub.render_prometheus(self._collector())
         for line in text.splitlines():
             if line.startswith("#"):
                 continue
@@ -146,19 +73,11 @@ class TestPrometheus:
             ), name
 
     def test_deterministic_output(self):
-        assert self._hub().render_prometheus() == \
-            self._hub().render_prometheus()
+        assert hub.render_prometheus(self._collector()) == \
+            hub.render_prometheus(self._collector())
 
     def test_export_prometheus_writes_file(self, tmp_path):
         target = tmp_path / "deep" / "metrics.prom"
-        written = self._hub().export_prometheus(target)
+        written = hub.write_prometheus(self._collector(), target)
         assert written == target
-        assert target.read_text() == self._hub().render_prometheus()
-
-    def test_trace_section(self):
-        hub = self._hub()
-        tracer = Tracer(Simulator())
-        tracer.meta(seed=1)
-        hub.set_tracer(tracer)
-        text = hub.render_prometheus()
-        assert "repro_trace_records 1" in text
+        assert target.read_text() == hub.render_prometheus(self._collector())

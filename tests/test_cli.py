@@ -923,6 +923,9 @@ MALFORMED = {
                             {"status.json": '{"schema": 99}'}),
     "status-not-an-object": (["status", "{tmp}/status.json"],
                              {"status.json": "[1]"}),
+    "status-field-of-the-wrong-type": (
+        ["status", "{tmp}/status.json"],
+        {"status.json": '{"schema": 2, "running": 5}'}),
     "fuzz-resume-state-not-an-object": (
         [*_FUZZ, "--resume"], {"fz/state.json": "[1, 2]"}),
     "fuzz-resume-state-without-counters": (

@@ -102,28 +102,27 @@ def bench_histogram_observe(n: int = 100_000) -> dict:
     }
 
 
-def bench_prometheus_render(n_collectors: int = 8, n_metrics: int = 16) -> dict:
-    """Full hub -> Prometheus text exposition for a mid-sized registry."""
+def bench_prometheus_render(n_groups: int = 8, n_metrics: int = 16) -> dict:
+    """Prometheus text exposition of a mid-sized worksite collector:
+    ``n_groups * n_metrics`` each of counters, gauges and series."""
     from repro.sim.metrics import MetricsCollector
-    from repro.telemetry.hub import TelemetryHub
+    from repro.telemetry.hub import render_prometheus
 
-    hub = TelemetryHub()
-    for c in range(n_collectors):
-        collector = MetricsCollector()
+    collector = MetricsCollector()
+    for c in range(n_groups):
         for m in range(n_metrics):
-            collector.increment(f"counter_{m}", m + 1)
-            collector.set_gauge(f"gauge_{m}", m * 0.5)
-            collector.sample(f"series_{m}", float(m), float(m))
-            collector.observe(f"hist_{m}", 0.001 * (m + 1))
-        hub.register_collector(f"c{c}", collector)
+            collector.increment(f"c{c}.counter_{m}", m + 1)
+            collector.set_gauge(f"c{c}.gauge_{m}", m * 0.5)
+            collector.sample(f"c{c}.series_{m}", float(m), float(m))
 
-    per_render = _best_of(hub.render_prometheus, inner=20)
-    lines = len(hub.render_prometheus().splitlines())
+    def render():
+        return render_prometheus(collector)
+
+    per_render = _best_of(render, inner=20)
     return {
-        "collectors": n_collectors,
-        "metrics_per_collector": n_metrics,
+        "metrics_per_kind": n_groups * n_metrics,
         "render_ms": round(per_render * 1e3, 3),
-        "exposition_lines": lines,
+        "exposition_lines": len(render().splitlines()),
     }
 
 
