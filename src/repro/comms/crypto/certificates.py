@@ -12,12 +12,13 @@ root; the CA maintains a revocation list.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.canonical import canonical_json
 from repro.comms.crypto.keys import KeyPair, SchnorrSignature, sign, verify
-from repro.comms.crypto.numbers import DhGroup, MODP_2048
+from repro.comms.crypto.numbers import MODP_2048, VERDICT_MEMO_SIZE, DhGroup
 
 
 class CertificateError(ValueError):
@@ -152,6 +153,9 @@ def verify_certificate(
 ) -> None:
     """Verify one certificate's signature and validity window.
 
+    The signature verdict is memoised (:func:`_signature_verdict`); the
+    unsigned check and the validity window run on every call.
+
     Raises
     ------
     CertificateError
@@ -161,8 +165,27 @@ def verify_certificate(
         raise CertificateError(f"certificate {cert.subject!r} is unsigned")
     if not cert.valid_at(now):
         raise CertificateError(f"certificate {cert.subject!r} outside validity window")
-    if not verify(group, issuer_public, cert.tbs_bytes(), cert.signature):
+    signature = cert.signature
+    if not _signature_verdict(
+        group, issuer_public, cert.tbs_bytes(), signature.e, signature.s
+    ):
         raise CertificateError(f"certificate {cert.subject!r} signature invalid")
+
+
+@functools.lru_cache(maxsize=VERDICT_MEMO_SIZE, typed=True)
+def _signature_verdict(
+    group: DhGroup, issuer_public: int, tbs: bytes, e: int, s: int
+) -> bool:
+    """The Schnorr verdict on a certificate's exact to-be-signed bytes.
+
+    Pure and draws no randomness, so it is memoised process-wide: every
+    handshake re-proves the same few certificates.  The key is the encoded
+    bytes, never the :class:`Certificate`: twins with ``not_before=-0.0``,
+    ``is_ca=0`` or a float ``serial`` compare and hash equal to the genuine
+    certificate but encode, and so verify, differently.  ``typed`` does the
+    same for the key and the signature's integers.
+    """
+    return verify(group, issuer_public, tbs, SchnorrSignature(e=e, s=s))
 
 
 def verify_chain(

@@ -15,8 +15,16 @@ mod ``q``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+
+#: entries each verdict memo keeps: the subgroup test here and the
+#: certificate signature check in :mod:`repro.comms.crypto.certificates`.
+#: A defended worksite has at most 4 distinct keys per memo (the CA and
+#: its nodes derive their keys from names, not seeds), so a sweep stays
+#: far below the bound.
+VERDICT_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class DhGroup:
         """Membership check for the prime-order subgroup (QR test)."""
         if not 1 <= value < self.p:
             return False
-        return pow(value, self.q, self.p) == 1
+        return _subgroup_verdict(self.p, value)
 
     def encode(self, value: int) -> bytes:
         return value.to_bytes(self.element_bytes, "big")
@@ -60,6 +68,17 @@ class DhGroup:
             acc += hashlib.sha256(data + counter.to_bytes(4, "big")).digest()
             counter += 1
         return int.from_bytes(acc[:need], "big") % self.q
+
+
+@functools.lru_cache(maxsize=VERDICT_MEMO_SIZE, typed=True)
+def _subgroup_verdict(p: int, value: int) -> bool:
+    """``value^q == 1 (mod p)`` for the safe prime ``p = 2q + 1``.
+
+    Pure and draws no randomness, so it is memoised process-wide: every
+    handshake re-checks the same few long-lived public keys.  ``typed``
+    keeps a float or bool twin of an int from sharing its entry.
+    """
+    return pow(value, (p - 1) // 2, p) == 1
 
 
 # RFC 3526, group 14 (2048-bit MODP).  g=2 generates the full group of order
@@ -79,50 +98,11 @@ _P_2048 = int(
 MODP_2048 = DhGroup(name="modp-2048", p=_P_2048, g=4)  # 4 = 2^2, order q
 
 # A 512-bit safe prime for fast tests: p = 2q+1, generator 4 (= 2^2).
+# tests/comms/test_crypto_pki.py proves p and q prime (Miller-Rabin).
 _P_TEST = int(
     "f58a12307acb73e0b41bca6f923ba91a31e8d3f38a9fbabdbb0f1e3afe5bc0e3"
     "ab63da8a0a1e21b4afd41b4e4bb9fdcd2ba581ca39bfbd299f8eb02d65a7feaf",
     16,
 )
 
-
-def _is_probable_prime(n: int, rounds: int = 16) -> bool:
-    """Deterministic-enough Miller-Rabin for module self-check."""
-    if n < 2:
-        return False
-    small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    for p in small_primes:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in small_primes[:rounds]:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _find_test_group() -> DhGroup:
-    """Find a 512-bit safe prime deterministically (computed once at import)."""
-    candidate = _P_TEST
-    if _is_probable_prime(candidate) and _is_probable_prime((candidate - 1) // 2):
-        return DhGroup(name="modp-test", p=candidate, g=4)
-    # Deterministic fallback search from a fixed seed value.
-    q = _P_TEST >> 1
-    q |= 1
-    while True:
-        if _is_probable_prime(q) and _is_probable_prime(2 * q + 1):
-            return DhGroup(name="modp-test", p=2 * q + 1, g=4)
-        q += 2
-
-
-TEST_GROUP = _find_test_group()
+TEST_GROUP = DhGroup(name="modp-test", p=_P_TEST, g=4)

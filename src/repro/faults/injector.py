@@ -23,12 +23,16 @@ from repro.comms.link import RetryPolicy
 from repro.defense.recovery import ContinuityManager, RecoveryPlan
 from repro.faults.modes import ModeMachine, SensorHealthVoter, VehicleMode
 from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.inputs import InputError
 from repro.sim.events import EventCategory
 from repro.sim.geometry import Vec2
 from repro.telemetry import tracer as trace
 
 #: reason string used for safe stops commanded by the mode machines
 STOP_REASON = "mode_machine"
+
+#: fault kinds whose target names a sensor; arming checks the name
+_SENSOR_KINDS = ("sensor_freeze", "sensor_dropout", "sensor_bias")
 
 
 class FaultInjector:
@@ -58,9 +62,20 @@ class FaultInjector:
     # -- arming ---------------------------------------------------------------
     def arm(self) -> "FaultInjector":
         """Resolve the schedule and install everything.  Idempotent-ish:
-        call once, before running the scenario."""
+        call once, before running the scenario.
+
+        Raises
+        ------
+        InputError
+            When a sensor fault targets a sensor the scenario lacks;
+            nothing is installed.
+        """
         if self.armed or not self.schedule:
             return self
+        self._register_sensors()
+        for fault in self.schedule.faults:
+            if fault.kind in _SENSOR_KINDS:
+                self._sensor(fault.target)
         self.armed = True
         self._build_resilience_stack()
         sim = self.scenario.sim
@@ -103,7 +118,6 @@ class FaultInjector:
 
         self._wire_heartbeats()
         self._harden_links()
-        self._register_sensors()
         self._start_voter()
 
     def _forwarder_nominal(self) -> None:
@@ -262,7 +276,7 @@ class FaultInjector:
     def _sensor(self, target: str):
         sensor = self._sensors.get(target)
         if sensor is None:
-            raise KeyError(
+            raise InputError(
                 f"unknown sensor target {target!r}; known: {sorted(self._sensors)}"
             )
         return sensor

@@ -1,5 +1,7 @@
 """Unit tests for DH groups, Schnorr signatures, certificates, secure channel."""
 
+import dataclasses
+
 import pytest
 
 from repro.comms.crypto.certificates import (
@@ -22,7 +24,44 @@ from repro.comms.crypto.secure_channel import (
 G = TEST_GROUP
 
 
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve prime bases."""
+    if n < 2:
+        return False
+    small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for p in small_primes:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in small_primes:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestGroup:
+    def test_p_and_q_are_prime(self):
+        # numbers.py states TEST_GROUP as a literal; this is its proof
+        assert G.p.bit_length() == 512
+        assert _is_probable_prime(G.p)
+        assert _is_probable_prime(G.q)
+
+    def test_primality_check_rejects_pseudoprimes(self):
+        assert _is_probable_prime(2 ** 61 - 1)
+        assert not _is_probable_prime(561)  # Carmichael number
+        # strong pseudoprime to bases 2, 3, 5 and 7
+        assert not _is_probable_prime(3215031751)
+
     def test_generator_has_order_q(self):
         assert pow(G.g, G.q, G.p) == 1
         assert G.is_element(G.g)
@@ -165,6 +204,67 @@ class TestCertificates:
     def test_invalid_public_key_rejected_at_issue(self, ca):
         with pytest.raises(CertificateError):
             ca.issue("bad", G.p - 1)
+
+
+class TestVerdictMemos:
+    """The memoised signature and subgroup verdicts change no answer."""
+
+    @pytest.fixture
+    def memoised(self, ca):
+        kp = KeyPair.generate(G, seed=b"alice")
+        cert = ca.issue("alice", kp.public, now=0.0, validity_s=10.0)
+        verify_certificate(cert, ca.keypair.public, G, now=1.0)
+        return cert
+
+    @pytest.mark.parametrize("field, value", [
+        ("not_before", -0.0), ("is_ca", 0), ("serial", 2.0),
+    ])
+    def test_dataclass_equal_twin_still_fails(self, ca, memoised, field,
+                                              value):
+        twin = dataclasses.replace(memoised, **{field: value})
+        assert twin == memoised and hash(twin) == hash(memoised)
+        assert twin.tbs_bytes() != memoised.tbs_bytes()
+        with pytest.raises(CertificateError, match="signature invalid"):
+            verify_certificate(twin, ca.keypair.public, G, now=1.0)
+
+    def test_validity_window_still_checked(self, ca, memoised):
+        with pytest.raises(CertificateError, match="validity"):
+            verify_certificate(memoised, ca.keypair.public, G, now=11.0)
+
+    def test_revocation_still_checked(self, ca, memoised):
+        verify_chain([memoised], ca.root_certificate, G, now=1.0,
+                     revocation_check=ca)
+        ca.revoke(memoised.serial)
+        with pytest.raises(CertificateError, match="revoked"):
+            verify_chain([memoised], ca.root_certificate, G, now=1.0,
+                         revocation_check=ca)
+
+    def test_float_twin_of_an_element_is_not_memoised_as_one(self):
+        assert G.is_element(G.g)
+        with pytest.raises(TypeError):
+            G.is_element(float(G.g))
+
+    def test_warm_defended_composition_verifies_no_certificate(
+        self, monkeypatch
+    ):
+        from repro.comms.crypto import certificates
+        from repro.runner.spec import RunSpec
+        from repro.scenarios.factory import compose_spec
+
+        compose_spec(RunSpec(seed=3, horizon_s=20.0))
+        calls = []
+        real_verify = certificates.verify
+
+        def counting_verify(*args):
+            calls.append(args)
+            return real_verify(*args)
+
+        monkeypatch.setattr(certificates, "verify", counting_verify)
+        prepared = compose_spec(RunSpec(seed=4, horizon_s=20.0))
+        nodes = prepared.scenario.network.nodes
+        for name, node in nodes.items():
+            assert sorted(node.channel_stats()) == sorted(set(nodes) - {name})
+        assert calls == []
 
 
 def make_identity(ca, name, roles=()):

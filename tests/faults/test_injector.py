@@ -9,6 +9,7 @@ from repro.faults import (
     build_fault_campaign,
 )
 from repro.faults.spec import FaultSpec
+from repro.inputs import InputError
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 
 
@@ -38,6 +39,23 @@ class TestArming:
         assert set(injector.continuities) == {"forwarder", "drone"}
         for node in scenario.network.nodes.values():
             assert node.endpoint.retry_policy is not None
+
+    @pytest.mark.parametrize("kind", ["sensor_freeze", "sensor_dropout",
+                                      "sensor_bias"])
+    def test_unknown_sensor_target_refused_before_arming(self, kind):
+        scenario = build_worksite(ScenarioConfig(seed=5))
+        schedule = FaultSchedule(faults=(
+            FaultSpec.make("node_crash", "drone", 10.0, 5.0),
+            FaultSpec.make(kind, "cam-nowhere", 10.0, 5.0),
+        ))
+        injector = FaultInjector(scenario, schedule)
+        with pytest.raises(InputError,
+                           match=r"'cam-nowhere'.*'cam-forwarder'"):
+            injector.arm()
+        assert injector.armed is False
+        assert injector.machines == {}
+        for node in scenario.network.nodes.values():
+            assert node.endpoint.retry_policy is None
 
     def test_arm_is_idempotent(self):
         scenario, injector = scenario_with(

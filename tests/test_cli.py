@@ -778,6 +778,9 @@ _STATE = ('{"failures": 0, "heatmap": {}, "iterations_done": 0, '
           '"schema": 1, "seed": 42, "seed_signatures": 0, '
           '"unshrinkable": 0}')
 _FUZZ = ["fuzz", "--corpus", "{tmp}/fz", "--iterations", "0", "--quiet"]
+#: a sensor fault on a sensor the worksite lacks (a KeyError when it fired)
+_UNKNOWN_SENSOR = ('[[fault]]\nkind = "sensor_freeze"\n'
+                   'target = "cam-nowhere"\nstart = 10.0\nduration = 5.0\n')
 
 
 def _campaign_night(path):
@@ -939,6 +942,17 @@ MALFORMED = {
         {"f.toml": '[[fault]]\ntarget = "drone"\n'}),
     "run-fault-not-a-table": (["run", "--faults", "{tmp}/f.toml"],
                               {"f.toml": "fault = 5\n"}),
+    "run-fault-unknown-sensor-target": (
+        ["run", "--minutes", "0.5", "--faults", "{tmp}/f.toml"],
+        {"f.toml": _UNKNOWN_SENSOR}),
+    "trace-fault-unknown-sensor-target": (
+        ["trace", "--minutes", "0.5", "--faults", "{tmp}/f.toml",
+         "--out", "{tmp}/t.jsonl"], {"f.toml": _UNKNOWN_SENSOR}),
+    "check-spec-fault-unknown-sensor-target": (
+        ["check", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"spec":{"faults":[["sensor_freeze",'
+                    '"cam-nowhere",10.0,5.0,[]]],"horizon_s":12.0},'
+                    '"t":0.0,"type":"trace.meta","v":1}\n'}),
     "trace-gs-attack-unknown": (
         ["trace", "--gs", "--gs-attacks", "bogus", "--minutes", "0.1",
          "--out", "{tmp}/t.jsonl"], {}),
