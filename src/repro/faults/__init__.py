@@ -32,7 +32,6 @@ from repro.faults.spec import (
     FaultSchedule,
     FaultSpec,
     load_fault_schedule,
-    schedule_from_primitives,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "VehicleMode",
     "build_fault_campaign",
     "load_fault_schedule",
-    "schedule_from_primitives",
 ]

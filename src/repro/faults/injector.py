@@ -34,6 +34,13 @@ STOP_REASON = "mode_machine"
 #: fault kinds whose target names a sensor; arming checks the name
 _SENSOR_KINDS = ("sensor_freeze", "sensor_dropout", "sensor_bias")
 
+#: the worksite's radio node names.  A disabled drone keeps its name, so a
+#: drone fault in a run without one arms and stays a recorded no-op.
+NODE_NAMES = ("control", "drone", "forwarder")
+
+#: fault kinds whose target names a node; arming checks the name
+_NODE_KINDS = ("node_crash", "radio_brownout", "clock_drift")
+
 
 class FaultInjector:
     """Injects one :class:`FaultSchedule` into a composed worksite scenario.
@@ -61,26 +68,40 @@ class FaultInjector:
 
     # -- arming ---------------------------------------------------------------
     def arm(self) -> "FaultInjector":
-        """Resolve the schedule and install everything.  Idempotent-ish:
-        call once, before running the scenario.
+        """Install the schedule's faults, as given, and the resilience
+        stack.  Idempotent-ish: call once, before running the scenario.
 
         Raises
         ------
+        ValueError
+            When the schedule still carries start jitter: it is drawn once,
+            when the run spec is built (:meth:`FaultSchedule.resolve`),
+            never during the run.  Nothing is installed.
         InputError
-            When a sensor fault targets a sensor the scenario lacks;
-            nothing is installed.
+            When a node fault targets a name outside :data:`NODE_NAMES`, or
+            a sensor fault a sensor the scenario lacks; nothing is
+            installed.
         """
         if self.armed or not self.schedule:
             return self
+        if self.schedule.jitter_s != 0.0:
+            raise ValueError(
+                f"fault schedule has unresolved jitter_s="
+                f"{self.schedule.jitter_s}; arm schedule.resolve(streams)"
+            )
         self._register_sensors()
         for fault in self.schedule.faults:
             if fault.kind in _SENSOR_KINDS:
                 self._sensor(fault.target)
+            elif fault.kind in _NODE_KINDS and fault.target not in NODE_NAMES:
+                raise InputError(
+                    f"unknown node target {fault.target!r} for "
+                    f"{fault.kind}; known: {list(NODE_NAMES)}"
+                )
         self.armed = True
         self._build_resilience_stack()
         sim = self.scenario.sim
-        resolved = self.schedule.resolve(self.scenario.streams)
-        for fault in resolved:
+        for fault in self.schedule.faults:
             sim.schedule_at(
                 max(sim.now, fault.start_s), lambda f=fault: self._inject(f)
             )

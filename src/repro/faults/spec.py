@@ -5,7 +5,7 @@ and parameters — using only primitive values, mirroring
 :class:`repro.runner.spec.RunSpec`: schedules pickle across process
 boundaries, serialise to canonical JSON and survive the sweep cache
 unchanged.  A :class:`FaultSchedule` is an ordered tuple of specs plus an
-optional deterministic start jitter drawn from the scenario's own RNG
+optional deterministic start jitter drawn from the master seed's RNG
 streams, so the *same seed always produces the same fault timeline*.
 
 Schedules load from TOML files (``[[fault]]`` tables, see
@@ -132,9 +132,12 @@ class FaultSchedule:
     """An ordered set of faults with optional deterministic start jitter.
 
     ``jitter_s`` > 0 offsets every fault's start by a uniform draw from the
-    scenario RNG stream :data:`JITTER_STREAM` — one draw per fault, in
-    schedule order, so the realised timeline is a pure function of the
-    master seed.  A schedule with ``jitter_s == 0`` makes no draws at all.
+    RNG stream :data:`JITTER_STREAM` — one draw per fault, in schedule
+    order, so the realised timeline is a pure function of the master seed.
+    :meth:`resolve` makes those draws once, when a run spec is built; the
+    :class:`~repro.faults.injector.FaultInjector` arms only the realised
+    timeline (``jitter_s == 0``).  A schedule with ``jitter_s == 0`` makes
+    no draws at all.
     """
 
     faults: Tuple[FaultSpec, ...] = ()
@@ -166,19 +169,6 @@ class FaultSchedule:
             latest = max(latest, fault.end_s)
         return latest
 
-    def to_primitives(self) -> tuple:
-        return (
-            tuple(fault.to_primitives() for fault in self.faults),
-            self.jitter_s,
-        )
-
-
-def schedule_from_primitives(data: Sequence, jitter_s: float = 0.0) -> FaultSchedule:
-    """Rebuild a schedule from ``FaultSpec.to_primitives`` tuples."""
-    return FaultSchedule(
-        faults=tuple(FaultSpec.from_primitives(item) for item in data),
-        jitter_s=float(jitter_s),
-    )
 
 
 def schedule_from_mapping(data: Mapping) -> FaultSchedule:

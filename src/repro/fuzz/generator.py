@@ -150,9 +150,8 @@ class ScenarioGenerator:
         horizon: float,
         exclude: Sequence[str] = (),
     ) -> Optional[Tuple[str, float, Optional[float]]]:
-        # a plan never repeats a campaign name: builders hard-code their
-        # attack endpoint names, so a second instance of the same campaign
-        # collides in the radio medium (duplicate endpoint) at start time
+        # a plan never repeats a campaign name: compose_run refuses one
+        # that does
         choices = [c for c in self.config.campaigns if c not in exclude]
         if not choices:
             return None

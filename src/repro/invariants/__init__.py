@@ -14,7 +14,7 @@ The registry lives in :func:`repro.invariants.engine.default_invariants`;
 see ``docs/testing.md`` for how to author a new invariant.
 """
 
-from repro.invariants.base import Invariant, Violation, observe_all
+from repro.invariants.base import Invariant, Violation
 from repro.invariants.engine import InvariantEngine, default_invariants
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "InvariantEngine",
     "Violation",
     "default_invariants",
-    "observe_all",
 ]

@@ -22,7 +22,7 @@ Design constraints, shared with the tracer the engine rides on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,3 @@ class Invariant:
             context=context,
         )
 
-
-def observe_all(
-    invariants: Iterable[Invariant], records: Iterable[dict]
-) -> List[Violation]:
-    """Run ``invariants`` over a full record stream, then finish them."""
-    invariants = list(invariants)
-    violations: List[Violation] = []
-    for record in records:
-        for invariant in invariants:
-            violations.extend(invariant.observe(record))
-    for invariant in invariants:
-        violations.extend(invariant.finish())
-    return violations

@@ -138,12 +138,7 @@ def diff_records(
     }
 
 
-def check_trace(
-    path,
-    *,
-    replay: bool = True,
-    invariants: Optional[List] = None,
-) -> dict:
+def check_trace(path, *, replay: bool = True) -> dict:
     """Full oracle pass over a trace file: invariants, then replay diff.
 
     Returns the violation report (see ``docs/testing.md`` for the shape);
@@ -156,7 +151,7 @@ def check_trace(
     if records[0].get("type") == "trace.meta" and not isinstance(
             records[0].get("spec", {}), Mapping):
         raise InputError(f"{path}: the trace.meta spec is not an object")
-    engine = InvariantEngine(invariants)
+    engine = InvariantEngine()
     engine.check(records)
     violations = [v.to_dict() for v in engine.violations]
     report = {

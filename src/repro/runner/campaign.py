@@ -40,11 +40,15 @@ from contextlib import closing
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.inputs import InputError
+from repro.inputs import InputError, decode_json
 from repro.runner.spec import RunSpec
 
 #: campaign database layout version (stored in ``PRAGMA user_version``)
 CAMPAIGN_SCHEMA = 1
+
+#: fields a JSON column's object must carry: every stored final record
+#: has the ones resume reads back
+_REQUIRED_FIELDS = {"cells.record": ("key", "spec", "status")}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -205,7 +209,8 @@ class CampaignStore:
             {
                 "name": row["name"],
                 "created_s": row["created_s"],
-                "meta": json.loads(row["meta"]),
+                "meta": self._decode(row["meta"], "campaigns.meta",
+                                     row["name"]),
                 "cells": int(row["cells"] or 0),
                 "ok": int(row["ok"] or 0),
                 "failed": int(row["failed"] or 0),
@@ -233,7 +238,7 @@ class CampaignStore:
             }
         cells = []
         for row in rows:
-            spec = json.loads(row["spec"])
+            spec = self._decode(row["spec"], "cells.spec", name, row["key"])
             cells.append({
                 "key": row["key"],
                 "label": RunSpec.from_dict(spec).label,
@@ -253,10 +258,15 @@ class CampaignStore:
         campaign = self._require(name)
         with closing(self._connect()) as conn:
             rows = conn.execute(
-                "SELECT spec FROM cells WHERE campaign_id = ?"
+                "SELECT key, spec FROM cells WHERE campaign_id = ?"
                 " ORDER BY ord", (campaign,)
             ).fetchall()
-        return [RunSpec.from_dict(json.loads(row["spec"])) for row in rows]
+        return [
+            RunSpec.from_dict(
+                self._decode(row["spec"], "cells.spec", name, row["key"])
+            )
+            for row in rows
+        ]
 
     def attempts(self, name: str, key: Optional[str] = None) -> List[dict]:
         """Every recorded execution attempt, oldest first."""
@@ -276,6 +286,27 @@ class CampaignStore:
         if campaign is None:
             raise InputError(f"no campaign named {name!r} in {self.path}")
         return campaign
+
+    def _decode(self, text, column: str, campaign: str,
+                key: Optional[str] = None) -> dict:
+        """A JSON-object column of one row.  Anything else — not JSON, a
+        non-finite number, not an object, or a ``cells.record`` without
+        ``key``, ``spec`` and ``status`` — raises :class:`InputError`
+        naming the database, the campaign, the cell and the column."""
+        cell = "" if key is None else f" cell {key}"
+        where = f"{self.path}: campaign {campaign!r}{cell} {column}"
+        try:
+            value = decode_json(text)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{where} is not valid JSON: {exc}") from None
+        if not isinstance(value, dict):
+            raise InputError(f"{where} holds a JSON "
+                             f"{type(value).__name__}, not an object")
+        missing = [field for field in _REQUIRED_FIELDS.get(column, ())
+                   if field not in value]
+        if missing:
+            raise InputError(f"{where} lacks {missing}")
+        return value
 
     # -- JSONL import -------------------------------------------------------
 
@@ -298,7 +329,7 @@ class CampaignStore:
         campaign = self.ensure_campaign(
             name, specs, meta={"imported_from": str(jsonl_path)},
         )
-        binding = CampaignBinding(self, campaign)
+        binding = CampaignBinding(self, campaign, name)
         imported = {"ok": 0, "failed": 0}
         for record in records.values():
             status = "ok" if record.get("status") == "ok" else "failed"
@@ -315,16 +346,25 @@ class CampaignStore:
 
     def bind(self, name: str) -> "CampaignBinding":
         """The per-campaign store adapter the sweep engine writes through."""
-        return CampaignBinding(self, self._require(name))
+        return CampaignBinding(self, self._require(name), name)
 
 
 class CampaignBinding:
     """One campaign's view of the store: what the sweep engine reads
     cache hits from and writes records and attempts through."""
 
-    def __init__(self, store: CampaignStore, campaign_id: int) -> None:
+    def __init__(self, store: CampaignStore, campaign_id: int,
+                 name: str) -> None:
         self.store = store
         self.campaign_id = campaign_id
+        self.name = name
+
+    def _records(self, rows) -> Dict[str, dict]:
+        return {
+            row["key"]: self.store._decode(row["record"], "cells.record",
+                                           self.name, row["key"])
+            for row in rows
+        }
 
     def completed_keys(self) -> Dict[str, dict]:
         """Successfully completed records by key (what ``resume`` skips)."""
@@ -335,7 +375,7 @@ class CampaignBinding:
                 " AND record IS NOT NULL",
                 (self.campaign_id,),
             ).fetchall()
-        return {row["key"]: json.loads(row["record"]) for row in rows}
+        return self._records(rows)
 
     def load(self) -> Dict[str, dict]:
         """All final records by key, failed ones included."""
@@ -345,7 +385,7 @@ class CampaignBinding:
                 " WHERE campaign_id = ? AND record IS NOT NULL",
                 (self.campaign_id,),
             ).fetchall()
-        return {row["key"]: json.loads(row["record"]) for row in rows}
+        return self._records(rows)
 
     def append(self, record: dict) -> None:
         """Finalise a cell with its record (last write wins, as in JSONL)."""

@@ -22,7 +22,7 @@ driven by :class:`CellRetryPolicy` — deterministic bounded attempts with
 the exponential backoff of :func:`repro.sim.rng.backoff_delay` (shared
 with the link-layer :class:`~repro.comms.link.RetryPolicy`) and
 seed-derived jitter.  Simulation-level failures (a run that raises inside
-the sim) are a pure function of the spec, so they are final by default:
+the sim) are a pure function of the spec, so they are always final:
 retrying them would burn attempts on a deterministic outcome.
 """
 
@@ -40,7 +40,7 @@ from repro.runner.worker import execute_run
 from repro.sim.rng import backoff_delay, derive_seed
 
 #: outcome kinds that are infrastructure losses (the cell never produced a
-#: record) and therefore worth retrying under the default policy
+#: record) and therefore worth retrying
 RETRYABLE_KINDS = ("lost", "timeout")
 
 #: consecutive organic pool breakages before the worker budget is halved
@@ -64,22 +64,16 @@ class CellRetryPolicy:
     backoff_factor: float = 2.0
     max_delay_s: float = 2.0
     jitter_s: float = 0.01
-    #: also retry cells whose *simulation* failed (off by default: a run is
-    #: a pure function of its spec, so a sim-level failure is deterministic)
-    retry_failed_results: bool = False
 
     def should_retry(self, kind: str, attempt: int) -> bool:
         """Whether an attempt that ended as ``kind`` deserves another try.
 
-        ``lost`` and ``timeout`` are infrastructure losses — retryable.
-        ``failed`` (the sim raised) and ``error`` (unpicklable payload and
-        friends) are deterministic — final unless opted in.
+        ``lost`` and ``timeout`` are infrastructure losses — retryable while
+        attempts remain.  ``failed`` (the sim raised) and ``error``
+        (unpicklable payload and friends) are deterministic — a run is a
+        pure function of its spec — so they are always final.
         """
-        if attempt >= self.max_attempts:
-            return False
-        if kind in RETRYABLE_KINDS:
-            return True
-        return kind == "failed" and self.retry_failed_results
+        return kind in RETRYABLE_KINDS and attempt < self.max_attempts
 
     def delay_s(self, spec: RunSpec, attempt: int) -> float:
         """Backoff before re-submitting ``spec`` after attempt ``attempt``."""

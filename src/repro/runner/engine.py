@@ -112,8 +112,8 @@ class SweepRunner:
         The per-cell retry schedule; defaults to
         :class:`~repro.runner.dispatch.CellRetryPolicy` (3 attempts,
         exponential backoff with seed-derived jitter).  Only
-        infrastructure losses retry by default — a sim-level failure is a
-        pure function of the spec and stays final.
+        infrastructure losses retry — a sim-level failure is a pure
+        function of the spec and stays final.
     cell_timeout_s:
         Per-cell wall-clock budget; an overdue cell is killed and requeued
         as a retryable ``timeout`` attempt.  A budget can only be enforced
@@ -306,32 +306,21 @@ class SweepRunner:
         yield from self._execute_dispatched(pending)
 
     def _execute_inline(self, pending: Sequence[RunSpec]):
-        """The no-pool path: same retry semantics, same record shape.
+        """The no-pool path: one attempt per cell, same record shape.
 
         Infrastructure losses cannot happen inline (the worker is this
-        process), so only ``retry_failed_results`` policies ever loop.
+        process) and a simulation failure is final, so nothing here is
+        retried: the dispatched loop is the one retry path.
         """
-        policy = self.retry_policy
         for spec in pending:
-            attempt = 0
-            while True:
-                attempt += 1
-                self._mark_running(spec, attempt)
-                self._event("cell_started", key=spec.key, label=spec.label,
-                            attempt=attempt)
-                record = self.task(spec.to_dict(), attempt)
-                kind = "ok" if record.get("status") == "ok" else "failed"
-                self._record_attempt(
-                    Outcome(spec, attempt, kind, record=record)
-                )
-                if kind == "ok" or not policy.should_retry(kind, attempt):
-                    record["attempts"] = attempt
-                    yield record
-                    break
-                self._retries += 1
-                self._event("cell_retry", key=spec.key, attempt=attempt,
-                            kind=kind, error=record.get("error"))
-                self.sleep(policy.delay_s(spec, attempt))
+            self._mark_running(spec, 1)
+            self._event("cell_started", key=spec.key, label=spec.label,
+                        attempt=1)
+            record = self.task(spec.to_dict(), 1)
+            kind = "ok" if record.get("status") == "ok" else "failed"
+            self._record_attempt(Outcome(spec, 1, kind, record=record))
+            record["attempts"] = 1
+            yield record
 
     def _execute_dispatched(self, pending: Sequence[RunSpec]):
         """The self-healing pool loop: lazy submission (one in-flight cell

@@ -30,7 +30,7 @@ from repro.defense.ids.manager import IdsManager
 from repro.defense.ids.signature import SignatureIds
 from repro.defense.ids.spec import ProtocolSpec, SpecificationIds
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultSchedule, schedule_from_primitives
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.inputs import InputError
 from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
 from repro.scenarios.worksite import (
@@ -222,7 +222,7 @@ def compose_run(
     plan: Sequence[Tuple[str, float, Optional[float]]] = (),
     ids_family: Optional[str] = None,
     overrides: Optional[Mapping[str, object]] = None,
-    faults: object = (),
+    faults: Sequence[Sequence] = (),
     *,
     audit_path: Optional[str] = None,
     metrics_interval_s: Optional[float] = None,
@@ -234,22 +234,32 @@ def compose_run(
     baseline.  The returned :class:`PreparedRun` has every campaign armed;
     :meth:`PreparedRun.run` advances the clock to ``horizon_s``.
 
-    ``faults`` is either a :class:`~repro.faults.spec.FaultSchedule` or the
-    primitive tuples a :class:`~repro.runner.spec.RunSpec` embeds
-    (``FaultSpec.to_primitives`` items).  An empty value leaves the run
-    entirely fault-free — no injector is built at all.
+    ``faults`` is the primitive tuples a :class:`~repro.runner.spec.RunSpec`
+    embeds (``FaultSpec.to_primitives`` items, jitter already realised).
+    An empty value leaves the run entirely fault-free — no injector is
+    built at all.  A plan that names an unknown campaign, or one campaign
+    twice, raises :class:`~repro.inputs.InputError`.
 
     ``audit_path`` and ``metrics_interval_s`` set the output settings
     :attr:`ScenarioConfig.gs_audit_path` and
     :attr:`ScenarioConfig.metrics_interval_s`; they change where a run
     writes, not what it simulates, so no spec carries them.
     """
+    seen = set()
     for name, _, _ in plan:
         if name not in CAMPAIGN_BUILDERS:
             raise InputError(
                 f"unknown campaign {name!r}; "
                 f"available: {sorted(CAMPAIGN_BUILDERS)}"
             )
+        # each campaign hard-codes its attackers' endpoint names, so a
+        # second instance of it would collide with the first
+        if name in seen:
+            raise InputError(
+                f"campaign {name!r} appears twice in the plan; "
+                f"a plan runs each campaign at most once"
+            )
+        seen.add(name)
     config = scenario_config_from_primitives(seed, profile, overrides)
     config.gs_audit_path = audit_path
     config.metrics_interval_s = metrics_interval_s
@@ -260,12 +270,10 @@ def compose_run(
     )
     injector = None
     if faults:
-        schedule = (
-            faults if isinstance(faults, FaultSchedule)
-            else schedule_from_primitives(faults)
+        schedule = FaultSchedule(
+            faults=tuple(FaultSpec.from_primitives(item) for item in faults)
         )
-        if schedule:
-            injector = FaultInjector(scenario, schedule).arm()
+        injector = FaultInjector(scenario, schedule).arm()
     return PreparedRun(
         scenario=scenario, windows=windows, ids_manager=manager,
         horizon_s=float(horizon_s), fault_injector=injector,

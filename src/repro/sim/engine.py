@@ -179,11 +179,6 @@ class Simulator:
         # guards idempotence; popped events detach their back-reference)
         self._live -= 1
 
-    def _pop_live(self, event: Event) -> None:
-        """Account for a live event leaving the heap to fire."""
-        event._sim = None
-        self._live -= 1
-
     def schedule(
         self, delay: float, callback: Callable[[], None], *, priority: int = 0
     ) -> Event:
@@ -244,20 +239,7 @@ class Simulator:
         """Create a :class:`Process` calling ``callback`` every ``interval`` s."""
         return Process(self, interval, callback, start_at=start_at, priority=priority)
 
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
-                continue
-            self._pop_live(event)
-            self._now = event.time
-            self._processed += 1
-            event.callback()
-            return True
-        return False
-
-    def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
+    def run_until(self, end_time: float) -> None:
         """Run events until the clock would pass ``end_time``.
 
         The clock is left exactly at ``end_time`` even if the queue drains
@@ -270,52 +252,23 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        fired = 0
         heap = self._heap
         heappop = heapq.heappop
         try:
-            if max_events is None:
-                # unbounded fast path: no per-event budget check
-                while heap:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    if entry[0] > end_time:
-                        break
+            while heap:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
                     heappop(heap)
-                    event._sim = None
-                    self._live -= 1
-                    self._now = entry[0]
-                    self._processed += 1
-                    event.callback()
-            else:
-                while heap:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    if entry[0] > end_time:
-                        break
-                    heappop(heap)
-                    event._sim = None
-                    self._live -= 1
-                    self._now = entry[0]
-                    self._processed += 1
-                    event.callback()
-                    fired += 1
-                    if fired >= max_events:
-                        return
+                    continue
+                if entry[0] > end_time:
+                    break
+                heappop(heap)
+                event._sim = None
+                self._live -= 1
+                self._now = entry[0]
+                self._processed += 1
+                event.callback()
             self._now = end_time
         finally:
             self._running = False
-
-    def run(self, *, max_events: Optional[int] = None) -> None:
-        """Run until the event queue is exhausted."""
-        fired = 0
-        while self.step():
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                return

@@ -18,7 +18,7 @@ class TestCatalogueDeterminism:
     def test_same_window_same_primitives(self, name):
         first = build_fault_campaign(name, start=12.0, duration=18.0)
         second = build_fault_campaign(name, start=12.0, duration=18.0)
-        assert first.to_primitives() == second.to_primitives()
+        assert first == second
         assert first.faults  # every campaign schedules at least one fault
 
     @pytest.mark.parametrize("name", sorted(FAULT_CAMPAIGNS))

@@ -13,10 +13,18 @@ from repro.inputs import InputError
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 
 
-def scenario_with(*faults, seed=5, jitter=0.0):
+def scenario_with(*faults, seed=5):
     scenario = build_worksite(ScenarioConfig(seed=seed))
-    schedule = FaultSchedule(faults=tuple(faults), jitter_s=jitter)
+    schedule = FaultSchedule(faults=tuple(faults))
     return scenario, FaultInjector(scenario, schedule).arm()
+
+
+def assert_nothing_installed(scenario, injector, pending):
+    assert injector.armed is False
+    assert injector.machines == {}
+    assert scenario.sim.pending == pending
+    for node in scenario.network.nodes.values():
+        assert node.endpoint.retry_policy is None
 
 
 class TestArming:
@@ -49,13 +57,53 @@ class TestArming:
             FaultSpec.make(kind, "cam-nowhere", 10.0, 5.0),
         ))
         injector = FaultInjector(scenario, schedule)
+        pending = scenario.sim.pending
         with pytest.raises(InputError,
                            match=r"'cam-nowhere'.*'cam-forwarder'"):
             injector.arm()
-        assert injector.armed is False
-        assert injector.machines == {}
-        for node in scenario.network.nodes.values():
-            assert node.endpoint.retry_policy is None
+        assert_nothing_installed(scenario, injector, pending)
+
+    @pytest.mark.parametrize("kind", ["node_crash", "radio_brownout",
+                                      "clock_drift"])
+    def test_unknown_node_target_refused_before_arming(self, kind):
+        # on a name outside the worksite these kinds would do nothing
+        scenario = build_worksite(ScenarioConfig(seed=5))
+        schedule = FaultSchedule(faults=(
+            FaultSpec.make("node_crash", "drone", 10.0, 5.0),
+            FaultSpec.make(kind, "nowhere", 10.0, 5.0),
+        ))
+        injector = FaultInjector(scenario, schedule)
+        pending = scenario.sim.pending
+        with pytest.raises(
+            InputError,
+            match=r"'nowhere' for " + kind + r".*'control', 'drone', 'forwarder'",
+        ):
+            injector.arm()
+        assert_nothing_installed(scenario, injector, pending)
+
+    def test_drone_fault_without_a_drone_arms_as_a_no_op(self):
+        scenario = build_worksite(ScenarioConfig(seed=5, drone_enabled=False))
+        injector = FaultInjector(scenario, FaultSchedule(faults=(
+            FaultSpec.make("node_crash", "drone", 10.0, 5.0),
+        ))).arm()
+        assert injector.armed is True
+        assert "drone" not in injector.machines
+        scenario.run(20.0)
+        assert (injector.faults_injected, injector.faults_cleared) == (1, 1)
+
+    def test_unresolved_jitter_refused_before_arming(self):
+        # jitter is drawn once, when the run spec is built; arming a
+        # schedule that still carries it would draw a second timeline
+        scenario = build_worksite(ScenarioConfig(seed=5))
+        schedule = FaultSchedule(
+            faults=(FaultSpec.make("node_crash", "drone", 10.0, 5.0),),
+            jitter_s=2.0,
+        )
+        injector = FaultInjector(scenario, schedule)
+        pending = scenario.sim.pending
+        with pytest.raises(ValueError, match="unresolved jitter_s=2.0"):
+            injector.arm()
+        assert_nothing_installed(scenario, injector, pending)
 
     def test_arm_is_idempotent(self):
         scenario, injector = scenario_with(

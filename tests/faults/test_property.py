@@ -45,8 +45,13 @@ class TestScheduleSafety:
     def test_same_seed_same_schedule_is_reproducible(self, faults):
         def run_once():
             scenario = build_worksite(ScenarioConfig(seed=123))
+            # a jittered timeline, realised once before arming, as a run
+            # spec realises it
             schedule = FaultSchedule(faults=tuple(faults), jitter_s=2.0)
-            injector = FaultInjector(scenario, schedule).arm()
+            injector = FaultInjector(
+                scenario,
+                FaultSchedule(faults=schedule.resolve(scenario.streams)),
+            ).arm()
             horizon = schedule.last_end_s + 60.0
             scenario.run(horizon)
             return injector.resilience_summary(horizon)

@@ -8,12 +8,12 @@ regressed.  End-to-end behaviour on real traces is covered by
 
 import pytest
 
-from repro.invariants.base import observe_all
 from repro.invariants.clock import MonotoneClockInvariant, RecordIndexInvariant
 from repro.invariants.crypto import (
     NonceSequenceInvariant,
     ReplayWindowInvariant,
 )
+from repro.invariants.engine import InvariantEngine
 from repro.invariants.frames import (
     DropTaxonomyInvariant,
     FrameCausalityInvariant,
@@ -40,7 +40,7 @@ def opened(seq, t=0.0, node="forwarder", peer="harvester", profile="aead"):
 
 
 def check(invariant, records):
-    return observe_all([invariant], records)
+    return InvariantEngine([invariant]).check(records)
 
 
 class TestNonceSequence:

@@ -304,17 +304,10 @@ class TestCellRetryPolicy:
         assert policy.should_retry("timeout", 2)
         # attempt budget exhausted
         assert not policy.should_retry("lost", 3)
-        # deterministic outcomes are final by default
+        # deterministic outcomes are always final
         assert not policy.should_retry("failed", 1)
         assert not policy.should_retry("error", 1)
         assert not policy.should_retry("ok", 1)
-
-    def test_retry_failed_results_opt_in(self):
-        policy = CellRetryPolicy(max_attempts=3, retry_failed_results=True)
-        assert policy.should_retry("failed", 1)
-        assert not policy.should_retry("failed", 3)
-        # error (unpicklable and friends) stays final even opted in
-        assert not policy.should_retry("error", 1)
 
     def test_backoff_grows_exponentially_and_caps(self):
         policy = CellRetryPolicy(base_delay_s=0.1, backoff_factor=2.0,

@@ -3,8 +3,9 @@ to an executed, optionally traced run."""
 
 import pytest
 
+from repro.inputs import InputError
 from repro.runner.spec import RunSpec
-from repro.scenarios.factory import compose_spec
+from repro.scenarios.factory import compose_run, compose_spec
 from repro.telemetry import tracer as trace
 
 #: a small worksite with the ground-station plane on, quick to simulate
@@ -36,6 +37,19 @@ class TestComposeSpec:
         config = compose_spec(tiny_spec()).scenario.config
         assert config.gs_audit_path is None
         assert config.metrics_interval_s is None
+
+
+class TestComposeRun:
+    @pytest.mark.parametrize("campaign", [
+        "wifi_deauth", "message_injection", "message_tampering", "rf_jamming",
+    ])
+    def test_a_plan_that_repeats_a_campaign_is_refused(self, campaign):
+        # a second instance would collide with the first: a duplicate
+        # radio endpoint, or (rf_jamming) two attackers of one name
+        plan = ((campaign, 5.0, None), (campaign, 15.0, None))
+        with pytest.raises(InputError,
+                           match=f"campaign '{campaign}' appears twice"):
+            compose_run(seed=3, horizon_s=25.0, plan=plan)
 
 
 class TestPreparedRun:

@@ -199,25 +199,6 @@ class TestProcess:
 
 
 class TestRun:
-    def test_run_drains_queue(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_max_events_bounds_run(self):
-        sim = Simulator()
-        count = []
-        for i in range(100):
-            sim.schedule(float(i), lambda: count.append(1))
-        sim.run(max_events=10)
-        assert len(count) == 10
-
-    def test_step_returns_false_on_empty_queue(self):
-        assert Simulator().step() is False
-
     def test_reentrant_run_raises(self):
         sim = Simulator()
 

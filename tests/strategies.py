@@ -137,8 +137,8 @@ def run_specs(draw, max_plan_steps: int = 2, max_faults: int = 3) -> RunSpec:
     """
     overrides = draw(scenario_overrides())
     no_drone = overrides.get("drone_enabled") is False
-    # campaign names never repeat within a plan: builders hard-code their
-    # attack endpoint names, so duplicates collide in the radio medium
+    # campaign names never repeat within a plan: compose_run refuses a
+    # plan that repeats one
     plan = tuple(draw(st.lists(
         plan_steps(), max_size=max_plan_steps,
         unique_by=lambda step: step[0],

@@ -542,6 +542,56 @@ class TestCampaignCommand:
         assert "cannot be read as an SQLite database" in err[0]
         assert db.read_bytes() == before
 
+    #: a JSON column holding what the store never writes: ``{id:
+    #: (command, column, text)}``.  Each was a traceback, except the
+    #: array spec, refused without naming the database or the column.
+    BAD_COLUMNS = {
+        "resume-record-not-json": (
+            ["campaign", "resume", "night"], "cells.record", "{not json"),
+        "resume-record-nan": (
+            ["campaign", "resume", "night"], "cells.record",
+            '{"key": NaN}'),
+        "resume-record-without-spec": (
+            ["campaign", "resume", "night"], "cells.record",
+            '{"key": "aa", "status": "ok"}'),
+        "resume-spec-not-json": (
+            ["campaign", "resume", "night"], "cells.spec", "[1,2"),
+        "show-spec-not-json": (
+            ["campaign", "show", "night"], "cells.spec", "[1,2"),
+        "show-spec-not-an-object": (
+            ["campaign", "show", "night"], "cells.spec", "[1, 2]"),
+        "list-meta-not-json": (
+            ["campaign", "list"], "campaigns.meta", "nope"),
+    }
+
+    @pytest.mark.parametrize("command, column, text", BAD_COLUMNS.values(),
+                             ids=BAD_COLUMNS.keys())
+    def test_json_column_that_is_not_an_object_exits_2(
+        self, tmp_path, capsys, command, column, text
+    ):
+        from repro.runner import CampaignStore, RunSpec
+
+        db = tmp_path / "c.db"
+        store = CampaignStore(db)
+        spec = RunSpec.single("baseline", seed=11, horizon_s=20.0)
+        store.ensure_campaign("night", [spec])
+        store.bind("night").append({"key": spec.key, "spec": spec.to_dict(),
+                                    "status": "ok", "result": {}})
+        table, field = column.split(".")
+        with closing(sqlite3.connect(db)) as conn, conn:
+            conn.execute(f"UPDATE {table} SET {field} = ?", (text,))
+        with closing(sqlite3.connect(db)) as conn:
+            before = list(conn.iterdump())
+        assert main([*command, "--db", str(db)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("campaign error: ")
+        assert "campaign 'night'" in lines[0] and column in lines[0]
+        with closing(sqlite3.connect(db)) as conn:
+            assert list(conn.iterdump()) == before
+        assert not (tmp_path / "status.json").exists()  # no cell ran
+
     def test_list_campaigns(self, tmp_path, capsys):
         db = str(tmp_path / "c.db")
         assert main(["campaign", "list", "--db", db]) == 0
@@ -781,6 +831,9 @@ _FUZZ = ["fuzz", "--corpus", "{tmp}/fz", "--iterations", "0", "--quiet"]
 #: a sensor fault on a sensor the worksite lacks (a KeyError when it fired)
 _UNKNOWN_SENSOR = ('[[fault]]\nkind = "sensor_freeze"\n'
                    'target = "cam-nowhere"\nstart = 10.0\nduration = 5.0\n')
+#: a node fault on a node the worksite lacks (a silent no-op when it fired)
+_UNKNOWN_NODE = ('[[fault]]\nkind = "node_crash"\n'
+                 'target = "nowhere"\nstart = 5.0\nduration = 5.0\n')
 
 
 def _campaign_night(path):
@@ -945,6 +998,9 @@ MALFORMED = {
     "run-fault-unknown-sensor-target": (
         ["run", "--minutes", "0.5", "--faults", "{tmp}/f.toml"],
         {"f.toml": _UNKNOWN_SENSOR}),
+    "run-fault-unknown-node-target": (
+        ["run", "--seed", "11", "--minutes", "0.3", "--faults",
+         "{tmp}/f.toml"], {"f.toml": _UNKNOWN_NODE}),
     "trace-fault-unknown-sensor-target": (
         ["trace", "--minutes", "0.5", "--faults", "{tmp}/f.toml",
          "--out", "{tmp}/t.jsonl"], {"f.toml": _UNKNOWN_SENSOR}),
@@ -952,6 +1008,11 @@ MALFORMED = {
         ["check", "--trace", "{tmp}/t.jsonl"],
         {"t.jsonl": '{"i":0,"spec":{"faults":[["sensor_freeze",'
                     '"cam-nowhere",10.0,5.0,[]]],"horizon_s":12.0},'
+                    '"t":0.0,"type":"trace.meta","v":1}\n'}),
+    "check-spec-plan-repeats-a-campaign": (
+        ["check", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"spec":{"horizon_s":25.0,"plan":['
+                    '["wifi_deauth",5.0,null],["wifi_deauth",15.0,null]]},'
                     '"t":0.0,"type":"trace.meta","v":1}\n'}),
     "trace-gs-attack-unknown": (
         ["trace", "--gs", "--gs-attacks", "bogus", "--minutes", "0.1",
