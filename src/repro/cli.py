@@ -66,10 +66,11 @@ Subcommands
     trajectory.  ``--selftest`` proves the shrinker preserves the
     triggering invariant on injected violations.
 
-Setting ``REPRO_CHECK=1`` additionally checks the invariants *online*
-during ``run`` and ``trace`` (and inside sweep workers, whose records
-gain an ``invariants`` block); a violation makes the command exit
-non-zero.
+Setting ``REPRO_CHECK=1`` additionally checks the invariants *online*.
+During ``run`` and ``trace`` a violation is printed and the command exits
+1.  Inside the cells of ``sweep`` and ``campaign start``/``resume`` each
+record gains an ``invariants`` block with the cell's violation count; the
+cell keeps ``status: ok``, and the command exits 1 only for failed cells.
 
 Exit status: 0 ok; 1 a run, check or verification failed; 2 input
 refused, with one stderr line ``<command> error: <message>``.
@@ -282,13 +283,7 @@ def cmd_trace(args) -> int:
     from repro.invariants import engine as checks
     from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
     from repro.scenarios.factory import compose_spec
-    from repro.telemetry import (
-        TraceWriter,
-        Tracer,
-        env_spans_enabled,
-        read_trace,
-        validate_trace,
-    )
+    from repro.telemetry import TraceWriter, Tracer, read_trace, validate_trace
     from repro.telemetry.analysis import full_report
 
     if args.analyze:
@@ -335,10 +330,10 @@ def cmd_trace(args) -> int:
         Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
     prepared = compose_spec(spec, audit_path=args.audit_out)
     scenario = prepared.scenario
-    spans = args.spans or env_spans_enabled()
     checker = checks.InvariantEngine() if checks.env_enabled() else None
     tracer = Tracer(
-        scenario.sim, TraceWriter(args.out), spans=spans, checker=checker,
+        scenario.sim, TraceWriter(args.out), spans=args.spans,
+        checker=checker,
     )
     tracer.meta(
         seed=args.seed,
@@ -359,9 +354,8 @@ def cmd_trace(args) -> int:
         where = f" -> {args.audit_out}" if args.audit_out else ""
         print(f"audit:            {audit['entries']} entries, "
               f"head {audit['head'][:16]}...{where}")
-    if spans:
-        span_info = tracer.summary().get("spans") or {}
-        print(f"spans:            {span_info.get('records', 0)} span records")
+    if args.spans:
+        print(f"spans:            {tracer.span_count} span records")
     if checker is not None:
         _print_invariants(checker)
     records = read_trace(args.out)

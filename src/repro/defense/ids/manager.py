@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.defense.ids.base import Alert, IntrusionDetector
+from repro.telemetry.schema import DETECTION_GRACE_S
 
 
 @dataclass
@@ -94,8 +95,9 @@ class IdsManager:
         matched_alerts = set()
         for attack_type, start, end in ground_truth:
             best: Optional[float] = None
+            until = min(end + DETECTION_GRACE_S, horizon_s)
             for idx, alert in enumerate(self.alerts):
-                if not start <= alert.time <= min(end + 30.0, horizon_s):
+                if not start <= alert.time <= until:
                     continue
                 if match_type and alert.alert_type != attack_type:
                     continue
@@ -110,7 +112,7 @@ class IdsManager:
         in_any_window = set()
         for idx, alert in enumerate(self.alerts):
             for _, start, end in ground_truth:
-                if start <= alert.time <= end + 30.0:
+                if start <= alert.time <= end + DETECTION_GRACE_S:
                     in_any_window.add(idx)
                     break
         false_alarms = len(self.alerts) - len(in_any_window)

@@ -143,6 +143,12 @@ class FaultSchedule:
     faults: Tuple[FaultSpec, ...] = ()
     jitter_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.jitter_s < math.inf:
+            raise InputError(
+                f"fault jitter_s must be finite and >= 0, got {self.jitter_s}"
+            )
+
     def __bool__(self) -> bool:
         return bool(self.faults)
 

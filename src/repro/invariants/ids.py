@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.invariants.base import Invariant, Violation
+from repro.telemetry.schema import DETECTION_GRACE_S
 
 #: latency re-derivation tolerance: tracer rounds latency_s to 1e-6
 LATENCY_TOL_S = 1e-5
@@ -38,9 +39,6 @@ class AlertAttributionInvariant(Invariant):
     name = "ids.alert_attribution"
     subsystem = "defense.ids"
 
-    #: must match Tracer.GRACE_S / IdsManager.score
-    GRACE_S = 30.0
-
     def __init__(self) -> None:
         self._windows: List[_Window] = []
 
@@ -49,7 +47,7 @@ class AlertAttributionInvariant(Invariant):
         for window in self._windows:
             if now < window.start:
                 continue
-            if window.end is not None and now > window.end + self.GRACE_S:
+            if window.end is not None and now > window.end + DETECTION_GRACE_S:
                 continue
             if best is None or window.start > best.start:
                 best = window

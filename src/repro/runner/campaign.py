@@ -38,7 +38,7 @@ import sqlite3
 import time
 from contextlib import closing
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.inputs import InputError, decode_json
 from repro.runner.spec import RunSpec
@@ -238,10 +238,10 @@ class CampaignStore:
             }
         cells = []
         for row in rows:
-            spec = self._decode(row["spec"], "cells.spec", name, row["key"])
+            spec, run_spec = self._cell_spec(row, name)
             cells.append({
                 "key": row["key"],
-                "label": RunSpec.from_dict(spec).label,
+                "label": run_spec.label,
                 "spec": spec,
                 "status": row["status"],
                 "attempts": int(row["attempts"]),
@@ -261,12 +261,7 @@ class CampaignStore:
                 "SELECT key, spec FROM cells WHERE campaign_id = ?"
                 " ORDER BY ord", (campaign,)
             ).fetchall()
-        return [
-            RunSpec.from_dict(
-                self._decode(row["spec"], "cells.spec", name, row["key"])
-            )
-            for row in rows
-        ]
+        return [self._cell_spec(row, name)[1] for row in rows]
 
     def attempts(self, name: str, key: Optional[str] = None) -> List[dict]:
         """Every recorded execution attempt, oldest first."""
@@ -293,8 +288,7 @@ class CampaignStore:
         non-finite number, not an object, or a ``cells.record`` without
         ``key``, ``spec`` and ``status`` — raises :class:`InputError`
         naming the database, the campaign, the cell and the column."""
-        cell = "" if key is None else f" cell {key}"
-        where = f"{self.path}: campaign {campaign!r}{cell} {column}"
+        where = self._where(column, campaign, key)
         try:
             value = decode_json(text)
         except (TypeError, ValueError) as exc:
@@ -307,6 +301,22 @@ class CampaignStore:
         if missing:
             raise InputError(f"{where} lacks {missing}")
         return value
+
+    def _cell_spec(self, row, campaign: str) -> Tuple[dict, RunSpec]:
+        """A cell row's ``cells.spec`` and the :class:`RunSpec` it
+        describes; a spec that does not convert raises
+        :class:`InputError` naming where it is stored."""
+        spec = self._decode(row["spec"], "cells.spec", campaign, row["key"])
+        try:
+            return spec, RunSpec.from_dict(spec)
+        except InputError as exc:
+            where = self._where("cells.spec", campaign, row["key"])
+            raise InputError(f"{where}: {exc}") from None
+
+    def _where(self, column: str, campaign: str,
+               key: Optional[str] = None) -> str:
+        cell = "" if key is None else f" cell {key}"
+        return f"{self.path}: campaign {campaign!r}{cell} {column}"
 
     # -- JSONL import -------------------------------------------------------
 
@@ -325,7 +335,14 @@ class CampaignStore:
         if bad:
             raise InputError(f"{jsonl_path}: records {bad} lack a spec or "
                              "integer attempt counts")
-        specs = [RunSpec.from_dict(r["spec"]) for r in records.values()]
+        specs = []
+        for key, record in records.items():
+            try:
+                specs.append(RunSpec.from_dict(record["spec"]))
+            except InputError as exc:
+                raise InputError(
+                    f"{jsonl_path}: record {key}: {exc}"
+                ) from None
         campaign = self.ensure_campaign(
             name, specs, meta={"imported_from": str(jsonl_path)},
         )
@@ -359,13 +376,6 @@ class CampaignBinding:
         self.campaign_id = campaign_id
         self.name = name
 
-    def _records(self, rows) -> Dict[str, dict]:
-        return {
-            row["key"]: self.store._decode(row["record"], "cells.record",
-                                           self.name, row["key"])
-            for row in rows
-        }
-
     def completed_keys(self) -> Dict[str, dict]:
         """Successfully completed records by key (what ``resume`` skips)."""
         with closing(self.store._connect()) as conn:
@@ -375,17 +385,11 @@ class CampaignBinding:
                 " AND record IS NOT NULL",
                 (self.campaign_id,),
             ).fetchall()
-        return self._records(rows)
-
-    def load(self) -> Dict[str, dict]:
-        """All final records by key, failed ones included."""
-        with closing(self.store._connect()) as conn:
-            rows = conn.execute(
-                "SELECT key, record FROM cells"
-                " WHERE campaign_id = ? AND record IS NOT NULL",
-                (self.campaign_id,),
-            ).fetchall()
-        return self._records(rows)
+        return {
+            row["key"]: self.store._decode(row["record"], "cells.record",
+                                           self.name, row["key"])
+            for row in rows
+        }
 
     def append(self, record: dict) -> None:
         """Finalise a cell with its record (last write wins, as in JSONL)."""

@@ -10,15 +10,15 @@ of propagating, so one broken cell never kills the sweep.
 
 The record's ``result`` sub-dict is a pure function of the spec (the
 determinism contract the cache relies on); wall-clock timing lives outside
-it under ``wall_s``.  The deterministic telemetry summary recorded under
-``REPRO_TRACE=1`` *is* spec-pure, so it rides inside ``result`` as
-``result["telemetry"]``; likewise the invariant report recorded under
-``REPRO_CHECK=1`` rides as ``result["invariants"]``.
+it under ``wall_s``.  The invariant report recorded under
+``REPRO_CHECK=1`` is spec-pure too, so it rides inside ``result`` as
+``result["invariants"]``.
 
 A run is composed by :func:`~repro.scenarios.factory.compose_spec` and
 executed by :meth:`~repro.scenarios.factory.PreparedRun.run`, the path
-every other worksite execution takes; the invariant engine is handed to
-the tracer, which feeds it every record.
+every other worksite execution takes.  Under ``REPRO_CHECK`` the
+invariant engine is handed to a writer-less tracer, which feeds it every
+record, as ``run`` does; otherwise the cell runs untraced.
 """
 
 from __future__ import annotations
@@ -69,25 +69,16 @@ def _simulate(spec: RunSpec) -> dict:
     # not once per module import on the coordinator
     from repro.invariants import engine as checks
     from repro.scenarios.factory import compose_spec
-    from repro.telemetry import tracer as trace
+    from repro.telemetry import Tracer
 
     prepared = compose_spec(spec)
     scenario = prepared.scenario
-    tracing = trace.env_enabled()
-    checker = checks.InvariantEngine() if checks.env_enabled() else None
-    tracer = None
-    if tracing or checker is not None:
-        # the invariant engine rides on the record stream, so REPRO_CHECK
-        # alone still attaches a (writer-less, record-less) tracer
-        spans = tracing and trace.env_spans_enabled()
-        tracer = trace.Tracer(scenario.sim, spans=spans, checker=checker)
-        if spans:
-            # the span emitter needs a header to open the run span; only
-            # emitted under REPRO_SPANS so default summaries are unchanged
-            tracer.meta(
-                seed=spec.seed, profile=spec.profile, plan=spec.plan,
-                horizon_s=spec.horizon_s,
-            )
+    checker = tracer = None
+    if checks.env_enabled():
+        # online checking rides on the record stream, so REPRO_CHECK
+        # attaches the engine to a writer-less tracer
+        checker = checks.InvariantEngine()
+        tracer = Tracer(scenario.sim, checker=checker)
     prepared.run(tracer)
 
     detection: Optional[dict] = None
@@ -121,8 +112,6 @@ def _simulate(spec: RunSpec) -> dict:
         result["resilience"] = prepared.fault_injector.resilience_summary(
             spec.horizon_s
         )
-    if tracing:
-        result["telemetry"] = tracer.summary()
     if checker is not None:
         checker.finish()
         result["invariants"] = checker.summary()

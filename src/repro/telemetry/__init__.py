@@ -42,8 +42,6 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry.tracer import (
     Tracer,
-    env_enabled,
-    env_spans_enabled,
     install,
     installed,
     uninstall,
@@ -60,8 +58,6 @@ __all__ = [
     "Tracer",
     "build_span_tree",
     "critical_path",
-    "env_enabled",
-    "env_spans_enabled",
     "flamegraph_folded",
     "has_spans",
     "install",

@@ -30,6 +30,11 @@ SCHEMA_VERSION = 1
 #: span layer (span.start / span.end records with their own ``si`` index)
 SCHEMA_MINOR = 1
 
+#: seconds after an attack window closes during which an alert still
+#: counts as a detection: the tracer's ``in_window`` stamp, the
+#: alert-attribution invariant and ``IdsManager.score`` all use it
+DETECTION_GRACE_S = 30.0
+
 #: fields every event record carries
 COMMON_FIELDS = ("v", "i", "t", "type")
 

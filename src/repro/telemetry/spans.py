@@ -3,8 +3,8 @@
 Flat event records answer *what happened*; spans answer *what contained
 what and how long it took*.  A :class:`SpanEmitter` rides inside the
 :class:`~repro.telemetry.tracer.Tracer` (opt-in via ``Tracer(...,
-spans=True)`` / ``REPRO_SPANS=1``) and derives interval records from the
-event stream it already emits:
+spans=True)``, which ``repro-worksite trace --spans`` sets) and derives
+interval records from the event stream it already emits:
 
 * ``run`` — the whole traced run, root of the tree (opened by
   ``trace.meta``, closed when the tracer closes);
@@ -94,7 +94,6 @@ class SpanEmitter:
         self.tracer = tracer
         self.prefix = run_prefix(seed)
         self.si = 0
-        self.by_kind: Dict[str, int] = {}
         self.run_span: Optional[_Open] = None
         self.closed = False
         # open-span registries, keyed by what the closing record carries
@@ -131,8 +130,6 @@ class SpanEmitter:
         }
         if self.run_span is not None:
             record["parent"] = self.run_span.span
-        by_kind = self.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
         self._sink(record)
         return _Open(sid, kind, name, t, si)
 
@@ -283,15 +280,6 @@ class SpanEmitter:
         "service.down": _on_service_down,
         "service.up": _on_service_up,
     }
-
-    @property
-    def open_count(self) -> int:
-        """Open spans, excluding the run span itself."""
-        return (
-            len(self._phases) + len(self._attacks) + len(self._faults)
-            + len(self._recovery) + len(self._outages) + len(self._frames)
-            + sum(len(per_seq) for per_seq in self._records.values())
-        )
 
     def close_all(self, t: float) -> None:
         """End every open span (children first, run span last); idempotent."""

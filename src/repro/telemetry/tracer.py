@@ -2,7 +2,9 @@
 
 The tracer is also the record stream's one subscriber hook: the
 invariant engine handed to it as ``checker`` and the span emitter armed
-by ``spans`` each observe every record after it is written.
+by ``spans`` each observe every record after it is written.  It keeps no
+summary of its own: :mod:`repro.telemetry.analysis` summarises a trace
+from its records.
 
 Design constraints (shared with :mod:`repro.perf.counters`):
 
@@ -24,11 +26,10 @@ what keeps every record schema-valid by construction.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
-from repro.telemetry.schema import SCHEMA_VERSION
+from repro.telemetry.schema import DETECTION_GRACE_S, SCHEMA_VERSION
 from repro.telemetry.writer import TraceWriter
 
 #: instrumented sites guard on this module attribute; flipped by install()
@@ -36,16 +37,6 @@ ACTIVE: bool = False
 
 #: the installed tracer (only read under an ``ACTIVE`` guard)
 TRACER: Optional["Tracer"] = None
-
-
-def env_enabled() -> bool:
-    """Whether ``REPRO_TRACE=1`` asks for tracing (sweep workers honour it)."""
-    return os.environ.get("REPRO_TRACE", "") not in ("", "0")
-
-
-def env_spans_enabled() -> bool:
-    """Whether ``REPRO_SPANS=1`` asks traced runs for the causal span layer."""
-    return os.environ.get("REPRO_SPANS", "") not in ("", "0")
 
 
 def install(tracer: "Tracer") -> None:
@@ -95,8 +86,8 @@ class Tracer:
         Optional :class:`~repro.telemetry.writer.TraceWriter`; records are
         streamed to it as they are emitted.
     keep_records:
-        Keep every record in :attr:`records` (in-memory analysis).  Summary
-        counters are maintained incrementally either way.
+        Keep every record in :attr:`records`, for in-memory analysis with
+        :mod:`repro.telemetry.analysis`.
     spans:
         Arm the causal span layer (:mod:`repro.telemetry.spans`): a
         :class:`~repro.telemetry.spans.SpanEmitter` derives hierarchical
@@ -109,10 +100,6 @@ class Tracer:
         observes every record, header and span records included, after
         the record is written, so checking can never perturb the stream.
     """
-
-    #: alerts this long after a window closes still count as detections
-    #: (matches :meth:`repro.defense.ids.manager.IdsManager.score`)
-    GRACE_S = 30.0
 
     def __init__(
         self,
@@ -132,12 +119,6 @@ class Tracer:
         self.records: List[dict] = []
         self._index = 0
         self._windows: List[_Window] = []
-        # incremental summary state
-        self._by_type: Dict[str, int] = {}
-        self._drop_causes: Dict[str, int] = {}
-        self._links: Dict[str, Dict[str, int]] = {}
-        self._latencies: List[float] = []
-        self._alerts_in_window = 0
 
     # -- core ---------------------------------------------------------------
     def _emit(self, rtype: str, **fields) -> None:
@@ -149,7 +130,6 @@ class Tracer:
         }
         record.update(fields)
         self._index += 1
-        self._by_type[rtype] = self._by_type.get(rtype, 0) + 1
         if self.keep_records:
             self.records.append(record)
         if self.writer is not None:
@@ -167,8 +147,8 @@ class Tracer:
                 handler(record)
 
     def _emit_span(self, record: dict) -> None:
-        """Write one span record (emitter callback): no ``i``, no summary
-        counters, so the event stream is untouched by the span layer."""
+        """Write one span record (emitter callback): no ``i``, so the
+        event stream is untouched by the span layer."""
         if self.keep_records:
             self.records.append(record)
         if self.writer is not None:
@@ -204,11 +184,6 @@ class Tracer:
         )
 
     def frame_tx(self, frame, n_bytes: int, channel: int) -> None:
-        link = self._links.setdefault(
-            f"{frame.src}->{frame.dst}",
-            {"tx": 0, "delivered": 0, "dropped": 0},
-        )
-        link["tx"] += 1
         self._emit(
             "frame.tx", src=frame.src, dst=frame.dst,
             frame_type=frame.frame_type.value, seq=frame.seq,
@@ -216,9 +191,6 @@ class Tracer:
         )
 
     def frame_delivered(self, frame, snr_db: float, delay_s: float) -> None:
-        link = self._links.get(f"{frame.src}->{frame.dst}")
-        if link is not None:
-            link["delivered"] += 1
         self._emit(
             "frame.delivered", src=frame.src, dst=frame.dst, seq=frame.seq,
             snr_db=round(snr_db, 1), delay_s=round(delay_s, 6),
@@ -227,11 +199,6 @@ class Tracer:
     def frame_drop(
         self, src: str, dst: str, seq: int, cause: str, **extra
     ) -> None:
-        link = self._links.setdefault(
-            f"{src}->{dst}", {"tx": 0, "delivered": 0, "dropped": 0}
-        )
-        link["dropped"] += 1
-        self._drop_causes[cause] = self._drop_causes.get(cause, 0) + 1
         self._emit("frame.drop", src=src, dst=dst, seq=seq, cause=cause, **extra)
 
     def frame_rx(self, node: str, src: str, seq: int, frame_type: str) -> None:
@@ -241,7 +208,6 @@ class Tracer:
         self._emit("record.open", node=node, peer=peer, seq=seq, msg_type=msg_type)
 
     def record_drop(self, node: str, peer: str, cause: str, **extra) -> None:
-        self._drop_causes[cause] = self._drop_causes.get(cause, 0) + 1
         self._emit("record.drop", node=node, peer=peer, cause=cause, **extra)
 
     def link_deauth(self, node: str, src: str, accepted: bool) -> None:
@@ -270,7 +236,7 @@ class Tracer:
         for window in self._windows:
             if now < window.start:
                 continue
-            if window.end is not None and now > window.end + self.GRACE_S:
+            if window.end is not None and now > window.end + DETECTION_GRACE_S:
                 continue
             if best is None or window.start > best.start:
                 best = window
@@ -287,10 +253,7 @@ class Tracer:
             "in_window": window is not None,
         }
         if window is not None:
-            latency = now - window.start
-            self._latencies.append(latency)
-            self._alerts_in_window += 1
-            fields["latency_s"] = round(latency, 6)
+            fields["latency_s"] = round(now - window.start, 6)
             fields["window"] = window.attack_type
         self._emit("ids.alert", **fields)
 
@@ -367,94 +330,12 @@ class Tracer:
             verdict=verdict, hash=hash, prev=prev,
         )
 
-    # -- summary --------------------------------------------------------------
+    # -- counts -------------------------------------------------------------
     @property
     def record_count(self) -> int:
         return self._index
 
-    def detection_latencies(self) -> List[float]:
-        return list(self._latencies)
-
-    def summary(self) -> dict:
-        """Compact, JSON-serialisable digest of the trace.
-
-        This is what sweep workers fold into their result records: it is a
-        pure function of the record stream, so it inherits the determinism
-        contract of the run itself.
-        """
-        from repro.sim.metrics import SeriesSummary
-
-        alerts = self._by_type.get("ids.alert", 0)
-        latency = SeriesSummary.of(self._latencies)
-        summary = {
-            "schema": SCHEMA_VERSION,
-            "records": self._index,
-            "by_type": dict(sorted(self._by_type.items())),
-            "frames": {
-                "tx": self._by_type.get("frame.tx", 0),
-                "delivered": self._by_type.get("frame.delivered", 0),
-                "dropped": self._by_type.get("frame.drop", 0),
-                "drop_causes": dict(sorted(self._drop_causes.items())),
-            },
-            "secure_records": {
-                "sealed": self._by_type.get("record.seal", 0),
-                "opened": self._by_type.get("record.open", 0),
-                "dropped": self._by_type.get("record.drop", 0),
-            },
-            "links": {
-                name: dict(stats)
-                for name, stats in sorted(self._links.items())
-            },
-            "detection": {
-                "alerts": alerts,
-                "in_window": self._alerts_in_window,
-                "false_alarms": alerts - self._alerts_in_window,
-                "latency_p50_s": (
-                    round(latency.p50, 6) if latency.count else None
-                ),
-                "latency_p95_s": (
-                    round(latency.p95, 6) if latency.count else None
-                ),
-            },
-            "attacks": {
-                "windows": len(self._windows),
-            },
-            "safety": {
-                "interventions": self._by_type.get("safety.intervention", 0),
-                "violations": self._by_type.get("safety.violation", 0),
-                "near_misses": self._by_type.get("safety.near_miss", 0),
-            },
-        }
-        # only present when the run actually injected faults, so baseline
-        # (fault-free) summaries keep their exact pre-existing shape
-        faults = self._by_type.get("fault.inject", 0)
-        if faults or self._by_type.get("mode.transition", 0):
-            summary["resilience"] = {
-                "faults_injected": faults,
-                "faults_cleared": self._by_type.get("fault.clear", 0),
-                "mode_transitions": self._by_type.get("mode.transition", 0),
-                "service_outages": self._by_type.get("service.down", 0),
-                "service_recoveries": self._by_type.get("service.up", 0),
-            }
-        # only present when the ground-station plane emitted records, so
-        # plane-off summaries keep their exact pre-existing shape
-        gs_audits = self._by_type.get("gs.audit", 0)
-        if gs_audits or self._by_type.get("gs.command", 0) or self._by_type.get(
-            "gs.alert", 0
-        ):
-            summary["groundstation"] = {
-                "commands": self._by_type.get("gs.command", 0),
-                "alerts": self._by_type.get("gs.alert", 0),
-                "audit_entries": gs_audits,
-            }
-        # only present when the span layer was armed, preserving the exact
-        # summary shape of spans-off runs (same pattern as resilience)
-        if self._spans is not None:
-            summary["spans"] = {
-                "records": self._spans.si,
-                "by_kind": dict(sorted(self._spans.by_kind.items())),
-                "open": (
-                    0 if self._spans.closed else self._spans.open_count
-                ),
-            }
-        return summary
+    @property
+    def span_count(self) -> int:
+        """Span records written so far (0 when the span layer is off)."""
+        return 0 if self._spans is None else self._spans.si

@@ -9,6 +9,7 @@ from repro.faults.spec import (
     load_fault_schedule,
     schedule_from_mapping,
 )
+from repro.inputs import InputError
 from repro.sim.rng import RngStreams
 
 
@@ -88,6 +89,12 @@ class TestFaultSchedule:
         assert a != c
         for original, jittered in zip(schedule.faults, a):
             assert original.start_s <= jittered.start_s <= original.start_s + 3.0
+
+    @pytest.mark.parametrize("jitter", [-5.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_jitter_rejected(self, jitter):
+        # resolve() would read a negative jitter as none at all
+        with pytest.raises(InputError, match="jitter_s must be finite"):
+            FaultSchedule(jitter_s=jitter)
 
     def test_last_end_covers_all_faults(self):
         schedule = FaultSchedule(faults=(

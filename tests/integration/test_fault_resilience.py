@@ -137,14 +137,14 @@ class TestFaultedTraceAnalysis:
         schedule = build_fault_campaign("crash_brownout", start=20.0,
                                         duration=30.0)
         FaultInjector(scenario, schedule).arm()
-        writer = TraceWriter(tmp_path / "t.jsonl")
-        tracer = Tracer(scenario.sim, writer)
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(scenario.sim, TraceWriter(path))
         with installed(tracer):
             scenario.run(90.0)
-        writer.close()
-        summary = tracer.summary()
-        assert summary["resilience"]["faults_injected"] == 2
-        assert summary["resilience"]["mode_transitions"] >= 4
+        tracer.close()
+        metrics = resilience_metrics(read_trace(path))
+        assert metrics["faults_injected"] == 2
+        assert metrics["mode_transitions"] >= 4
 
 
 def _rounded(metrics: dict) -> dict:

@@ -131,7 +131,6 @@ class TestBinding:
                   "attempts": 1}
         binding.append(record)
         assert binding.completed_keys() == {spec.key: record}
-        assert binding.load() == {spec.key: record}
 
     def test_failed_records_are_not_completed(self, tmp_path):
         store = CampaignStore(tmp_path / "c.db")
@@ -141,7 +140,8 @@ class TestBinding:
         binding.append({"key": spec.key, "spec": spec.to_dict(),
                         "status": "failed", "error": "boom", "result": None})
         assert binding.completed_keys() == {}
-        assert spec.key in binding.load()
+        (cell,) = store.show("f")["cells_detail"]
+        assert (cell["key"], cell["status"]) == (spec.key, "failed")
 
     def test_append_adopts_undeclared_cells(self, tmp_path):
         store = CampaignStore(tmp_path / "c.db")
@@ -215,7 +215,7 @@ class TestEngineIntegration:
         via_db = SweepRunner(jobs=1, store=store.bind("parity")).run(specs)
         exported = read_jsonl(export_jsonl(via_db.records,
                                            tmp_path / "sweep.jsonl"))
-        stored = store.bind("parity").load()
+        stored = store.bind("parity").completed_keys()
         assert [json.dumps(r["result"], sort_keys=True)
                 for r in plain.records] == \
                [json.dumps(stored[s.key]["result"], sort_keys=True)

@@ -278,7 +278,7 @@ class TestAuditChainChaos:
         assert gs_chaotic["audit"]["closed"]
         assert gs_chaotic["audit"]["entries"] > 0
         # the chain the campaign DB serves on resume is the same bytes
-        stored = store.bind("gs").load()[spec.key]
+        stored = store.bind("gs").completed_keys()[spec.key]
         assert json.dumps(stored["result"], sort_keys=True) == \
             json.dumps(clean["result"], sort_keys=True)
 
@@ -406,8 +406,8 @@ class TestKillAndResume:
                      "--quiet", "--no-table"]) == 0
         fresh = CampaignStore(db2)
 
-        resumed = store.bind("night").load()
-        undisturbed = fresh.bind("night").load()
+        resumed = store.bind("night").completed_keys()
+        undisturbed = fresh.bind("night").completed_keys()
         assert resumed.keys() == undisturbed.keys()
         for key in undisturbed:
             assert json.dumps(resumed[key]["result"], sort_keys=True) == \

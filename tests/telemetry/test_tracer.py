@@ -1,11 +1,20 @@
-"""Tracer behaviour: emission, install lifecycle, windows, summary."""
+"""Tracer behaviour: emission, install lifecycle, windows, analysis."""
 
 import pytest
 
 from repro.comms.link import Frame, FrameType
 from repro.sim.engine import Simulator
 from repro.telemetry import tracer as trace
-from repro.telemetry.schema import SCHEMA_VERSION, validate_trace
+from repro.telemetry.analysis import (
+    detection_latencies,
+    latency_report,
+    link_breakdown,
+)
+from repro.telemetry.schema import (
+    DETECTION_GRACE_S,
+    SCHEMA_VERSION,
+    validate_trace,
+)
 from repro.telemetry.tracer import Tracer
 from repro.telemetry.writer import TraceWriter, read_trace
 
@@ -42,14 +51,6 @@ class TestInstallLifecycle:
                 raise RuntimeError("boom")
         assert trace.ACTIVE is False
 
-    def test_env_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace.env_enabled() is False
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert trace.env_enabled() is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace.env_enabled() is True
-
 
 class TestEmission:
     def test_records_carry_common_fields_and_index(self, sim, tracer):
@@ -70,15 +71,11 @@ class TestEmission:
         frame2 = Frame(src="a", dst="b", frame_type=FrameType.DATA, seq=2)
         tracer.frame_tx(frame2, 64, 6)
         tracer.frame_drop("a", "b", 2, "link_budget", snr_db=-3.0)
-        summary = tracer.summary()
-        assert summary["frames"] == {
-            "tx": 2,
-            "delivered": 1,
-            "dropped": 1,
-            "drop_causes": {"link_budget": 1},
-        }
-        assert summary["links"]["a->b"] == {
-            "tx": 2, "delivered": 1, "dropped": 1,
+        assert link_breakdown(tracer.records) == {
+            "a->b": {
+                "tx": 2, "delivered": 1, "dropped": 1,
+                "causes": {"link_budget": 1},
+            },
         }
 
     def test_all_records_schema_valid(self, tracer):
@@ -108,13 +105,13 @@ class TestAttackWindows:
         assert alert["in_window"] is True
         assert alert["latency_s"] == 10.0
         assert alert["window"] == "rf_jamming"
-        assert tracer.detection_latencies() == [10.0]
+        assert detection_latencies(tracer.records) == [10.0]
 
     def test_alert_within_grace_still_counts(self, sim, tracer):
         tracer.attack_started("jam", "rf_jamming")
         sim.run_until(20.0)
         tracer.attack_stopped("jam", "rf_jamming")
-        sim.run_until(20.0 + Tracer.GRACE_S)
+        sim.run_until(20.0 + DETECTION_GRACE_S)
         tracer.ids_alert("anom-ids", "anomaly", 0.5)
         assert tracer.records[-1]["in_window"] is True
 
@@ -122,7 +119,7 @@ class TestAttackWindows:
         tracer.attack_started("jam", "rf_jamming")
         sim.run_until(20.0)
         tracer.attack_stopped("jam", "rf_jamming")
-        sim.run_until(20.0 + Tracer.GRACE_S + 1.0)
+        sim.run_until(20.0 + DETECTION_GRACE_S + 1.0)
         tracer.ids_alert("anom-ids", "anomaly", 0.5)
         alert = tracer.records[-1]
         assert alert["in_window"] is False
@@ -153,11 +150,12 @@ class TestAttackWindows:
         tracer.attack_stopped("jam", "rf_jamming")
         sim.run_until(200.0)
         tracer.ids_alert("anom-ids", "anomaly", 0.3)
-        detection = tracer.summary()["detection"]
-        assert detection["alerts"] == 3
-        assert detection["in_window"] == 2
-        assert detection["false_alarms"] == 1
-        assert detection["latency_p50_s"] == 6.0
+        assert detection_latencies(tracer.records) == [4.0, 8.0]
+        report = latency_report(tracer.records).splitlines()
+        assert "alerts:          3" in report
+        assert "in attack window: 2" in report
+        assert "false alarms:    1" in report
+        assert "latency p50:     6.00 s" in report
 
 
 class TestWriterIntegration:

@@ -544,7 +544,8 @@ class TestCampaignCommand:
 
     #: a JSON column holding what the store never writes: ``{id:
     #: (command, column, text)}``.  Each was a traceback, except the
-    #: array spec, refused without naming the database or the column.
+    #: array spec and the spec that is not a run spec, refused without
+    #: naming the database or the column.
     BAD_COLUMNS = {
         "resume-record-not-json": (
             ["campaign", "resume", "night"], "cells.record", "{not json"),
@@ -562,6 +563,12 @@ class TestCampaignCommand:
             ["campaign", "show", "night"], "cells.spec", "[1, 2]"),
         "list-meta-not-json": (
             ["campaign", "list"], "campaigns.meta", "nope"),
+        "show-spec-not-a-run-spec": (
+            ["campaign", "show", "night"], "cells.spec",
+            '{"seed": "x", "horizon_s": 20.0}'),
+        "resume-spec-not-a-run-spec": (
+            ["campaign", "resume", "night"], "cells.spec",
+            '{"seed": "x", "horizon_s": 20.0}'),
     }
 
     @pytest.mark.parametrize("command, column, text", BAD_COLUMNS.values(),
@@ -591,6 +598,19 @@ class TestCampaignCommand:
         with closing(sqlite3.connect(db)) as conn:
             assert list(conn.iterdump()) == before
         assert not (tmp_path / "status.json").exists()  # no cell ran
+
+    def test_import_of_a_spec_that_does_not_convert_names_the_file(
+        self, tmp_path, capsys
+    ):
+        jsonl = tmp_path / "old.jsonl"
+        jsonl.write_text('{"key": "aa", "spec": {"seed": "x"}}\n',
+                         encoding="utf-8")
+        assert main(["campaign", "start", "night", "--db",
+                     str(tmp_path / "c.db"), "--from-jsonl",
+                     str(jsonl)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("campaign error: ")
+        assert f"{jsonl}: record aa: " in lines[0]
 
     def test_list_campaigns(self, tmp_path, capsys):
         db = str(tmp_path / "c.db")
@@ -834,6 +854,8 @@ _UNKNOWN_SENSOR = ('[[fault]]\nkind = "sensor_freeze"\n'
 #: a node fault on a node the worksite lacks (a silent no-op when it fired)
 _UNKNOWN_NODE = ('[[fault]]\nkind = "node_crash"\n'
                  'target = "nowhere"\nstart = 5.0\nduration = 5.0\n')
+_NEGATIVE_JITTER = ('jitter_s = -5.0\n\n[[fault]]\nkind = "node_crash"\n'
+                    'target = "drone"\nstart = 10.0\n')
 
 
 def _campaign_night(path):
@@ -1001,6 +1023,9 @@ MALFORMED = {
     "run-fault-unknown-node-target": (
         ["run", "--seed", "11", "--minutes", "0.3", "--faults",
          "{tmp}/f.toml"], {"f.toml": _UNKNOWN_NODE}),
+    "run-fault-negative-jitter": (
+        ["run", "--seed", "11", "--minutes", "0.3", "--faults",
+         "{tmp}/f.toml"], {"f.toml": _NEGATIVE_JITTER}),
     "trace-fault-unknown-sensor-target": (
         ["trace", "--minutes", "0.5", "--faults", "{tmp}/f.toml",
          "--out", "{tmp}/t.jsonl"], {"f.toml": _UNKNOWN_SENSOR}),

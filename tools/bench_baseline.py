@@ -59,7 +59,7 @@ def bench_span_overhead(
                 scenario.run(horizon_s)
             tracer.close()
             best = min(best, time.perf_counter() - t0)
-            span_records = tracer.summary().get("spans", {}).get("records", 0)
+            span_records = tracer.span_count
         return best, span_records
 
     off, _ = timed_run(False)
