@@ -38,5 +38,3 @@ Subpackages
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

@@ -1,6 +1,1 @@
 """Result analysis: statistics and table rendering for the harness."""
-
-from repro.analysis.stats import bootstrap_ci, mean, summarize
-from repro.analysis.tables import Table
-
-__all__ = ["bootstrap_ci", "mean", "summarize", "Table"]

@@ -17,34 +17,3 @@ represented in different ways, e.g., using the Goal Structure Notation
   and the compliance mapping;
 * :mod:`repro.assurance.export` — text/DOT/Markdown rendering.
 """
-
-from repro.assurance.gsn import GsnElement, GsnKind, GsnGraph
-from repro.assurance.cae import CaeNode, CaeKind, CaeTree
-from repro.assurance.evidence import Evidence, EvidenceRegistry, EvidenceStatus
-from repro.assurance.sac import SacBuilder, SacReport
-from repro.assurance.compliance import (
-    ComplianceMapping,
-    Requirement,
-    machinery_regulation_requirements,
-)
-from repro.assurance.export import render_gsn_text, render_gsn_dot, render_markdown
-
-__all__ = [
-    "GsnElement",
-    "GsnKind",
-    "GsnGraph",
-    "CaeNode",
-    "CaeKind",
-    "CaeTree",
-    "Evidence",
-    "EvidenceRegistry",
-    "EvidenceStatus",
-    "SacBuilder",
-    "SacReport",
-    "ComplianceMapping",
-    "Requirement",
-    "machinery_regulation_requirements",
-    "render_gsn_text",
-    "render_gsn_dot",
-    "render_markdown",
-]

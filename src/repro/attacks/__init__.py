@@ -11,35 +11,3 @@ Each attack is a scheduled behaviour owned by an :class:`Attacker` and
 produces ``ATTACK`` events in the shared log, so detection latency can be
 measured as *alert time − attack-start time*.
 """
-
-from repro.attacks.base import Attack, Attacker
-from repro.attacks.jamming import JammingAttack
-from repro.attacks.interference import InterferenceSource
-from repro.attacks.deauth import DeauthAttack
-from repro.attacks.gnss_attacks import GnssJammingAttack, GnssSpoofingAttack
-from repro.attacks.camera_attacks import CameraBlindingAttack, CameraHijackAttack
-from repro.attacks.network_attacks import (
-    MessageInjectionAttack,
-    ReplayAttack,
-    TamperingAttack,
-)
-from repro.attacks.eavesdropping import EavesdroppingAttack
-from repro.attacks.scenarios import AttackCampaign, CampaignStep
-
-__all__ = [
-    "Attack",
-    "Attacker",
-    "JammingAttack",
-    "InterferenceSource",
-    "DeauthAttack",
-    "GnssJammingAttack",
-    "GnssSpoofingAttack",
-    "CameraBlindingAttack",
-    "CameraHijackAttack",
-    "MessageInjectionAttack",
-    "ReplayAttack",
-    "TamperingAttack",
-    "EavesdroppingAttack",
-    "AttackCampaign",
-    "CampaignStep",
-]

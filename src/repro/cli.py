@@ -138,11 +138,11 @@ def _fault_schedule(args) -> Optional["FaultSchedule"]:
     if path and campaign:
         raise InputError("--faults and --fault-campaign are mutually exclusive")
     if path:
-        from repro.faults import load_fault_schedule
+        from repro.faults.spec import load_fault_schedule
 
         return load_fault_schedule(path)
     if campaign:
-        from repro.faults import build_fault_campaign
+        from repro.faults.campaigns import build_fault_campaign
 
         return build_fault_campaign(
             campaign,
@@ -252,7 +252,7 @@ def cmd_run(args) -> int:
     if checks.env_enabled():
         # online checking rides on the record stream, so REPRO_CHECK
         # attaches the engine to a writer-less tracer
-        from repro.telemetry import Tracer
+        from repro.telemetry.tracer import Tracer
 
         checker = checks.InvariantEngine()
         tracer = Tracer(scenario.sim, checker=checker)
@@ -283,8 +283,10 @@ def cmd_trace(args) -> int:
     from repro.invariants import engine as checks
     from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
     from repro.scenarios.factory import compose_spec
-    from repro.telemetry import TraceWriter, Tracer, read_trace, validate_trace
     from repro.telemetry.analysis import full_report
+    from repro.telemetry.schema import validate_trace
+    from repro.telemetry.tracer import Tracer
+    from repro.telemetry.writer import TraceWriter, read_trace
 
     if args.analyze:
         records = read_trace(args.analyze)
@@ -646,7 +648,7 @@ def _sweep_spec_from_args(args) -> "SweepSpec":
     if args.duration is not None:
         spec.attack_duration = args.duration
     if args.fault_campaign:
-        from repro.faults import FAULT_CAMPAIGNS
+        from repro.faults.campaigns import FAULT_CAMPAIGNS
 
         if args.fault_campaign not in FAULT_CAMPAIGNS:
             raise InputError(

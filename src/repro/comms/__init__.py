@@ -17,31 +17,3 @@ subpackage provides the full stack those attacks act on:
 * :mod:`repro.comms.crypto` — from-scratch DH/Schnorr/HKDF/HMAC/AEAD, a
   Certificate Authority and a TLS-like secure channel.
 """
-
-from repro.comms.radio import RadioConfig, link_budget
-from repro.comms.medium import WirelessMedium
-from repro.comms.network import CommNode, Network
-from repro.comms.messages import (
-    Message,
-    Telemetry,
-    Command,
-    Heartbeat,
-    DetectionReport,
-    VideoFrame,
-    Alert,
-)
-
-__all__ = [
-    "RadioConfig",
-    "link_budget",
-    "WirelessMedium",
-    "CommNode",
-    "Network",
-    "Message",
-    "Telemetry",
-    "Command",
-    "Heartbeat",
-    "DetectionReport",
-    "VideoFrame",
-    "Alert",
-]

@@ -20,57 +20,3 @@ These are *model-faithful* implementations: correct constructions with the
 right message flows and failure modes, intended for simulation — not audited
 production cryptography.
 """
-
-from repro.comms.crypto.primitives import (
-    AeadError,
-    aead_decrypt,
-    aead_decrypt_subkeys,
-    aead_encrypt,
-    aead_encrypt_subkeys,
-    constant_time_equal,
-    derive_aead_subkeys,
-    hkdf,
-    hmac_sha256,
-    stream_xor,
-)
-from repro.comms.crypto.keys import KeyPair, SchnorrSignature, sign, verify
-from repro.comms.crypto.certificates import (
-    Certificate,
-    CertificateAuthority,
-    CertificateError,
-    verify_chain,
-)
-from repro.comms.crypto.replay import REPLAY_WINDOW, ReplayWindow
-from repro.comms.crypto.secure_channel import (
-    ChannelError,
-    HandshakeError,
-    SecureChannel,
-    SecurityProfile,
-)
-
-__all__ = [
-    "AeadError",
-    "aead_decrypt",
-    "aead_decrypt_subkeys",
-    "aead_encrypt",
-    "aead_encrypt_subkeys",
-    "constant_time_equal",
-    "derive_aead_subkeys",
-    "hkdf",
-    "hmac_sha256",
-    "stream_xor",
-    "KeyPair",
-    "SchnorrSignature",
-    "sign",
-    "verify",
-    "Certificate",
-    "CertificateAuthority",
-    "CertificateError",
-    "verify_chain",
-    "REPLAY_WINDOW",
-    "ReplayWindow",
-    "ChannelError",
-    "HandshakeError",
-    "SecureChannel",
-    "SecurityProfile",
-]

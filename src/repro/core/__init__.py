@@ -21,36 +21,3 @@ between safety and cybersecurity into consideration."
 * :mod:`repro.core.sos_assessment` — SoS-level assessment combining the
   per-system results with the independence/emergence analyses.
 """
-
-from repro.core.characteristics import (
-    ForestryCharacteristic,
-    characteristic_catalog,
-    CharacteristicModifiers,
-)
-from repro.core.interplay import InterplayAnalysis, SecuritySafetyLink, worksite_links
-from repro.core.methodology import CombinedAssessment, CombinedResult
-from repro.core.continuous import ContinuousRiskAssessment, RiskPosture
-from repro.core.knowledge_transfer import (
-    DomainCatalog,
-    KnowledgeTransfer,
-    TransferReport,
-)
-from repro.core.sos_assessment import SosAssessment, SosAssessmentResult
-
-__all__ = [
-    "ForestryCharacteristic",
-    "characteristic_catalog",
-    "CharacteristicModifiers",
-    "InterplayAnalysis",
-    "SecuritySafetyLink",
-    "worksite_links",
-    "CombinedAssessment",
-    "CombinedResult",
-    "ContinuousRiskAssessment",
-    "RiskPosture",
-    "DomainCatalog",
-    "KnowledgeTransfer",
-    "TransferReport",
-    "SosAssessment",
-    "SosAssessmentResult",
-]

@@ -17,41 +17,3 @@ Maps one-to-one onto the mitigations the paper's survey collects:
 * disaster recovery / continuity (:mod:`repro.defense.recovery`) — Table I's
   "Natural Disasters" characteristic.
 """
-
-from repro.defense.ids.base import Alert, IntrusionDetector
-from repro.defense.ids.signature import SignatureIds
-from repro.defense.ids.anomaly import AnomalyIds
-from repro.defense.ids.spec import SpecificationIds
-from repro.defense.ids.manager import IdsManager
-from repro.defense.gnss_monitor import GnssPlausibilityMonitor
-from repro.defense.camera_defense import CameraRedundancy, AntiHackingDetector
-from repro.defense.cross_validation import CollaborativePositionCheck, drone_observer
-from repro.defense.channel_agility import ChannelAgilityManager
-from repro.defense.access_control import AccessControlPolicy, Role, Session
-from repro.defense.integrity import SecureBootChain, AttestationService
-from repro.defense.countermeasures import Countermeasure, CountermeasureCatalog
-from repro.defense.recovery import RecoveryPlan, ContinuityManager
-
-__all__ = [
-    "Alert",
-    "IntrusionDetector",
-    "SignatureIds",
-    "AnomalyIds",
-    "SpecificationIds",
-    "IdsManager",
-    "GnssPlausibilityMonitor",
-    "CameraRedundancy",
-    "AntiHackingDetector",
-    "CollaborativePositionCheck",
-    "drone_observer",
-    "ChannelAgilityManager",
-    "AccessControlPolicy",
-    "Role",
-    "Session",
-    "SecureBootChain",
-    "AttestationService",
-    "Countermeasure",
-    "CountermeasureCatalog",
-    "RecoveryPlan",
-    "ContinuityManager",
-]

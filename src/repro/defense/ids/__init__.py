@@ -5,19 +5,3 @@ same traffic: signature detectors are precise but only catch known patterns;
 anomaly detectors catch novel attacks at a false-alarm cost; specification
 detectors catch protocol violations exactly but need a protocol model.
 """
-
-from repro.defense.ids.base import Alert, IntrusionDetector
-from repro.defense.ids.signature import SignatureIds, SignatureRule
-from repro.defense.ids.anomaly import AnomalyIds
-from repro.defense.ids.spec import SpecificationIds
-from repro.defense.ids.manager import IdsManager
-
-__all__ = [
-    "Alert",
-    "IntrusionDetector",
-    "SignatureIds",
-    "SignatureRule",
-    "AnomalyIds",
-    "SpecificationIds",
-    "IdsManager",
-]

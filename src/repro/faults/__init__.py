@@ -20,29 +20,3 @@ Non-perturbation contract: arming an *empty* schedule changes nothing —
 no RNG draws, no scheduled events, no endpoint policies — so a run with
 no faults stays byte-identical to one without the injector at all.
 """
-
-from repro.faults.campaigns import (
-    FAULT_CAMPAIGNS,
-    build_fault_campaign,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.modes import ModeMachine, SensorHealthVoter, VehicleMode
-from repro.faults.spec import (
-    FAULT_KINDS,
-    FaultSchedule,
-    FaultSpec,
-    load_fault_schedule,
-)
-
-__all__ = [
-    "FAULT_CAMPAIGNS",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSpec",
-    "ModeMachine",
-    "SensorHealthVoter",
-    "VehicleMode",
-    "build_fault_campaign",
-    "load_fault_schedule",
-]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.inputs import InputError, load_table
+from repro.inputs import InputError, load_table, number
 from repro.sim.rng import RngStreams
 
 #: the fault taxonomy (see docs/resilience.md for semantics per kind)
@@ -105,8 +105,9 @@ class FaultSpec:
         return cls(
             kind=str(kind),
             target=str(target),
-            start_s=float(start_s),
-            duration_s=None if duration_s is None else float(duration_s),
+            start_s=number(start_s, "fault start"),
+            duration_s=(None if duration_s is None
+                        else number(duration_s, "fault duration")),
             params=_freeze_params(params),
         )
 
@@ -203,7 +204,8 @@ def schedule_from_mapping(data: Mapping) -> FaultSchedule:
             entry.get("params"),
         ))
     return FaultSchedule(
-        faults=tuple(faults), jitter_s=float(data.get("jitter_s", 0.0))
+        faults=tuple(faults),
+        jitter_s=number(data.get("jitter_s", 0.0), "jitter_s"),
     )
 
 

@@ -26,24 +26,3 @@ Everything is a pure function of the master seed: two invocations of
 ``repro-worksite fuzz --seed 7 --iterations 50`` write byte-identical
 corpora, coverage maps and shrunk repros.
 """
-
-from repro.fuzz.corpus import Corpus
-from repro.fuzz.coverage import CoverageMap, signatures_from_records
-from repro.fuzz.evaluate import evaluate_spec, failure_id
-from repro.fuzz.generator import GeneratorConfig, ScenarioGenerator
-from repro.fuzz.search import FuzzSession, run_fuzz
-from repro.fuzz.shrink import shrink_spec, spec_size
-
-__all__ = [
-    "Corpus",
-    "CoverageMap",
-    "FuzzSession",
-    "GeneratorConfig",
-    "ScenarioGenerator",
-    "evaluate_spec",
-    "failure_id",
-    "run_fuzz",
-    "shrink_spec",
-    "signatures_from_records",
-    "spec_size",
-]

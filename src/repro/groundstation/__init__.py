@@ -19,47 +19,3 @@ structured evidence report for :mod:`repro.assurance`.
 The plane is strictly opt-in (``ScenarioConfig.groundstation_enabled``):
 a disabled run is byte-identical to the golden traces.
 """
-
-from repro.groundstation.audit import (
-    AuditLog,
-    evidence_from_report,
-    genesis_hash,
-    verify_audit_file,
-    verify_chain,
-)
-from repro.groundstation.bus import GsBus
-from repro.groundstation.codec import (
-    COMMANDS,
-    GsCodecError,
-    GsMessage,
-    decode,
-    decode_unverified,
-    encode,
-)
-from repro.groundstation.keys import GsKeyring
-from repro.groundstation.station import (
-    ControlStation,
-    GroundStation,
-    Operator,
-    VehicleAgent,
-)
-
-__all__ = [
-    "AuditLog",
-    "COMMANDS",
-    "ControlStation",
-    "GroundStation",
-    "GsBus",
-    "GsCodecError",
-    "GsKeyring",
-    "GsMessage",
-    "Operator",
-    "VehicleAgent",
-    "decode",
-    "decode_unverified",
-    "encode",
-    "evidence_from_report",
-    "genesis_hash",
-    "verify_audit_file",
-    "verify_chain",
-]

@@ -31,6 +31,24 @@ def _no_constant(name: str):
 decode_json = json.JSONDecoder(parse_constant=_no_constant).decode
 
 
+def integer(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer; anything else, a bool, a float
+    or a string included, raises :class:`InputError` naming ``what`` and
+    the value."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def number(value: object, what: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float);
+    anything else, a bool or a string included, raises
+    :class:`InputError` naming ``what`` and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_table(path: os.PathLike, build: Callable[[Mapping], T]) -> T:
     """``build`` applied to the table in a TOML (or ``.json``) file; one
     that does not parse, or that ``build`` rejects with a ``ValueError``,

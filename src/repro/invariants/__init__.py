@@ -13,13 +13,3 @@ modes:
 The registry lives in :func:`repro.invariants.engine.default_invariants`;
 see ``docs/testing.md`` for how to author a new invariant.
 """
-
-from repro.invariants.base import Invariant, Violation
-from repro.invariants.engine import InvariantEngine, default_invariants
-
-__all__ = [
-    "Invariant",
-    "InvariantEngine",
-    "Violation",
-    "default_invariants",
-]

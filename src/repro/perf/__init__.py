@@ -5,19 +5,3 @@ counters that cost one module-attribute check when disabled.
 ``repro-worksite profile --perf`` is their one reader: it turns them on
 with :func:`repro.perf.counters.enable` and prints their report.
 """
-
-from repro.perf.counters import (
-    enable,
-    incr,
-    report,
-    reset,
-    snapshot,
-)
-
-__all__ = [
-    "enable",
-    "incr",
-    "report",
-    "reset",
-    "snapshot",
-]

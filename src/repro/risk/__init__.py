@@ -20,51 +20,3 @@ package encodes both calculi executably:
 * :mod:`repro.risk.attack_graphs` — attack-path graph analysis (networkx);
 * :mod:`repro.risk.treatment` — risk treatment and residual risk.
 """
-
-from repro.risk.model import (
-    Asset,
-    AttackPath,
-    AttackStep,
-    CybersecurityProperty,
-    DamageScenario,
-    ItemModel,
-    ThreatScenario,
-)
-from repro.risk.feasibility import AttackPotential, FeasibilityRating, rate_feasibility
-from repro.risk.impact import ImpactCategory, ImpactRating, SfopImpact
-from repro.risk.matrix import risk_value
-from repro.risk.tara import Tara, TaraResult, ThreatAssessment
-from repro.risk.cal import CaLevel, determine_cal
-from repro.risk.iec62443 import SecurityLevel, Zone, Conduit, ZoneModel
-from repro.risk.attack_graphs import AttackGraph
-from repro.risk.treatment import RiskTreatment, TreatmentDecision, TreatmentPlan
-
-__all__ = [
-    "Asset",
-    "AttackPath",
-    "AttackStep",
-    "CybersecurityProperty",
-    "DamageScenario",
-    "ItemModel",
-    "ThreatScenario",
-    "AttackPotential",
-    "FeasibilityRating",
-    "rate_feasibility",
-    "ImpactCategory",
-    "ImpactRating",
-    "SfopImpact",
-    "risk_value",
-    "Tara",
-    "TaraResult",
-    "ThreatAssessment",
-    "CaLevel",
-    "determine_cal",
-    "SecurityLevel",
-    "Zone",
-    "Conduit",
-    "ZoneModel",
-    "AttackGraph",
-    "RiskTreatment",
-    "TreatmentDecision",
-    "TreatmentPlan",
-]

@@ -32,9 +32,8 @@ Typical use::
         ...
 """
 
-from repro.runner.aggregate import aggregate_rows, aggregate_table, group_records
+from repro.runner.aggregate import aggregate_table
 from repro.runner.campaign import (
-    CampaignBinding,
     CampaignSchemaError,
     CampaignStore,
     export_jsonl,
@@ -42,7 +41,6 @@ from repro.runner.campaign import (
 )
 from repro.runner.dispatch import CellRetryPolicy, LocalPoolDispatcher
 from repro.runner.engine import (
-    SweepReport,
     SweepRunner,
     UncheckedResultWarning,
     run_sweep,
@@ -53,33 +51,20 @@ from repro.runner.monitor import (
     read_status,
     render_status,
 )
-from repro.runner.spec import (
-    BASELINE,
-    RunSpec,
-    SweepSpec,
-    derive_sweep_seeds,
-    load_sweep_spec,
-    sweep_spec_from_mapping,
-)
+from repro.runner.spec import RunSpec, SweepSpec, load_sweep_spec
 from repro.runner.worker import execute_run
 
 __all__ = [
-    "BASELINE",
-    "CampaignBinding",
     "CampaignSchemaError",
     "CampaignStore",
     "CellRetryPolicy",
     "LocalPoolDispatcher",
     "RunSpec",
     "SweepSpec",
-    "SweepReport",
     "SweepRunner",
     "SweepMonitor",
     "UncheckedResultWarning",
-    "aggregate_rows",
     "aggregate_table",
-    "group_records",
-    "derive_sweep_seeds",
     "execute_run",
     "export_jsonl",
     "load_sweep_spec",
@@ -88,5 +73,4 @@ __all__ = [
     "read_status",
     "render_status",
     "run_sweep",
-    "sweep_spec_from_mapping",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.canonical import canonical_json
-from repro.inputs import InputError, load_table
+from repro.inputs import InputError, integer, load_table, number
 from repro.sim.rng import derive_seed
 
 #: sentinel campaign name for the benign no-attack baseline
@@ -35,8 +35,8 @@ def _freeze_plan(plan: Sequence[Sequence]) -> Tuple[PlanStep, ...]:
     for step in plan:
         name, start, duration = step
         steps.append((
-            str(name), float(start),
-            None if duration is None else float(duration),
+            str(name), number(start, "plan start"),
+            None if duration is None else number(duration, "plan duration"),
         ))
     return tuple(steps)
 
@@ -52,8 +52,8 @@ def _freeze_faults(faults: Sequence) -> Tuple[tuple, ...]:
     for item in faults or ():
         kind, target, start, duration, params = item
         frozen.append((
-            str(kind), str(target), float(start),
-            None if duration is None else float(duration),
+            str(kind), str(target), number(start, "fault start"),
+            None if duration is None else number(duration, "fault duration"),
             tuple((str(k), v) for k, v in params),
         ))
     return tuple(frozen)
@@ -162,8 +162,8 @@ class RunSpec:
         try:
             fields = dict(
                 campaign=str(data.get("campaign", BASELINE)),
-                seed=int(data.get("seed", 42)),
-                horizon_s=float(data.get("horizon_s", 900.0)),
+                seed=integer(data.get("seed", 42), "seed"),
+                horizon_s=number(data.get("horizon_s", 900.0), "horizon_s"),
                 profile=str(data.get("profile", "defended")),
                 plan=_freeze_plan(data.get("plan", ())),
                 ids_family=data.get("ids_family"),
@@ -296,22 +296,25 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
     if "campaigns" in data:
         spec.campaigns = [str(c) for c in data["campaigns"]]
     if "seeds" in data:
-        spec.seeds = [int(s) for s in data["seeds"]]
+        spec.seeds = [integer(s, "seeds") for s in data["seeds"]]
     if "base_seed" in data:
-        spec.base_seed = int(data["base_seed"])
+        spec.base_seed = integer(data["base_seed"], "base_seed")
     if "n_seeds" in data:
-        spec.n_seeds = int(data["n_seeds"])
+        spec.n_seeds = integer(data["n_seeds"], "n_seeds")
     if "horizon_minutes" in data:
-        spec.horizon_s = float(data["horizon_minutes"]) * 60.0
+        spec.horizon_s = number(data["horizon_minutes"],
+                                "horizon_minutes") * 60.0
     if "horizon_s" in data:
-        spec.horizon_s = float(data["horizon_s"])
+        spec.horizon_s = number(data["horizon_s"], "horizon_s")
     if "profiles" in data:
         spec.profiles = [str(p) for p in data["profiles"]]
     if "attack_start" in data:
-        spec.attack_start = float(data["attack_start"])
+        spec.attack_start = number(data["attack_start"], "attack_start")
     if "attack_duration" in data:
         value = data["attack_duration"]
-        spec.attack_duration = None if value is None else float(value)
+        spec.attack_duration = (
+            None if value is None else number(value, "attack_duration")
+        )
     if "variants" in data:
         spec.variants = {
             str(name): dict(overrides)
@@ -328,7 +331,7 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
             None if value in (None, "", "none") else str(value)
         )
     if "fault_start" in data:
-        spec.fault_start = float(data["fault_start"])
+        spec.fault_start = number(data["fault_start"], "fault_start")
     if "fault_duration" in data:
-        spec.fault_duration = float(data["fault_duration"])
+        spec.fault_duration = number(data["fault_duration"], "fault_duration")
     return spec

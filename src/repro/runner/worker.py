@@ -69,7 +69,7 @@ def _simulate(spec: RunSpec) -> dict:
     # not once per module import on the coordinator
     from repro.invariants import engine as checks
     from repro.scenarios.factory import compose_spec
-    from repro.telemetry import Tracer
+    from repro.telemetry.tracer import Tracer
 
     prepared = compose_spec(spec)
     scenario = prepared.scenario

@@ -13,40 +13,3 @@
 * :mod:`repro.safety.monitor` — the runtime safety monitor scoring a run
   (violations, near misses, minimum separation).
 """
-
-from repro.safety.hazards import Hazard, HazardCatalog, RiskGraphResult, risk_graph
-from repro.safety.iso13849 import (
-    Category,
-    DiagnosticCoverage,
-    PerformanceLevel,
-    SafetyFunctionDesign,
-    achieved_pl,
-)
-from repro.safety.sotif import (
-    ScenarioArea,
-    SotifAnalysis,
-    TriggeringCondition,
-)
-from repro.safety.functions import ProtectiveStop, Geofence, SpeedLimiter
-from repro.safety.people_detection import CollaborativePeopleDetection
-from repro.safety.monitor import SafetyMonitor
-
-__all__ = [
-    "Hazard",
-    "HazardCatalog",
-    "RiskGraphResult",
-    "risk_graph",
-    "Category",
-    "DiagnosticCoverage",
-    "PerformanceLevel",
-    "SafetyFunctionDesign",
-    "achieved_pl",
-    "ScenarioArea",
-    "SotifAnalysis",
-    "TriggeringCondition",
-    "ProtectiveStop",
-    "Geofence",
-    "SpeedLimiter",
-    "CollaborativePeopleDetection",
-    "SafetyMonitor",
-]

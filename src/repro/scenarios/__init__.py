@@ -9,27 +9,3 @@
 * :mod:`repro.scenarios.factory` — primitive-valued run specs → composed,
   armed scenarios (the picklable entry point the sweep runner workers use).
 """
-
-from repro.scenarios.worksite import (
-    ScenarioConfig,
-    WorksiteScenario,
-    build_worksite,
-    worksite_item_model,
-)
-from repro.scenarios.usecase import UsecaseConfig, OcclusionUsecase, build_usecase
-from repro.scenarios.campaigns import build_campaign, CAMPAIGN_BUILDERS
-from repro.scenarios.factory import PreparedRun, compose_run
-
-__all__ = [
-    "PreparedRun",
-    "compose_run",
-    "ScenarioConfig",
-    "WorksiteScenario",
-    "build_worksite",
-    "worksite_item_model",
-    "UsecaseConfig",
-    "OcclusionUsecase",
-    "build_usecase",
-    "build_campaign",
-    "CAMPAIGN_BUILDERS",
-]

@@ -446,7 +446,7 @@ def build_worksite(config: Optional[ScenarioConfig] = None) -> WorksiteScenario:
     if config.groundstation_enabled:
         # imported lazily so plane-off runs never even load the subsystem
         from repro.attacks.groundstation import build_gs_attacks
-        from repro.groundstation import GroundStation
+        from repro.groundstation.station import GroundStation
 
         groundstation = GroundStation(
             sim, log, config.seed, forwarder=forwarder, drone=drone,

@@ -6,30 +6,3 @@ degradation, and attacks on GNSS and cameras.  The models here expose exactly
 those failure modes through a small common interface
 (:class:`repro.sensors.base.Sensor`).
 """
-
-from repro.sensors.base import Observation, Sensor
-from repro.sensors.occlusion import OcclusionModel, SightLine
-from repro.sensors.degradation import DegradationModel
-from repro.sensors.camera import Camera
-from repro.sensors.lidar import Lidar
-from repro.sensors.gnss import GnssReceiver, GnssFix
-from repro.sensors.ultrasonic import UltrasonicArray
-from repro.sensors.detection import PeopleDetector, Detection
-from repro.sensors.fusion import TrackFusion, FusedTrack
-
-__all__ = [
-    "Observation",
-    "Sensor",
-    "OcclusionModel",
-    "SightLine",
-    "DegradationModel",
-    "Camera",
-    "Lidar",
-    "GnssReceiver",
-    "GnssFix",
-    "UltrasonicArray",
-    "PeopleDetector",
-    "Detection",
-    "TrackFusion",
-    "FusedTrack",
-]

@@ -7,31 +7,3 @@ with tree occluders (:mod:`repro.sim.world`), weather dynamics
 (:mod:`repro.sim.weather`), and kinematic agents — the autonomous forwarder,
 the observation drone, the manually-operated harvester and human workers.
 """
-
-from repro.sim.engine import Event, Process, Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.geometry import Vec2, Segment
-from repro.sim.world import World, Tree, Zone
-from repro.sim.weather import Weather, WeatherState
-from repro.sim.entities import Entity, KinematicState
-from repro.sim.events import EventLog, SimEvent
-from repro.sim.metrics import MetricsCollector
-
-__all__ = [
-    "Event",
-    "Process",
-    "Simulator",
-    "RngStreams",
-    "Vec2",
-    "Segment",
-    "World",
-    "Tree",
-    "Zone",
-    "Weather",
-    "WeatherState",
-    "Entity",
-    "KinematicState",
-    "EventLog",
-    "SimEvent",
-    "MetricsCollector",
-]

@@ -9,24 +9,3 @@ differently-parameterised, noisier generator of the same observables); the
 reference with KS / Wasserstein / histogram-KL statistics per observable and
 issues a pass/fail verdict against declared tolerances.
 """
-
-from repro.simval.metrics import ks_statistic, wasserstein, kl_divergence
-from repro.simval.reference import ReferenceModel, reference_detection_samples
-from repro.simval.validation import (
-    ObservableSpec,
-    ValidationReport,
-    ValidationResult,
-    validate_observables,
-)
-
-__all__ = [
-    "ks_statistic",
-    "wasserstein",
-    "kl_divergence",
-    "ReferenceModel",
-    "reference_detection_samples",
-    "ObservableSpec",
-    "ValidationReport",
-    "ValidationResult",
-    "validate_observables",
-]

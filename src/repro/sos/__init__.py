@@ -11,19 +11,3 @@ them measurable over a composed worksite:
   over the event log;
 * :mod:`repro.sos.zones` — mapping the SoS onto an IEC 62443 zone model.
 """
-
-from repro.sos.composition import ConstituentSystem, Interface, SystemOfSystems
-from repro.sos.independence import IndependenceReport, independence_report
-from repro.sos.emergence import EmergenceDetector, EmergentInteraction
-from repro.sos.zones import worksite_zone_model
-
-__all__ = [
-    "ConstituentSystem",
-    "Interface",
-    "SystemOfSystems",
-    "IndependenceReport",
-    "independence_report",
-    "EmergenceDetector",
-    "EmergentInteraction",
-    "worksite_zone_model",
-]

@@ -23,48 +23,3 @@ Every record is stamped with *simulated* time only, so the same scenario
 and seed always produce byte-identical trace files (asserted by
 ``tests/integration/test_trace_determinism.py``).
 """
-
-from repro.telemetry.schema import (
-    DROP_CAUSES,
-    RECORD_TYPES,
-    SCHEMA_VERSION,
-    SPAN_KINDS,
-    validate_record,
-    validate_trace,
-)
-from repro.telemetry.spans import (
-    SpanEmitter,
-    build_span_tree,
-    critical_path,
-    flamegraph_folded,
-    has_spans,
-    span_report,
-)
-from repro.telemetry.tracer import (
-    Tracer,
-    install,
-    installed,
-    uninstall,
-)
-from repro.telemetry.writer import TraceWriter, read_trace
-
-__all__ = [
-    "DROP_CAUSES",
-    "RECORD_TYPES",
-    "SCHEMA_VERSION",
-    "SPAN_KINDS",
-    "SpanEmitter",
-    "TraceWriter",
-    "Tracer",
-    "build_span_tree",
-    "critical_path",
-    "flamegraph_folded",
-    "has_spans",
-    "install",
-    "installed",
-    "read_trace",
-    "span_report",
-    "uninstall",
-    "validate_record",
-    "validate_trace",
-]

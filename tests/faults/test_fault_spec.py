@@ -41,6 +41,16 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="duration must be finite"):
             FaultSpec.make("node_crash", "drone", 0.0, value)
 
+    @pytest.mark.parametrize("value", [True, "5"])
+    def test_start_and_duration_of_the_wrong_type_rejected(self, value):
+        # float(True) is 1.0 and float("5") is 5.0: a fault the file does
+        # not describe
+        with pytest.raises(InputError, match="fault start must be a number"):
+            FaultSpec.make("node_crash", "drone", value)
+        with pytest.raises(InputError,
+                           match="fault duration must be a number"):
+            FaultSpec.make("node_crash", "drone", 0.0, value)
+
     def test_param_lookup(self):
         spec = FaultSpec.make("radio_brownout", "forwarder", 1.0,
                               params={"sag_db": 9.0})
@@ -132,6 +142,19 @@ class TestScheduleLoading:
             schedule_from_mapping({
                 "fault": [{"kind": "node_crash", "target": "d", "begin": 1}],
             })
+
+    @pytest.mark.parametrize("data, refused", [
+        ({"jitter_s": True}, "jitter_s must be a number, got True"),
+        ({"fault": [{"kind": "node_crash", "target": "drone",
+                     "start": True, "duration": True}]},
+         "fault start must be a number, got True"),
+        ({"fault": [{"kind": "node_crash", "target": "drone",
+                     "start": "5"}]},
+         "fault start must be a number, got '5'"),
+    ])
+    def test_number_of_the_wrong_type_rejected(self, data, refused):
+        with pytest.raises(InputError, match=refused):
+            schedule_from_mapping(data)
 
     def test_example_storm_file_loads(self):
         schedule = load_fault_schedule("examples/faults_storm.toml")

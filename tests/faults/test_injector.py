@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.faults import (
-    FAULT_CAMPAIGNS,
-    FaultInjector,
-    FaultSchedule,
-    build_fault_campaign,
-)
-from repro.faults.spec import FaultSpec
+from repro.faults.campaigns import FAULT_CAMPAIGNS, build_fault_campaign
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.inputs import InputError
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 

@@ -10,8 +10,9 @@ machine in DEGRADED/RECOVERING forever or crash the kernel.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults.injector import FaultInjector
 from repro.faults.modes import VehicleMode
+from repro.faults.spec import FaultSchedule
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 
 from tests.strategies import fault_specs

@@ -14,7 +14,8 @@
 import pytest
 
 from repro.defense.recovery import RecoveryPlan
-from repro.faults import FaultInjector, build_fault_campaign
+from repro.faults.campaigns import build_fault_campaign
+from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec, FaultSchedule, load_fault_schedule
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import RunSpec

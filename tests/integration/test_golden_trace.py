@@ -12,7 +12,8 @@ import gzip
 import hashlib
 from pathlib import Path
 
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule
 from repro.scenarios.campaigns import build_campaign
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 from repro.telemetry.tracer import Tracer, installed
@@ -62,7 +63,7 @@ class TestGoldenTrace:
         # the ground-station plane is strictly additive: with the plane
         # off (the default) its import, schema entries, invariants and IDS
         # rules must not move a single byte of the pre-plane golden trace
-        import repro.groundstation  # noqa: F401 - imported for the side
+        import repro.groundstation.station  # noqa: F401 - imported for the side
         # effects it must NOT have on a plane-off run
 
         raw = record_trace(
@@ -76,7 +77,7 @@ class TestGoldenTrace:
         # the engine handed to the tracer observes each record *after* it
         # is written, so checking the golden recipe must reproduce the
         # golden bytes — and the run must satisfy every invariant
-        from repro.invariants import InvariantEngine
+        from repro.invariants.engine import InvariantEngine
 
         engine = InvariantEngine()
         raw = record_trace(

@@ -12,8 +12,9 @@ from repro.faults.campaigns import build_fault_campaign
 from repro.runner import RunSpec, run_sweep
 from repro.scenarios.campaigns import build_campaign
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
-from repro.telemetry import TraceWriter, Tracer, installed, read_trace
 from repro.telemetry.schema import validate_trace
+from repro.telemetry.tracer import Tracer, installed
+from repro.telemetry.writer import TraceWriter, read_trace
 
 HORIZON_S = 90.0
 

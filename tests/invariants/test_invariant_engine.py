@@ -1,12 +1,12 @@
 """Engine behaviour: registry, the REPRO_CHECK switch, summaries and the
 zero-perturbation contract on a real traced run."""
 
-from repro.invariants import InvariantEngine, Violation, default_invariants
 from repro.invariants import engine as checks
-from repro.invariants.base import Invariant
+from repro.invariants.base import Invariant, Violation
+from repro.invariants.engine import InvariantEngine, default_invariants
 from repro.scenarios.campaigns import build_campaign
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
-from repro.telemetry import Tracer, installed as trace_installed
+from repro.telemetry.tracer import Tracer, installed as trace_installed
 
 EXPECTED_REGISTRY = {
     "clock.monotonic",

@@ -15,7 +15,7 @@ from repro.invariants.oracle import (
     spec_from_meta,
     write_report,
 )
-from repro.telemetry import TraceWriter
+from repro.telemetry.writer import TraceWriter
 
 
 @pytest.fixture(scope="module")

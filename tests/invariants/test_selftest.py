@@ -3,7 +3,8 @@ registered invariant must have a mutation here that only it detects."""
 
 import pytest
 
-from repro.invariants import default_invariants, selftest
+from repro.invariants import selftest
+from repro.invariants.engine import default_invariants
 
 
 @pytest.fixture(scope="module")

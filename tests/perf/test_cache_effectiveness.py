@@ -2,7 +2,8 @@
 
 The per-frame comms pipeline leans on two caches: the keystream LRU in
 :mod:`repro.comms.crypto.primitives` and the per-channel HKDF subkey
-derivation in :class:`~repro.comms.crypto.SecureChannel`.  A refactor
+derivation in
+:class:`~repro.comms.crypto.secure_channel.SecureChannel`.  A refactor
 that silently stops hitting either one keeps every test green while
 giving the optimisation back — so this module runs one representative
 attacked scenario with the perf counters armed and pins floors on the

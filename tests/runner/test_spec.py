@@ -1,9 +1,11 @@
 """Unit tests for run/sweep specs: hashing, expansion, spec files."""
 
 import json
+import re
 
 import pytest
 
+from repro.inputs import InputError
 from repro.runner.spec import (
     BASELINE,
     RunSpec,
@@ -103,6 +105,35 @@ class TestRunSpecFiniteness:
                       attack_start=float("nan")).expand()
 
 
+class TestRunSpecNumberTypes:
+    """A number of the wrong JSON type is refused, not converted:
+    ``int(True)`` is 1 and ``int("7")`` is 7, so converting would run a
+    seed the file does not name."""
+
+    @pytest.mark.parametrize("data, refused", [
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 2.7}, "seed must be an integer, got 2.7"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"horizon_s": True}, "horizon_s must be a number, got True"),
+        ({"horizon_s": "60"}, "horizon_s must be a number, got '60'"),
+        ({"plan": [["rf_jamming", True, None]]},
+         "plan start must be a number, got True"),
+        ({"faults": [["node_crash", "drone", 1.0, True, []]]},
+         "fault duration must be a number, got True"),
+    ])
+    def test_wrong_type_refused(self, data, refused):
+        with pytest.raises(InputError, match=re.escape(refused)):
+            RunSpec.from_dict({"horizon_s": 60.0, **data})
+
+    def test_integral_numbers_still_convert(self):
+        # every valid spec keeps its key: an int still reads as a float
+        spec = RunSpec.from_dict({"campaign": "rf_jamming", "seed": 3,
+                                  "horizon_s": 60,
+                                  "plan": [["rf_jamming", 5, 10]]})
+        assert spec == RunSpec.single("rf_jamming", seed=3, horizon_s=60.0,
+                                      start=5.0, duration=10.0)
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         seeds = derive_sweep_seeds(42, 8)
@@ -186,3 +217,28 @@ class TestSpecFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep spec keys"):
             sweep_spec_from_mapping({"campaignz": ["typo"]})
+
+    @pytest.mark.parametrize("data, refused", [
+        ({"seeds": [True, 2]}, "seeds must be an integer, got True"),
+        ({"seeds": [2.7]}, "seeds must be an integer, got 2.7"),
+        ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
+        ({"n_seeds": 2.0}, "n_seeds must be an integer, got 2.0"),
+        ({"horizon_s": True}, "horizon_s must be a number, got True"),
+        ({"horizon_minutes": "5"},
+         "horizon_minutes must be a number, got '5'"),
+        ({"attack_start": True}, "attack_start must be a number, got True"),
+        ({"attack_duration": "60"},
+         "attack_duration must be a number, got '60'"),
+        ({"fault_start": False}, "fault_start must be a number, got False"),
+        ({"fault_duration": "30"},
+         "fault_duration must be a number, got '30'"),
+    ])
+    def test_number_of_the_wrong_type_refused(self, data, refused):
+        with pytest.raises(InputError, match=re.escape(refused)):
+            sweep_spec_from_mapping(data)
+
+    def test_refusal_names_the_file(self, tmp_path):
+        path = tmp_path / "grid.toml"
+        path.write_text("seeds = [true, 2]\n")
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            load_sweep_spec(str(path))

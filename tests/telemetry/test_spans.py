@@ -3,7 +3,7 @@ reconstruction, critical path and flamegraph export."""
 
 from repro.scenarios.worksite import ScenarioConfig, build_worksite
 from repro.sim.engine import Simulator
-from repro.telemetry import Tracer, installed
+from repro.telemetry.tracer import Tracer, installed
 from repro.telemetry.spans import (
     build_span_tree,
     critical_path,

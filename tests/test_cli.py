@@ -749,9 +749,9 @@ class TestCheckCommand:
         assert main(["check", "--trace", out]) == 0
         # ...and the run keeps its jitter: the header carries the realised
         # starts, and the first fault fires at the first of them
-        from repro.faults import load_fault_schedule
+        from repro.faults.spec import load_fault_schedule
         from repro.sim.rng import RngStreams
-        from repro.telemetry import read_trace
+        from repro.telemetry.writer import read_trace
 
         realised = load_fault_schedule(str(storm)).resolve(RngStreams(12))
         records = read_trace(out)
@@ -1012,6 +1012,10 @@ MALFORMED = {
     "sweep-spec-campaigns-not-a-list": (
         ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
         {"g.toml": "campaigns = 5\n"}),
+    "sweep-spec-seed-not-an-integer": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = [true, 2]\n'
+                   "horizon_s = 5.0\n"}),
     "run-fault-without-kind": (
         ["run", "--faults", "{tmp}/f.toml"],
         {"f.toml": '[[fault]]\ntarget = "drone"\n'}),
@@ -1026,6 +1030,11 @@ MALFORMED = {
     "run-fault-negative-jitter": (
         ["run", "--seed", "11", "--minutes", "0.3", "--faults",
          "{tmp}/f.toml"], {"f.toml": _NEGATIVE_JITTER}),
+    "run-fault-start-not-a-number": (
+        ["run", "--seed", "11", "--minutes", "0.3", "--faults",
+         "{tmp}/f.toml"],
+        {"f.toml": '[[fault]]\nkind = "node_crash"\ntarget = "drone"\n'
+                   "start = true\nduration = 5.0\n"}),
     "trace-fault-unknown-sensor-target": (
         ["trace", "--minutes", "0.5", "--faults", "{tmp}/f.toml",
          "--out", "{tmp}/t.jsonl"], {"f.toml": _UNKNOWN_SENSOR}),
@@ -1033,6 +1042,10 @@ MALFORMED = {
         ["check", "--trace", "{tmp}/t.jsonl"],
         {"t.jsonl": '{"i":0,"spec":{"faults":[["sensor_freeze",'
                     '"cam-nowhere",10.0,5.0,[]]],"horizon_s":12.0},'
+                    '"t":0.0,"type":"trace.meta","v":1}\n'}),
+    "check-spec-seed-not-an-integer": (
+        ["check", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"spec":{"horizon_s":12.0,"seed":true},'
                     '"t":0.0,"type":"trace.meta","v":1}\n'}),
     "check-spec-plan-repeats-a-campaign": (
         ["check", "--trace", "{tmp}/t.jsonl"],

@@ -45,7 +45,7 @@ def bench_span_overhead(
     the <5 % budget in docs/observability.md is about.
     """
     from repro.scenarios.worksite import ScenarioConfig, build_worksite
-    from repro.telemetry import Tracer, installed
+    from repro.telemetry.tracer import Tracer, installed
 
     def timed_run(spans: bool) -> tuple:
         best = float("inf")
