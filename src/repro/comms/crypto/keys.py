@@ -7,6 +7,9 @@ Schnorr signatures in the prime-order subgroup of a safe-prime DH group:
   secret key and message), ``r = g^k``, ``e = H(r || m) mod q``,
   ``s = (k + x·e) mod q``; signature is ``(e, s)``;
 * verify: ``r' = g^s · y^(-e)``, accept iff ``H(r' || m) mod q == e``.
+
+Every power of ``g`` (``y``, ``r`` and ``g^s``) comes from the group's
+fixed-base table (:meth:`DhGroup.pow_g`); ``y^(-e)`` uses builtin ``pow``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class KeyPair:
             import secrets
 
             x = secrets.randbelow(group.q - 1) + 1
-        return KeyPair(group=group, secret=x, public=group.pow(group.g, x))
+        return KeyPair(group=group, secret=x, public=group.pow_g(x))
 
 
 def _hash_to_range(data: bytes, modulus: int) -> int:
@@ -80,7 +83,7 @@ def sign(keypair: KeyPair, message: bytes) -> SchnorrSignature:
         b"schnorr-nonce" + keypair.secret.to_bytes(group.element_bytes, "big") + message,
         group.q,
     )
-    r = group.pow(group.g, k)
+    r = group.pow_g(k)
     e = group.hash_to_exponent(group.encode(r) + message)
     s = (k + keypair.secret * e) % group.q
     return SchnorrSignature(e=e, s=s)
@@ -94,7 +97,7 @@ def verify(group: DhGroup, public: int, message: bytes, signature: SchnorrSignat
         return False
     # r' = g^s * y^(-e) = g^s * y^(q - e)  (y has order q)
     r_prime = (
-        group.pow(group.g, signature.s)
+        group.pow_g(signature.s)
         * group.pow(public, group.q - signature.e % group.q)
     ) % group.p
     e_prime = group.hash_to_exponent(group.encode(r_prime) + message)

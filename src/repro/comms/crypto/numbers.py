@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from typing import Tuple
 
 #: entries each verdict memo keeps: the subgroup test here and the
 #: certificate signature check in :mod:`repro.comms.crypto.certificates`.
@@ -25,6 +26,11 @@ from dataclasses import dataclass
 #: its nodes derive their keys from names, not seeds), so a sweep stays
 #: far below the bound.
 VERDICT_MEMO_SIZE = 256
+
+#: groups whose generator table (:func:`_generator_table`) is kept: the two
+#: groups below and room for two more.  A table holds 15 residues per hex
+#: digit of ``p``: about 0.2 MiB for the 512-bit group, 2.3 MiB for 2048.
+GENERATOR_TABLES = 4
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,26 @@ class DhGroup:
 
     def pow(self, base: int, exponent: int) -> int:
         return pow(base, exponent, self.p)
+
+    def pow_g(self, exponent: int) -> int:
+        """``g^exponent mod p``, from the generator's fixed-base table.
+
+        At most one modular multiplication per hex digit of ``exponent``
+        instead of builtin ``pow``'s square-and-multiply, and exact, so it
+        equals ``self.pow(self.g, exponent)``.  An exponent the table does
+        not cover (negative, or wider than ``p``) goes to builtin ``pow``.
+        """
+        p = self.p
+        table = _generator_table(p, self.g)
+        if exponent < 0 or exponent >> (4 * len(table)):
+            return pow(self.g, exponent, p)
+        acc = 1
+        for row in table:
+            digit = exponent & 15
+            if digit:
+                acc = acc * row[digit] % p
+            exponent >>= 4
+        return acc
 
     def is_element(self, value: int) -> bool:
         """Membership check for the prime-order subgroup (QR test)."""
@@ -79,6 +105,28 @@ def _subgroup_verdict(p: int, value: int) -> bool:
     keeps a float or bool twin of an int from sharing its entry.
     """
     return pow(value, (p - 1) // 2, p) == 1
+
+
+@functools.lru_cache(maxsize=GENERATOR_TABLES, typed=True)
+def _generator_table(p: int, g: int) -> Tuple[Tuple[int, ...], ...]:
+    """Radix-16 fixed-base table of ``g`` mod ``p``: row ``i`` holds
+    ``g^(d·16^i) mod p`` at index ``d`` (1 at index 0), one row per hex
+    digit of ``p``, so every exponent below ``16^rows`` is a product of
+    one entry per non-zero digit.
+
+    Built on first use (15 multiplications a row) and kept process-wide:
+    the generator is fixed, so every key, nonce commitment and ``g^s``
+    in a process reads the same rows.  Any other base gets no table.
+    """
+    rows = []
+    base = g % p
+    for _ in range((p.bit_length() + 3) // 4):
+        row = [1, base]
+        for _ in range(14):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
 
 
 # RFC 3526, group 14 (2048-bit MODP).  g=2 generates the full group of order

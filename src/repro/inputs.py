@@ -49,6 +49,14 @@ def number(value: object, what: str) -> float:
     return float(value)
 
 
+def array(value: object, what: str) -> list:
+    """``value`` if it is a JSON or TOML array; anything else, a string
+    included, raises :class:`InputError` naming ``what`` and the value."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def load_table(path: os.PathLike, build: Callable[[Mapping], T]) -> T:
     """``build`` applied to the table in a TOML (or ``.json``) file; one
     that does not parse, or that ``build`` rejects with a ``ValueError``,

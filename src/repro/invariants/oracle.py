@@ -142,8 +142,9 @@ def check_trace(path, *, replay: bool = True) -> dict:
     """Full oracle pass over a trace file: invariants, then replay diff.
 
     Returns the violation report (see ``docs/testing.md`` for the shape);
-    ``report["ok"]`` is the overall verdict.  A file with no records, or
-    a header whose ``spec`` is not an object, raises :class:`InputError`.
+    ``report["ok"]`` is the overall verdict.  A file with no records, a
+    header whose ``spec`` is not an object, and a spec the replay refuses
+    raise :class:`InputError` naming the file.
     """
     records = read_trace(path)
     if not records:
@@ -175,7 +176,10 @@ def check_trace(path, *, replay: bool = True) -> dict:
                 "ok": True,
             }
         else:
-            fresh = replay_records(records)
+            try:
+                fresh = replay_records(records)
+            except InputError as exc:
+                raise InputError(f"{path}: trace.meta spec: {exc}") from None
             diff = diff_records(records, fresh)
             diff["performed"] = True
             report["replay"] = diff

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.canonical import canonical_json
-from repro.inputs import InputError, integer, load_table, number
+from repro.inputs import InputError, array, integer, load_table, number
 from repro.sim.rng import derive_seed
 
 #: sentinel campaign name for the benign no-attack baseline
@@ -294,9 +294,13 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
         )
     spec = SweepSpec()
     if "campaigns" in data:
-        spec.campaigns = [str(c) for c in data["campaigns"]]
+        spec.campaigns = [
+            str(c) for c in array(data["campaigns"], "campaigns")
+        ]
     if "seeds" in data:
-        spec.seeds = [integer(s, "seeds") for s in data["seeds"]]
+        spec.seeds = [
+            integer(s, "seeds") for s in array(data["seeds"], "seeds")
+        ]
     if "base_seed" in data:
         spec.base_seed = integer(data["base_seed"], "base_seed")
     if "n_seeds" in data:
@@ -307,7 +311,7 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
     if "horizon_s" in data:
         spec.horizon_s = number(data["horizon_s"], "horizon_s")
     if "profiles" in data:
-        spec.profiles = [str(p) for p in data["profiles"]]
+        spec.profiles = [str(p) for p in array(data["profiles"], "profiles")]
     if "attack_start" in data:
         spec.attack_start = number(data["attack_start"], "attack_start")
     if "attack_duration" in data:
@@ -323,7 +327,7 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
     if "ids_families" in data:
         spec.ids_families = [
             None if f in (None, "", "none") else str(f)
-            for f in data["ids_families"]
+            for f in array(data["ids_families"], "ids_families")
         ]
     if "fault_campaign" in data:
         value = data["fault_campaign"]

@@ -408,21 +408,30 @@ def generate_forest(
     terrain = generate_terrain(
         width, height, streams, n_ridges=n_ridges, ridge_height=ridge_height
     )
-    rng = streams.stream("forest")
+    random = streams.stream("forest").random
     clearings = list(clearings or [])
+    # closed rectangles, as Zone.contains tests them
+    boxes = [
+        (z.min_corner.x, z.max_corner.x, z.min_corner.y, z.max_corner.y)
+        for z in clearings
+    ]
     n_trees = int(width * height * tree_density)
     trees = []
     attempts = 0
+    # each draw is rng.uniform(a, b)'s own expression, a + (b - a) *
+    # random(), so the trees and the stream state are uniform()'s; a Vec2
+    # and a Tree are built for accepted draws only
     while len(trees) < n_trees and attempts < n_trees * 10:
         attempts += 1
-        p = Vec2(rng.uniform(0.0, width), rng.uniform(0.0, height))
-        if any(zone.contains(p) for zone in clearings):
-            continue
-        canopy = rng.uniform(1.5, 3.5)
-        trunk = rng.uniform(0.15, 0.45)
-        tall = rng.uniform(12.0, 26.0)
-        trees.append(
-            Tree(position=p, canopy_radius=canopy, trunk_radius=trunk, height=tall)
-        )
+        x = 0.0 + (width - 0.0) * random()
+        y = 0.0 + (height - 0.0) * random()
+        for x_lo, x_hi, y_lo, y_hi in boxes:
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                break
+        else:
+            canopy = 1.5 + (3.5 - 1.5) * random()
+            trunk = 0.15 + (0.45 - 0.15) * random()
+            tall = 12.0 + (26.0 - 12.0) * random()
+            trees.append(Tree(Vec2(x, y), canopy, trunk, tall))
     world = World(terrain, trees=trees, zones=clearings)
     return world

@@ -266,6 +266,37 @@ class TestVerdictMemos:
             assert sorted(node.channel_stats()) == sorted(set(nodes) - {name})
         assert calls == []
 
+    def test_warm_defended_composition_reads_26_powers_from_the_table(
+        self, monkeypatch
+    ):
+        # keys, nonce commitments and g^s come from the generator table;
+        # the shared secrets and the y^(q-e) halves of verification keep
+        # builtin pow, and no subgroup test misses its memo
+        from repro.comms.crypto.numbers import DhGroup, _subgroup_verdict
+        from repro.runner.spec import RunSpec
+        from repro.scenarios.factory import compose_spec
+
+        compose_spec(RunSpec(seed=3, horizon_s=20.0))
+        table, builtin = [], []
+        real_pow, real_pow_g = DhGroup.pow, DhGroup.pow_g
+
+        def counting_pow(group, base, exponent):
+            builtin.append(base)
+            return real_pow(group, base, exponent)
+
+        def counting_pow_g(group, exponent):
+            assert 0 <= exponent < group.q  # inside the table
+            table.append(exponent)
+            return real_pow_g(group, exponent)
+
+        monkeypatch.setattr(DhGroup, "pow", counting_pow)
+        monkeypatch.setattr(DhGroup, "pow_g", counting_pow_g)
+        misses = _subgroup_verdict.cache_info().misses
+        compose_spec(RunSpec(seed=4, horizon_s=20.0))
+        assert (len(table), len(builtin)) == (26, 12)
+        assert G.g not in builtin
+        assert _subgroup_verdict.cache_info().misses == misses
+
 
 def make_identity(ca, name, roles=()):
     kp = KeyPair.generate(G, seed=name.encode())

@@ -237,6 +237,20 @@ class TestSpecFiles:
         with pytest.raises(InputError, match=re.escape(refused)):
             sweep_spec_from_mapping(data)
 
+    @pytest.mark.parametrize("data, refused", [
+        ({"campaigns": "baseline"},
+         "campaigns must be an array, got 'baseline'"),
+        ({"seeds": 5}, "seeds must be an array, got 5"),
+        ({"profiles": "defended"},
+         "profiles must be an array, got 'defended'"),
+        ({"ids_families": "signature"},
+         "ids_families must be an array, got 'signature'"),
+    ])
+    def test_list_of_another_type_refused(self, data, refused):
+        # a string used to be read as its characters: profile 'd', 'e', ...
+        with pytest.raises(InputError, match=re.escape(refused)):
+            sweep_spec_from_mapping(data)
+
     def test_refusal_names_the_file(self, tmp_path):
         path = tmp_path / "grid.toml"
         path.write_text("seeds = [true, 2]\n")

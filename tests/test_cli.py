@@ -1016,6 +1016,20 @@ MALFORMED = {
         ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
         {"g.toml": 'campaigns = ["baseline"]\nseeds = [true, 2]\n'
                    "horizon_s = 5.0\n"}),
+    "sweep-spec-campaigns-a-string": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = "baseline"\nseeds = [1]\nhorizon_s = 5.0\n'}),
+    "sweep-spec-seeds-not-an-array": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = 5\nhorizon_s = 5.0\n'}),
+    "sweep-spec-profiles-a-string": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = [1]\n'
+                   'profiles = "defended"\nhorizon_s = 5.0\n'}),
+    "sweep-spec-ids-families-a-string": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = [1]\n'
+                   'ids_families = "signature"\nhorizon_s = 5.0\n'}),
     "run-fault-without-kind": (
         ["run", "--faults", "{tmp}/f.toml"],
         {"f.toml": '[[fault]]\ntarget = "drone"\n'}),
@@ -1058,8 +1072,20 @@ MALFORMED = {
 }
 
 
+#: what the one stderr line must name, for the MALFORMED cases that pin
+#: it: ``{id: (text, ...)}``, ``{tmp}`` being the test directory
+NAMED = {
+    "sweep-spec-campaigns-a-string": ("{tmp}/g.toml: campaigns ",),
+    "sweep-spec-seeds-not-an-array": ("{tmp}/g.toml: seeds ",),
+    "sweep-spec-profiles-a-string": ("{tmp}/g.toml: profiles ",),
+    "sweep-spec-ids-families-a-string": ("{tmp}/g.toml: ids_families ",),
+    "check-spec-seed-not-an-integer": ("{tmp}/t.jsonl: trace.meta spec: ",
+                                       "seed must be an integer"),
+}
+
+
 def _assert_refused(capsys, tmp_path, argv, files):
-    """Exit 2 with one stderr line ``<command> error: ...``."""
+    """Exit 2 with one stderr line ``<command> error: ...``; returns it."""
     for name, content in files.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -1073,6 +1099,7 @@ def _assert_refused(capsys, tmp_path, argv, files):
     lines = err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"{argv[0]} error: "), lines
+    return lines[0]
 
 
 class TestOneRefusalPath:
@@ -1084,10 +1111,11 @@ class TestOneRefusalPath:
                                            files):
         _assert_refused(capsys, tmp_path, argv, files)
 
-    @pytest.mark.parametrize("argv, files", MALFORMED.values(),
-                             ids=MALFORMED.keys())
-    def test_malformed_artefact_exits_2(self, tmp_path, capsys, argv, files):
-        _assert_refused(capsys, tmp_path, argv, files)
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_artefact_exits_2(self, tmp_path, capsys, case):
+        line = _assert_refused(capsys, tmp_path, *MALFORMED[case])
+        for text in NAMED.get(case, ()):
+            assert text.format(tmp=tmp_path) in line, line
 
     def test_a_bug_keeps_its_traceback(self, monkeypatch):
         # a ValueError that is not an InputError is a defect, not refused
