@@ -51,15 +51,14 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def bootstrap_ci(
-    values: Sequence[float],
-    *,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-    statistic=mean,
-) -> Tuple[float, float]:
-    """Percentile bootstrap confidence interval for ``statistic``."""
+#: coverage of :func:`bootstrap_ci`'s interval
+CONFIDENCE = 0.95
+#: bootstrap resamples per interval
+RESAMPLES = 2000
+
+
+def bootstrap_ci(values: Sequence[float], *, seed: int = 0) -> Tuple[float, float]:
+    """Percentile bootstrap confidence interval for the mean."""
     values = list(values)
     if not values:
         return (0.0, 0.0)
@@ -68,10 +67,10 @@ def bootstrap_ci(
     rng = random.Random(seed)
     stats = []
     n = len(values)
-    for _ in range(resamples):
+    for _ in range(RESAMPLES):
         resample = [values[rng.randrange(n)] for _ in range(n)]
-        stats.append(statistic(resample))
-    alpha = (1.0 - confidence) / 2.0
+        stats.append(mean(resample))
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return (percentile(stats, alpha * 100.0), percentile(stats, (1.0 - alpha) * 100.0))
 
 
@@ -89,12 +88,12 @@ class Summary:
     ci_high: float
 
 
-def summarize(values: Sequence[float], *, seed: int = 0) -> Summary:
+def summarize(values: Sequence[float]) -> Summary:
     """Full summary with a bootstrap 95 % CI on the mean."""
     values = list(values)
     if not values:
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    low, high = bootstrap_ci(values, seed=seed)
+    low, high = bootstrap_ci(values)
     return Summary(
         n=len(values),
         mean=mean(values),

@@ -11,7 +11,7 @@ experiment evidence) and reports coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,11 @@ class ComplianceStatus:
 
 
 class ComplianceMapping:
-    """Links requirements to produced work products and evidence."""
+    """Links the Machinery Regulation requirements to produced work
+    products and evidence."""
 
-    def __init__(self, requirements: Optional[Sequence[Requirement]] = None) -> None:
-        self.requirements = list(
-            machinery_regulation_requirements() if requirements is None else requirements
-        )
+    def __init__(self) -> None:
+        self.requirements = machinery_regulation_requirements()
         self._status: Dict[str, ComplianceStatus] = {
             r.requirement_id: ComplianceStatus(requirement=r) for r in self.requirements
         }

@@ -81,25 +81,17 @@ class Attacker:
         Attacker identifier.
     position:
         Static position (perimeter vehicle); attacks needing proximity use it.
-    capability:
-        Free-form capability descriptor used by the risk model's attacker
-        profiles ("remote", "proximate", "insider").
     """
 
-    def __init__(
-        self,
-        name: str,
-        sim: Simulator,
-        log: EventLog,
-        position: Vec2,
-        *,
-        capability: str = "proximate",
-    ) -> None:
+    #: free-form capability descriptor used by the risk model's attacker
+    #: profiles ("remote", "proximate", "insider")
+    capability = "proximate"
+
+    def __init__(self, name: str, sim: Simulator, log: EventLog, position: Vec2) -> None:
         self.name = name
         self.sim = sim
         self.log = log
         self.position = position
-        self.capability = capability
         self.attacks: List[Attack] = []
 
     def add(self, attack: Attack) -> Attack:

@@ -33,6 +33,8 @@ class GnssJammingAttack(Attack):
 
     attack_type = "gnss_jamming"
 
+    update_s = 1.0
+
     def __init__(
         self,
         name: str,
@@ -42,14 +44,12 @@ class GnssJammingAttack(Attack):
         receivers: List[GnssReceiver],
         *,
         power_dbm: float = 33.0,
-        update_s: float = 1.0,
     ) -> None:
         super().__init__(name, sim, log)
         self.position = position
         self.receivers = receivers
         self.power_dbm = power_dbm
         self._process: Optional[Process] = None
-        self.update_s = update_s
 
     def _suppression_db(self, receiver: GnssReceiver) -> float:
         distance = self.position.distance_to(receiver.carrier.position)
@@ -88,6 +88,8 @@ class GnssSpoofingAttack(Attack):
 
     attack_type = "gnss_spoofing"
 
+    update_s = 1.0
+
     def __init__(
         self,
         name: str,
@@ -97,13 +99,11 @@ class GnssSpoofingAttack(Attack):
         *,
         drift_per_s: Vec2 = Vec2(0.5, 0.0),
         max_offset_m: float = 60.0,
-        update_s: float = 1.0,
     ) -> None:
         super().__init__(name, sim, log)
         self.receiver = receiver
         self.drift_per_s = drift_per_s
         self.max_offset_m = max_offset_m
-        self.update_s = update_s
         self._offset = Vec2(0.0, 0.0)
         self._process: Optional[Process] = None
 

@@ -22,7 +22,7 @@ make sense against a scenario with the plane armed, so they are wired via
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.attacks.base import Attack
 from repro.groundstation.codec import GsMessage, encode
@@ -43,22 +43,15 @@ class CommandForgeryAttack(Attack):
 
     attack_type = "command_forgery"
 
-    def __init__(
-        self,
-        name: str,
-        sim: Simulator,
-        log: EventLog,
-        gs,
-        *,
-        target: str = "forwarder",
-        impersonate: str = "control",
-        interval_s: float = 2.0,
-    ) -> None:
+    #: the vehicle the forged commands address
+    target = "forwarder"
+    #: the operator identity the forged commands claim
+    impersonate = "control"
+    interval_s = 2.0
+
+    def __init__(self, name: str, sim: Simulator, log: EventLog, gs) -> None:
         super().__init__(name, sim, log)
         self.gs = gs
-        self.target = target
-        self.impersonate = impersonate
-        self.interval_s = interval_s
         self.injected = 0
         self._counter = 10_000  # far above the operator's real counter
         self._process = None
@@ -95,18 +88,11 @@ class CommandReplayAttack(Attack):
 
     attack_type = "command_replay"
 
-    def __init__(
-        self,
-        name: str,
-        sim: Simulator,
-        log: EventLog,
-        gs,
-        *,
-        interval_s: float = 3.0,
-    ) -> None:
+    interval_s = 3.0
+
+    def __init__(self, name: str, sim: Simulator, log: EventLog, gs) -> None:
         super().__init__(name, sim, log)
         self.gs = gs
-        self.interval_s = interval_s
         self.captured: List[tuple] = []
         self.replayed = 0
         self._process = None
@@ -154,15 +140,7 @@ class AlertSuppressionAttack(Attack):
         self.gs.bus.remove_drop_filter(self.FILTER)
 
 
-def build_gs_attacks(
-    spec: str,
-    gs,
-    sim: Simulator,
-    log: EventLog,
-    *,
-    start_at: float = GS_ATTACK_START,
-    duration: Optional[float] = GS_ATTACK_DURATION,
-) -> List[Attack]:
+def build_gs_attacks(spec: str, gs, sim: Simulator, log: EventLog) -> List[Attack]:
     """Arm the ``"+"``-separated attack kinds of ``spec`` against ``gs``.
 
     Windows are staggered 5 s apart so the IDS ground-truth attribution
@@ -182,7 +160,7 @@ def build_gs_attacks(
                 f"unknown groundstation attack kind {kind!r} "
                 f"(expected one of {GS_ATTACK_KINDS})"
             )
-        attack.schedule(start_at + offset, duration)
+        attack.schedule(GS_ATTACK_START + offset, GS_ATTACK_DURATION)
         offset += 5.0
         attacks.append(attack)
     return attacks

@@ -25,11 +25,14 @@ class InterferenceSource(Attack):
     ----------
     duty_cycle:
         Fraction of time the source transmits (bursts of ``burst_s``).
-    power_dbm:
-        Transmit power (typically ≤ legitimate radios, unlike a jammer).
     """
 
     attack_type = "frequency_interference"
+
+    channel = 1
+    #: transmit power (typically ≤ legitimate radios, unlike a jammer)
+    power_dbm = 17.0
+    burst_s = 0.5
 
     def __init__(
         self,
@@ -40,19 +43,13 @@ class InterferenceSource(Attack):
         streams: RngStreams,
         position: Vec2,
         *,
-        channel: int = 1,
-        power_dbm: float = 17.0,
         duty_cycle: float = 0.4,
-        burst_s: float = 0.5,
     ) -> None:
         super().__init__(name, sim, log)
         self.medium = medium
         self._rng = streams.stream(f"interference.{name}")
         self.position = position
-        self.channel = channel
-        self.power_dbm = power_dbm
         self.duty_cycle = duty_cycle
-        self.burst_s = burst_s
         self._transmitting = False
         self._jammer: Optional[Jammer] = None
         self._process: Optional[Process] = None

@@ -4,8 +4,7 @@
 sending strong signals and noise" (Gaber et al., quoted in Section IV-C).
 The attack registers a :class:`~repro.comms.medium.Jammer` on the medium;
 every frame's SNR then degrades with the jammer's received power at the
-victim.  A *reactive* jammer only radiates when the channel is busy, which
-is harder to detect by duty-cycle monitoring.
+victim.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ class JammingAttack(Attack):
         Radiated power (30 dBm ≈ 1 W portable jammer).
     channel:
         Target channel; None for broadband.
-    reactive:
-        If True the jammer radiates only while the channel shows traffic
-        (approximated as always-on with a duty-cycle flag for the IDS).
     """
 
     attack_type = "rf_jamming"
@@ -49,14 +45,12 @@ class JammingAttack(Attack):
         *,
         power_dbm: float = 30.0,
         channel: Optional[int] = None,
-        reactive: bool = False,
     ) -> None:
         super().__init__(name, sim, log)
         self.medium = medium
         self.position = position
         self.power_dbm = power_dbm
         self.channel = channel
-        self.reactive = reactive
         self._jammer: Optional[Jammer] = None
 
     def _on_start(self) -> None:
@@ -65,14 +59,8 @@ class JammingAttack(Attack):
             position_fn=lambda: self.position,
             power_dbm=self.power_dbm,
             channel=self.channel,
-            active_fn=(self._reactive_active if self.reactive else None),
         )
         self.medium.add_jammer(self._jammer)
-
-    def _reactive_active(self) -> bool:
-        # A reactive jammer keys on traffic; the medium's recent-TX list is a
-        # faithful stand-in for carrier sensing.
-        return bool(self.medium._recent_tx)
 
     def _on_stop(self) -> None:
         if self._jammer is not None:

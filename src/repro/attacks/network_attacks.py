@@ -41,13 +41,10 @@ class _RadioAttack(Attack):
         log: EventLog,
         medium: WirelessMedium,
         position: Vec2,
-        *,
-        radio: Optional[RadioConfig] = None,
     ) -> None:
         super().__init__(name, sim, log)
         self.medium = medium
         self.position = position
-        self.radio_config = radio or self.ATTACKER_RADIO
         self._endpoint: Optional[LinkEndpoint] = None
         self._link_seq = 500_000
 
@@ -59,7 +56,7 @@ class _RadioAttack(Attack):
                 self.medium,
                 self.sim,
                 self.log,
-                radio=self.radio_config,
+                radio=self.ATTACKER_RADIO,
             )
         return self._endpoint
 
@@ -80,7 +77,7 @@ class MessageInjectionAttack(_RadioAttack):
         Destination node name.
     spoofed:
         Claimed sender (e.g. the control station).
-    command / params:
+    command:
         The unauthorised command to inject.
     rate_hz:
         Injection attempts per second.
@@ -99,14 +96,12 @@ class MessageInjectionAttack(_RadioAttack):
         spoofed: str,
         *,
         command: str = "resume",
-        params: Optional[dict] = None,
         rate_hz: float = 1.0,
     ) -> None:
         super().__init__(name, sim, log, medium, position)
         self.victim = victim
         self.spoofed = spoofed
         self.command = command
-        self.params = params or {}
         self.rate_hz = rate_hz
         self.injected = 0
         self._app_seq = 900_000
@@ -117,12 +112,10 @@ class MessageInjectionAttack(_RadioAttack):
 
     def _inject(self) -> None:
         self._app_seq += 1
-        payload = {"command": self.command}
-        payload.update(self.params)
         message = Command(
             sender=self.spoofed,
             recipient=self.victim,
-            payload=payload,
+            payload={"command": self.command},
             timestamp=self.sim.now,
             seq=self._app_seq,
         )
@@ -147,6 +140,8 @@ class ReplayAttack(_RadioAttack):
 
     attack_type = "message_replay"
 
+    capture_limit = 200
+
     def __init__(
         self,
         name: str,
@@ -157,12 +152,10 @@ class ReplayAttack(_RadioAttack):
         victim: str,
         *,
         replay_delay_s: float = 5.0,
-        capture_limit: int = 200,
     ) -> None:
         super().__init__(name, sim, log, medium, position)
         self.victim = victim
         self.replay_delay_s = replay_delay_s
-        self.capture_limit = capture_limit
         self.captured: List[Tuple[str, bytes]] = []
         self.replayed = 0
         self._capturing = False
@@ -202,6 +195,11 @@ class TamperingAttack(_RadioAttack):
 
     attack_type = "message_tampering"
 
+    #: the byte of a captured record that is flipped (in the MAC tag)
+    flip_byte = -8
+    #: records tampered with before the attack falls silent
+    rate_limit = 500
+
     def __init__(
         self,
         name: str,
@@ -210,14 +208,9 @@ class TamperingAttack(_RadioAttack):
         medium: WirelessMedium,
         position: Vec2,
         victim: str,
-        *,
-        flip_byte: int = -8,
-        rate_limit: int = 500,
     ) -> None:
         super().__init__(name, sim, log, medium, position)
         self.victim = victim
-        self.flip_byte = flip_byte
-        self.rate_limit = rate_limit
         self.tampered = 0
         self._registered = False
 

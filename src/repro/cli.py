@@ -297,7 +297,11 @@ def cmd_trace(args) -> int:
                     print(f"schema: {problem}", file=sys.stderr)
                 return 1
             print(f"schema: {len(records)} records valid")
-        print(full_report(records))
+        try:
+            report = full_report(records)
+        except InputError as exc:
+            raise InputError(f"{args.analyze}: {exc}") from None
+        print(report)
         if args.flamegraph:
             from repro.telemetry.spans import flamegraph_folded, has_spans
 

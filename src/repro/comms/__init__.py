@@ -7,8 +7,8 @@ subpackage provides the full stack those attacks act on:
 
 * :mod:`repro.comms.radio` — SNR-based physical layer (path loss, noise,
   jamming and co-channel interference contributions);
-* :mod:`repro.comms.medium` — the shared medium: delivery probability,
-  channel utilisation accounting;
+* :mod:`repro.comms.medium` — the shared medium: link budgets,
+  delivery probability and scheduling;
 * :mod:`repro.comms.link` — frames, association state (de-auth target),
   ACK/retransmission;
 * :mod:`repro.comms.network` — nodes, addressing, handler dispatch;

@@ -69,21 +69,20 @@ class CertificateAuthority:
         CA subject name (appears as issuer in issued certificates).
     group:
         The signature group.
-    validity_s:
-        Default certificate lifetime.
     """
+
+    #: default certificate lifetime (one year)
+    validity_s = 365.0 * 86400.0
 
     def __init__(
         self,
         name: str,
         group: DhGroup = MODP_2048,
         *,
-        validity_s: float = 365.0 * 86400.0,
         keypair: Optional[KeyPair] = None,
     ) -> None:
         self.name = name
         self.group = group
-        self.validity_s = validity_s
         self.keypair = keypair or KeyPair.generate(group, seed=f"ca:{name}".encode())
         self._serial = 0
         self.issued: Dict[int, Certificate] = {}

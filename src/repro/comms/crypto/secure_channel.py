@@ -237,7 +237,6 @@ class SecureChannel:
         *,
         profile: SecurityProfile = SecurityProfile.AEAD,
         now: float = 0.0,
-        rng_bytes=os.urandom,
     ) -> Tuple["SecureChannel", "SecureChannel", HandshakeStats]:
         """Run the full handshake in memory; returns both channel endpoints.
 
@@ -249,10 +248,10 @@ class SecureChannel:
         group = initiator.keypair.group
         stats = HandshakeStats()
 
-        nonce_i = rng_bytes(16)
-        nonce_r = rng_bytes(16)
-        eph_i = KeyPair.generate(group, seed=rng_bytes(32))
-        eph_r = KeyPair.generate(group, seed=rng_bytes(32))
+        nonce_i = os.urandom(16)
+        nonce_r = os.urandom(16)
+        eph_i = KeyPair.generate(group, seed=os.urandom(32))
+        eph_r = KeyPair.generate(group, seed=os.urandom(32))
         stats.exponentiations += 2
 
         transcript = _transcript(nonce_i, nonce_r, eph_i.public, eph_r.public, group)

@@ -35,14 +35,16 @@ class RetryPolicy:
     process-pool sweep runner.
     """
 
-    max_retries: int = 5
+    #: retransmissions after the first try before a frame is abandoned
+    max_retries = 5
+    #: consecutive per-peer exhaustions before the peer is declared dead
+    dead_peer_threshold = 3
+
     base_timeout_s: float = 0.05
     backoff_factor: float = 2.0
     max_timeout_s: float = 1.6
     jitter_s: float = 0.01
     rng: Optional[object] = None
-    #: consecutive per-peer exhaustions before the peer is declared dead
-    dead_peer_threshold: int = 3
 
     def delay(self, tries: int) -> float:
         """Backoff before the ACK check for attempt number ``tries``."""
@@ -181,11 +183,11 @@ class LinkEndpoint:
             self.sim.schedule(timeout, lambda s=frame.seq: self._check_ack(s))
         return frame.seq
 
-    def send_deauth(self, dst: str, *, forged_by: Optional[str] = None) -> None:
-        """Send a de-auth frame.  ``forged_by`` marks an attacker's forgery."""
+    def send_deauth(self, dst: str) -> None:
+        """Send a de-auth frame."""
         self._seq += 1
         tag = b""
-        if self.protected_management and forged_by is None:
+        if self.protected_management:
             tag = self.management_tag(FrameType.DEAUTH, self.name, dst)
         frame = Frame(
             src=self.name, dst=dst, frame_type=FrameType.DEAUTH, seq=self._seq, auth_tag=tag

@@ -3,7 +3,7 @@
 The medium owns delivery physics: it computes the link budget per
 transmission (including canopy loss from the world, co-channel interference
 from concurrent senders and jamming power from registered jammers), draws
-frame success, accounts channel utilisation, and schedules delivery.
+frame success and schedules delivery.
 
 Jammers and eavesdroppers register here — this is the attack surface for RF
 attacks, below any cryptographic protection.
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.comms.radio import (
     RadioConfig,
@@ -84,8 +83,8 @@ class Jammer:
     channel:
         Channel jammed; None jams all channels (broadband).
     active_fn:
-        Callable returning whether the jammer currently radiates (reactive
-        jammers key on observed traffic).
+        Callable returning whether the jammer currently radiates (a bursty
+        interferer toggles it).
     """
 
     def __init__(
@@ -112,6 +111,10 @@ class Jammer:
         return received_power_dbm(self.power_dbm, distance, antenna_gain_db=0.0)
 
 
+#: fixed propagation + processing latency per frame, seconds
+PROPAGATION_DELAY_S = 0.002
+
+
 class WirelessMedium:
     """The shared medium all worksite radios transmit on.
 
@@ -122,8 +125,6 @@ class WirelessMedium:
     canopy_fn:
         Optional callable ``(a, b) -> canopy metres`` used for foliage loss
         (normally :meth:`repro.sim.world.World.canopy_blockage`).
-    propagation_delay_s:
-        Fixed propagation + processing latency per frame.
     """
 
     def __init__(
@@ -133,13 +134,11 @@ class WirelessMedium:
         streams: RngStreams,
         *,
         canopy_fn: Optional[Callable[[Vec2, Vec2], float]] = None,
-        propagation_delay_s: float = 0.002,
     ) -> None:
         self.sim = sim
         self.log = log
         self._rng = streams.stream("medium")
         self.canopy_fn = canopy_fn
-        self.propagation_delay_s = propagation_delay_s
         self._endpoints: Dict[str, "LinkEndpoint"] = {}
         self.jammers: List[Jammer] = []
         self.eavesdroppers: List[Callable[["Frame", bytes], None]] = []
@@ -150,17 +149,8 @@ class WirelessMedium:
         # Expired entries are dropped lazily from the front (time-ordered by
         # start; ends can interleave, so queries still check each entry's
         # end time).  Channel keys are created on first use and never
-        # removed: reactive jammers carrier-sense on this dict's truthiness.
+        # removed.
         self._recent_tx: Dict[int, _ChannelTx] = {}
-        # memo of one transmission's contribution at one receiver position:
-        # (tx_x, tx_y, tx_power, rx_x, rx_y) -> linear-mW interference term
-        # (0.0 for the self/near-field skip).  Static fleets re-query the
-        # same geometry every tick, so steady-state interference queries do
-        # no path-loss transcendentals at all.
-        self._component_cache: Dict[Tuple[float, float, float, float, float], float] = {}
-        # airtime intervals (start, end) per channel for the sliding-window
-        # utilisation metric, pruned against UTIL_RETENTION_S
-        self._airtime_windows: Dict[int, Deque[Tuple[float, float]]] = {}
         # fault-injection state: TX power sag per endpoint (dB) and an
         # optional (probability, rng) corruption burst; both empty/None in
         # nominal runs so the hot path stays byte-identical
@@ -214,9 +204,6 @@ class WirelessMedium:
 
     # -- interference -------------------------------------------------------
 
-    #: capacity of the per-(tx, rx) interference component memo
-    _COMPONENT_CACHE_MAX = 8192
-
     def interference_at(self, position: Vec2, channel: int, now: float) -> float:
         """Aggregate interference power at ``position``, dBm.
 
@@ -226,10 +213,8 @@ class WirelessMedium:
         incremental index with lazy front expiry).  Bit-identical to the
         original jammers-then-transmissions ``combine_noise_dbm`` fold:
         each co-channel component's mW term is ``10 ** (c / 10)`` of the
-        same dBm value, skipped near-field entries contribute an exact
-        ``+0.0``, and terms are added in transmission order.  Terms are
-        memoised per (tx position, tx power, rx position) so repeated
-        geometry costs no transcendentals.
+        same dBm value, and terms are added in transmission order (a
+        skipped near-field entry's exact ``+0.0`` changes no sum).
         """
         if perf.ACTIVE:
             perf.incr("medium.interference_queries")
@@ -248,61 +233,16 @@ class WirelessMedium:
             xs = recent.xs
             ys = recent.ys
             powers = recent.powers
-            cache = self._component_cache
             for i in range(len(ends)):
                 if ends[i] <= now:
                     continue
-                x = xs[i]
-                y = ys[i]
-                power = powers[i]
-                key = (x, y, power, px, py)
-                mw = cache.get(key)
-                if mw is None:
-                    d = math.hypot(x - px, y - py)
-                    if d > 0.5:
-                        c = received_power_dbm(power, d, antenna_gain_db=0.0) - 6.0
-                        mw = 10.0 ** (c / 10.0)
-                    else:
-                        # a node does not jam itself (full-duplex
-                        # assumption); +0.0 keeps the fold bit-identical
-                        mw = 0.0
-                    if len(cache) >= self._COMPONENT_CACHE_MAX:
-                        cache.clear()
-                    cache[key] = mw
-                    if perf.ACTIVE:
-                        perf.incr("medium.component_cache_miss")
-                elif perf.ACTIVE:
-                    perf.incr("medium.component_cache_hit")
-                total_mw += mw
+                d = math.hypot(xs[i] - px, ys[i] - py)
+                if d > 0.5:
+                    c = received_power_dbm(powers[i], d, antenna_gain_db=0.0) - 6.0
+                    total_mw += 10.0 ** (c / 10.0)
         if total_mw <= 0.0:
             return -math.inf
         return 10.0 * math.log10(total_mw)
-
-    #: how much airtime history the utilisation metric retains, seconds
-    UTIL_RETENTION_S = 120.0
-
-    def channel_utilization(self, channel: int, window_s: float, now: float) -> float:
-        """Fraction of the last ``window_s`` spent transmitting on ``channel``.
-
-        True sliding-window accounting: sums the airtime intervals that
-        overlap ``[now - window_s, now]``.  Windows longer than
-        :attr:`UTIL_RETENTION_S` are clamped to the retained history.
-        """
-        if window_s <= 0.0:
-            return 0.0
-        window_s = min(window_s, self.UTIL_RETENTION_S)
-        intervals = self._airtime_windows.get(channel)
-        if not intervals:
-            return 0.0
-        cutoff = now - window_s
-        while intervals and intervals[0][1] <= cutoff:
-            intervals.popleft()
-        used = 0.0
-        for start, end in intervals:
-            overlap = min(end, now) - max(start, cutoff)
-            if overlap > 0.0:
-                used += overlap
-        return min(1.0, used / window_s)
 
     # -- transmission -------------------------------------------------------
     def transmit(self, sender: "LinkEndpoint", frame: "Frame", raw: bytes) -> None:
@@ -322,13 +262,6 @@ class WirelessMedium:
         if trace.ACTIVE:
             trace.TRACER.frame_tx(frame, len(raw), config.channel)
         air = airtime_s(len(raw), config.bitrate_bps)
-        windows = self._airtime_windows.get(config.channel)
-        if windows is None:
-            windows = self._airtime_windows[config.channel] = deque()
-        cutoff = now - self.UTIL_RETENTION_S
-        while windows and windows[0][1] <= cutoff:
-            windows.popleft()
-        windows.append((now, now + air))
 
         for watcher in self.eavesdroppers:
             watcher(frame, raw)
@@ -384,7 +317,7 @@ class WirelessMedium:
                     )
                 return
         self.frames_delivered += 1
-        delay = self.propagation_delay_s + air
+        delay = PROPAGATION_DELAY_S + air
         if trace.ACTIVE:
             trace.TRACER.frame_delivered(frame, budget.snr_db, delay)
         self.sim.schedule(delay, lambda: receiver.receive_raw(frame, raw))

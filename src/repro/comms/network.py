@@ -185,6 +185,10 @@ class CommNode:
             handler(message)
 
 
+#: subject name of the worksite certificate authority
+CA_NAME = "worksite-ca"
+
+
 class Network:
     """Factory and registry for the worksite's nodes and secure channels.
 
@@ -198,7 +202,6 @@ class Network:
         medium: WirelessMedium,
         *,
         group: DhGroup = MODP_2048,
-        ca_name: str = "worksite-ca",
         profile: SecurityProfile = SecurityProfile.AEAD,
     ) -> None:
         self.sim = sim
@@ -206,7 +209,7 @@ class Network:
         self.medium = medium
         self.group = group
         self.profile = profile
-        self.ca = CertificateAuthority(ca_name, group)
+        self.ca = CertificateAuthority(CA_NAME, group)
         self.nodes: Dict[str, CommNode] = {}
         self._identities: Dict[str, Identity] = {}
         self.handshake_failures = 0
@@ -218,7 +221,6 @@ class Network:
         position_fn,
         *,
         roles: Tuple[str, ...] = (),
-        radio=None,
         protected_management: bool = False,
         management_key: bytes = b"",
     ) -> CommNode:
@@ -229,7 +231,6 @@ class Network:
             self.medium,
             self.sim,
             self.log,
-            radio=radio,
             protected_management=protected_management,
             management_key=management_key,
         )

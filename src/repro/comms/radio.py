@@ -74,14 +74,22 @@ def snr_db(rx_power_dbm: float, noise_dbm: float) -> float:
     return rx_power_dbm - noise_dbm
 
 
-def frame_success_probability(snr: float, *, snr50_db: float = 8.0, slope: float = 0.9) -> float:
+#: SNR at which half the frames decode, dB
+SNR50_DB = 8.0
+#: steepness of the frame-success logistic, per dB
+SUCCESS_SLOPE = 0.9
+#: preamble and turnaround time added to every frame on air, seconds
+AIRTIME_OVERHEAD_S = 0.0002
+
+
+def frame_success_probability(snr: float) -> float:
     """Probability a frame decodes at the given SNR (logistic in dB)."""
-    return 1.0 / (1.0 + math.exp(-slope * (snr - snr50_db)))
+    return 1.0 / (1.0 + math.exp(-SUCCESS_SLOPE * (snr - SNR50_DB)))
 
 
-def airtime_s(frame_bytes: int, bitrate_bps: float, overhead_s: float = 0.0002) -> float:
+def airtime_s(frame_bytes: int, bitrate_bps: float) -> float:
     """Time on air for a frame of ``frame_bytes``."""
-    return overhead_s + (frame_bytes * 8.0) / bitrate_bps
+    return AIRTIME_OVERHEAD_S + (frame_bytes * 8.0) / bitrate_bps
 
 
 @dataclass(frozen=True, slots=True)

@@ -66,6 +66,9 @@ class ContinuousRiskAssessment:
         Callback invoked with the new :class:`RiskPosture`.
     """
 
+    #: seconds between reassessments
+    interval_s = 5.0
+
     def __init__(
         self,
         baseline: TaraResult,
@@ -73,7 +76,6 @@ class ContinuousRiskAssessment:
         log: EventLog,
         *,
         decay_halflife_s: float = 60.0,
-        interval_s: float = 5.0,
         on_posture_change: Optional[Callable[[RiskPosture], None]] = None,
     ) -> None:
         self.baseline = baseline
@@ -85,7 +87,7 @@ class ContinuousRiskAssessment:
         self.posture = RiskPosture.NOMINAL
         self.posture_history: List[tuple] = [(sim.now, RiskPosture.NOMINAL)]
         self._last_decay = sim.now
-        sim.every(interval_s, self._reassess)
+        sim.every(self.interval_s, self._reassess)
 
     # -- inputs ---------------------------------------------------------------
     def ingest_alert(self, alert: Alert) -> None:

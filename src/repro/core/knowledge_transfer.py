@@ -160,22 +160,17 @@ class KnowledgeTransfer:
     ----------
     catalogs:
         Source domain catalogs (default: mining + automotive + ICS).
-    context:
-        Target-domain context tags (default: the forestry context).
     """
 
-    def __init__(
-        self,
-        catalogs: Optional[Sequence[DomainCatalog]] = None,
-        *,
-        context: FrozenSet[str] = FORESTRY_CONTEXT,
-    ) -> None:
+    #: target-domain context tags
+    context = FORESTRY_CONTEXT
+
+    def __init__(self, catalogs: Optional[Sequence[DomainCatalog]] = None) -> None:
         self.catalogs = list(
             catalogs
             if catalogs is not None
             else [mining_catalog(), automotive_catalog(), it_security_catalog()]
         )
-        self.context = context
 
     def transfer(self, item: ItemModel) -> TransferReport:
         """Map the catalogs onto the item's threat space."""

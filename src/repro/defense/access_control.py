@@ -64,10 +64,10 @@ class Session:
 class AccessControlPolicy:
     """Role-based authorisation with sessions and lockout.
 
+    The role catalogue is the worksite's (:data:`DEFAULT_ROLES`).
+
     Parameters
     ----------
-    roles:
-        Role catalogue (defaults to the worksite roles).
     session_lifetime_s:
         Session validity.
     max_failures:
@@ -78,13 +78,12 @@ class AccessControlPolicy:
 
     def __init__(
         self,
-        roles: Optional[Dict[str, Role]] = None,
         *,
         session_lifetime_s: float = 3600.0,
         max_failures: int = 3,
         lockout_s: float = 300.0,
     ) -> None:
-        self.roles = dict(DEFAULT_ROLES if roles is None else roles)
+        self.roles = dict(DEFAULT_ROLES)
         self.assignments: Dict[str, Set[str]] = {}
         self.session_lifetime_s = session_lifetime_s
         self.max_failures = max_failures

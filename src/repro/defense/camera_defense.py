@@ -33,11 +33,12 @@ class CameraRedundancy:
     the merged output (fail-operational behaviour).
     """
 
-    def __init__(self, detectors: List[PeopleDetector], *, quorum: int = 1) -> None:
+    quorum = 1
+
+    def __init__(self, detectors: List[PeopleDetector]) -> None:
         if not detectors:
             raise ValueError("redundancy needs at least one detector")
         self.detectors = list(detectors)
-        self.quorum = quorum
         self.suspect: Dict[str, bool] = {d.camera.name: False for d in detectors}
         self._window_counts: Dict[str, int] = {d.camera.name: 0 for d in detectors}
         self.quarantines = 0

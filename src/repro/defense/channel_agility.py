@@ -45,14 +45,17 @@ class ChannelAgilityManager:
     endpoints:
         The endpoints moved together (all worksite radios — a split network
         cannot communicate).
-    channels:
-        The allowed channel set.
     loss_threshold:
         Frame-loss rate (losses per second across the network) that triggers
         a hop evaluation.
     min_dwell_s:
         Minimum time between hops (hop thrash guard).
     """
+
+    #: the allowed channel set (the three non-overlapping 2.4 GHz channels)
+    channels = (1, 6, 11)
+    #: seconds between loss-rate evaluations
+    interval_s = 2.0
 
     def __init__(
         self,
@@ -61,10 +64,8 @@ class ChannelAgilityManager:
         sim: Simulator,
         log: EventLog,
         *,
-        channels: Sequence[int] = (1, 6, 11),
         loss_threshold: float = 3.0,
         min_dwell_s: float = 10.0,
-        interval_s: float = 2.0,
     ) -> None:
         if not endpoints:
             raise ValueError("agility needs at least one endpoint")
@@ -72,14 +73,12 @@ class ChannelAgilityManager:
         self.endpoints = list(endpoints)
         self.sim = sim
         self.log = log
-        self.channels = list(channels)
         self.loss_threshold = loss_threshold
         self.min_dwell_s = min_dwell_s
-        self.interval_s = interval_s
         self.hops: List[HopRecord] = []
         self._last_losses = medium.frames_lost
         self._last_hop_at = -math.inf
-        sim.every(interval_s, self._evaluate)
+        sim.every(self.interval_s, self._evaluate)
 
     @property
     def current_channel(self) -> int:

@@ -110,6 +110,10 @@ DEFAULT_CATALOG: List[Countermeasure] = [
 ]
 
 
+#: feasibility-cost increase a measure must bring to count as covering
+MIN_FEASIBILITY_INCREASE = 2
+
+
 class CountermeasureCatalog:
     """Query interface over a countermeasure list."""
 
@@ -140,18 +144,16 @@ class CountermeasureCatalog:
         ]
         return max(levels) if levels else 0
 
-    def cheapest_covering(
-        self, attack_types: Sequence[str], *, min_feasibility_increase: int = 2
-    ) -> List[Countermeasure]:
+    def cheapest_covering(self, attack_types: Sequence[str]) -> List[Countermeasure]:
         """Greedy minimum-cost set covering all ``attack_types``.
 
         Each selected measure must raise feasibility cost by at least
-        ``min_feasibility_increase`` for the attacks it covers.
+        :data:`MIN_FEASIBILITY_INCREASE` for the attacks it covers.
         """
         uncovered = set(attack_types)
         chosen: List[Countermeasure] = []
         candidates = [
-            m for m in self.measures if m.feasibility_increase >= min_feasibility_increase
+            m for m in self.measures if m.feasibility_increase >= MIN_FEASIBILITY_INCREASE
         ]
         while uncovered:
             best, best_gain = None, 0.0

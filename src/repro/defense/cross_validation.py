@@ -34,11 +34,12 @@ class CollaborativePositionCheck(IntrusionDetector):
         position, or None when the drone cannot see it (grounded, occluded,
         out of range).  The worksite wiring supplies camera-based estimates
         with realistic noise.
-    divergence_m:
-        Fix-vs-visual distance that counts as a breach.
-    persistence:
-        Consecutive breaches before alerting.
     """
+
+    #: fix-vs-visual distance that counts as a breach, metres
+    divergence_m = 10.0
+    #: consecutive breaches before alerting
+    persistence = 3
 
     def __init__(
         self,
@@ -49,14 +50,10 @@ class CollaborativePositionCheck(IntrusionDetector):
         observer_fn: Callable[[], Optional[Vec2]],
         *,
         interval_s: float = 2.0,
-        divergence_m: float = 10.0,
-        persistence: int = 3,
     ) -> None:
         super().__init__(name, sim, log)
         self.receiver = receiver
         self.observer_fn = observer_fn
-        self.divergence_m = divergence_m
-        self.persistence = persistence
         self._breaches = 0
         self.checks = 0
         self.cross_validated = 0
@@ -85,13 +82,14 @@ class CollaborativePositionCheck(IntrusionDetector):
             self.cross_validated += 1
 
 
+#: how far the drone's camera localises the forwarder, metres
+OBSERVER_RANGE_M = 90.0
+#: per-axis localisation noise of the drone's estimate, metres
+OBSERVER_SIGMA_M = 2.0
+
+
 def drone_observer(
-    drone: Entity,
-    forwarder: Entity,
-    streams: RngStreams,
-    *,
-    max_range_m: float = 90.0,
-    sigma_m: float = 2.0,
+    drone: Entity, forwarder: Entity, streams: RngStreams
 ) -> Callable[[], Optional[Vec2]]:
     """A camera-based position estimator for the cross-check.
 
@@ -103,11 +101,11 @@ def drone_observer(
     def observe() -> Optional[Vec2]:
         if not drone.alive or drone.state.altitude < 5.0:
             return None
-        if drone.position.distance_to(forwarder.position) > max_range_m:
+        if drone.position.distance_to(forwarder.position) > OBSERVER_RANGE_M:
             return None
         return Vec2(
-            forwarder.position.x + rng.gauss(0.0, sigma_m),
-            forwarder.position.y + rng.gauss(0.0, sigma_m),
+            forwarder.position.x + rng.gauss(0.0, OBSERVER_SIGMA_M),
+            forwarder.position.y + rng.gauss(0.0, OBSERVER_SIGMA_M),
         )
 
     return observe

@@ -33,51 +33,37 @@ class GnssPlausibilityMonitor(IntrusionDetector):
     ----------
     receiver:
         The monitored receiver.
-    max_cn0_dbhz:
-        Physically plausible C/N0 ceiling; above ⇒ likely spoof.
-    min_cn0_dbhz:
-        Floor below which signal loss is flagged (jamming hypothesis).
-    innovation_margin:
-        Allowed fix-to-fix jump beyond commanded motion, metres.
-    dr_divergence_m:
-        Dead-reckoning divergence that flags a slow drag.
-    dr_leak:
-        Per-update leak factor pulling dead reckoning towards the fix
-        (models odometry drift correction; a perfect DR would make slow
-        drags trivially visible, a leaky one is the honest case).
     """
 
+    #: seconds between checks of the fix stream
+    interval_s = 1.0
+    #: physically plausible C/N0 ceiling; above ⇒ likely spoof
+    max_cn0_dbhz = 49.0
+    #: floor below which signal loss is flagged (jamming hypothesis)
+    min_cn0_dbhz = 30.0
+    #: allowed fix-to-fix jump beyond commanded motion, metres
+    innovation_margin = 5.0
+    #: dead-reckoning divergence that flags a slow drag, metres
+    dr_divergence_m = 8.0
+    #: per-update leak factor pulling dead reckoning towards the fix
+    #: (models odometry drift correction; a perfect DR would make slow
+    #: drags trivially visible, a leaky one is the honest case)
+    dr_leak = 0.02
+    #: consecutive implausible checks before alerting
+    persistence = 3
+
     def __init__(
-        self,
-        name: str,
-        sim: Simulator,
-        log: EventLog,
-        receiver: GnssReceiver,
-        *,
-        interval_s: float = 1.0,
-        max_cn0_dbhz: float = 49.0,
-        min_cn0_dbhz: float = 30.0,
-        innovation_margin: float = 5.0,
-        dr_divergence_m: float = 8.0,
-        dr_leak: float = 0.02,
-        persistence: int = 3,
+        self, name: str, sim: Simulator, log: EventLog, receiver: GnssReceiver
     ) -> None:
         super().__init__(name, sim, log)
         self.receiver = receiver
-        self.max_cn0_dbhz = max_cn0_dbhz
-        self.min_cn0_dbhz = min_cn0_dbhz
-        self.innovation_margin = innovation_margin
-        self.dr_divergence_m = dr_divergence_m
-        self.dr_leak = dr_leak
-        self.persistence = persistence
-        self.interval_s = interval_s
         self._last_fix: Optional[GnssFix] = None
         self._dr_position: Optional[Vec2] = None
         self._cn0_high = 0
         self._cn0_low = 0
         self._dr_diverged = 0
         self.fix_trusted = True
-        sim.every(interval_s, self._check)
+        sim.every(self.interval_s, self._check)
 
     def _check(self) -> None:
         fix = self.receiver.fix(self.sim.now)

@@ -42,9 +42,12 @@ class AnomalyIds(IntrusionDetector):
         Z-score magnitude that counts as a breach.
     persistence:
         Consecutive breaches needed to raise an alert.
-    alpha:
-        EWMA smoothing factor.
     """
+
+    #: EWMA smoothing factor
+    alpha = 0.05
+    #: minimum seconds between two alerts on one feature
+    cooldown_s = 20.0
 
     def __init__(
         self,
@@ -57,16 +60,12 @@ class AnomalyIds(IntrusionDetector):
         warmup_samples: int = 30,
         z_threshold: float = 4.0,
         persistence: int = 3,
-        alpha: float = 0.05,
-        cooldown_s: float = 20.0,
     ) -> None:
         super().__init__(name, sim, log)
         self.features = dict(features)
         self.warmup_samples = warmup_samples
         self.z_threshold = z_threshold
         self.persistence = persistence
-        self.alpha = alpha
-        self.cooldown_s = cooldown_s
         self._state: Dict[str, _FeatureState] = {
             fname: _FeatureState() for fname in self.features
         }

@@ -34,15 +34,15 @@ class ProtocolSpec:
         Node names allowed to send commands.
     max_rate_per_sender_hz:
         Ceiling on per-sender application message rate.
-    max_timestamp_skew_s:
-        Maximum accepted age of a message timestamp.
     allowed_commands:
         The closed vocabulary of commands.
     """
 
+    #: maximum accepted age of a message timestamp, seconds
+    max_timestamp_skew_s = 3.0
+
     command_senders: Set[str] = field(default_factory=set)
     max_rate_per_sender_hz: float = 20.0
-    max_timestamp_skew_s: float = 3.0
     allowed_commands: Set[str] = field(
         default_factory=lambda: {"emergency_stop", "resume", "set_speed_limit", "goto"}
     )

@@ -406,34 +406,37 @@ class FaultInjector:
     }
 
     # -- resilience evidence --------------------------------------------------
-    def resilience_summary(self, horizon_s: Optional[float] = None) -> dict:
-        """Deterministic, JSON-serialisable resilience digest.
+    def resilience_summary(self, horizon_s: float) -> dict:
+        """Deterministic, JSON-serialisable resilience digest, read after
+        the run, over ``horizon_s`` seconds.
 
-        Closes any still-open outages at the current simulation time first
-        (end-of-run accounting), so call it once, after the run.  Works
-        without a tracer — sweep workers fold it into their result records.
+        An outage still open at the end is charged up to the current
+        simulation time in availability and RTO compliance, and left out of
+        MTTR, which averages repaired outages only; nothing is written to
+        the event log or the trace.  Works without a tracer — sweep workers
+        fold it into their result records.
         """
         from repro.sim.metrics import SeriesSummary
 
         scenario = self.scenario
-        horizon = float(horizon_s if horizon_s is not None else scenario.sim.now)
-        for continuity in self.continuities.values():
-            continuity.close_all()
+        now = scenario.sim.now
 
         availability: Dict[str, float] = {}
         mttr_samples: List[float] = []
         for machine_name, continuity in sorted(self.continuities.items()):
             downtime: Dict[str, float] = {}
             for outage in continuity.outages:
-                duration = outage.duration or 0.0
+                duration = outage.downtime(now)
                 downtime[outage.service] = (
                     downtime.get(outage.service, 0.0) + duration
                 )
-                mttr_samples.append(duration)
+                if outage.ended_at is not None:
+                    mttr_samples.append(duration)
             for service, down_s in sorted(downtime.items()):
                 key = f"{machine_name}.{service}"
                 availability[key] = round(
-                    max(0.0, 1.0 - down_s / horizon) if horizon > 0 else 0.0, 6
+                    max(0.0, 1.0 - down_s / horizon_s) if horizon_s > 0 else 0.0,
+                    6,
                 )
 
         latencies: List[float] = []

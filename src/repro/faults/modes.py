@@ -210,7 +210,6 @@ class SensorHealthVoter:
         machine: ModeMachine,
         *,
         service: str = "perception",
-        quorum: Optional[int] = None,
         interval_s: float = 1.0,
     ) -> None:
         from repro.comms.protocols import phase_offset
@@ -219,9 +218,7 @@ class SensorHealthVoter:
         self.checks = list(checks)
         self.machine = machine
         self.service = service
-        self.quorum = (
-            quorum if quorum is not None else len(self.checks) // 2 + 1
-        )
+        self.quorum = len(self.checks) // 2 + 1
         self.votes_cast = 0
         self.last_healthy = len(self.checks)
         offset = phase_offset(

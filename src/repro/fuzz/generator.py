@@ -54,24 +54,25 @@ class GeneratorConfig:
     """
 
     horizons_s: Tuple[float, ...] = (60.0, 90.0, 120.0)
-    campaigns: Tuple[str, ...] = tuple(sorted(CAMPAIGN_BUILDERS))
-    max_plan_steps: int = 2
-    max_faults: int = 3
-    profiles: Tuple[str, ...] = PROFILES
+
+    campaigns = tuple(sorted(CAMPAIGN_BUILDERS))
+    max_plan_steps = 2
+    max_faults = 3
+    profiles = PROFILES
     #: probability of the undefended ablation profile
-    p_undefended: float = 0.2
-    ids_families: Tuple[str, ...] = IDS_FAMILIES
-    p_ids_family: float = 0.25
-    p_open_ended_attack: float = 0.1
+    p_undefended = 0.2
+    ids_families = IDS_FAMILIES
+    p_ids_family = 0.25
+    p_open_ended_attack = 0.1
     #: probability of seeding the plan from a named fault campaign
-    p_named_fault_campaign: float = 0.25
-    seed_bits: int = 16
-    max_workers: int = 12
-    override_keys: Tuple[str, ...] = (
+    p_named_fault_campaign = 0.25
+    seed_bits = 16
+    max_workers = 12
+    override_keys = (
         "n_workers", "drone_enabled", "tree_density", "weather_initial",
         "worker_approach_rate_per_h", "pile_volume_m3",
     )
-    max_overrides: int = 2
+    max_overrides = 2
 
 
 def _plan_label(plan: Sequence[Tuple[str, float, Optional[float]]]) -> str:

@@ -62,14 +62,13 @@ class FuzzSession:
         corpus_dir,
         seed: int,
         *,
-        generator: Optional[ScenarioGenerator] = None,
         log: Optional[Log] = None,
         monitor=None,
         status_path=None,
     ) -> None:
         self.corpus = Corpus(corpus_dir)
         self.seed = int(seed)
-        self.generator = generator or ScenarioGenerator()
+        self.generator = ScenarioGenerator()
         self.log: Log = log or (lambda message: None)
         # opt-in progress plane (a SweepMonitor): status.json carries
         # wall-clock content, so the CLI wires it up explicitly and the
@@ -240,15 +239,13 @@ def run_fuzz(
     iterations: Optional[int] = None,
     time_budget_s: Optional[float] = None,
     resume: bool = False,
-    generator: Optional[ScenarioGenerator] = None,
     log: Optional[Log] = None,
     monitor=None,
     status_path=None,
 ) -> dict:
     """Convenience wrapper: start (or resume) a session and run its budget."""
     session = FuzzSession(
-        corpus_dir, seed, generator=generator, log=log,
-        monitor=monitor, status_path=status_path,
+        corpus_dir, seed, log=log, monitor=monitor, status_path=status_path,
     )
     session.start(resume=resume)
     return session.run(iterations=iterations, time_budget_s=time_budget_s)

@@ -90,10 +90,7 @@ def bloated_spec() -> RunSpec:
     )
 
 
-def run_shrink_selftest(
-    max_evals: int = SELFTEST_MAX_EVALS,
-    log: Callable[[str], None] = lambda message: None,
-) -> dict:
+def run_shrink_selftest(log: Callable[[str], None] = lambda message: None) -> dict:
     """Shrink every injected-violation spec; assert the failure survives."""
     cases = []
     for name in INJECTED_NAMES:
@@ -104,7 +101,7 @@ def run_shrink_selftest(
         target = failure_id(original)
         log(f"{name}: injected failure {target}; shrinking")
         shrunk = shrink_spec(
-            spec, original, mutator=mutator, max_evals=max_evals
+            spec, original, mutator=mutator, max_evals=SELFTEST_MAX_EVALS
         )
         result = shrunk["result"]
         preserved = (

@@ -34,11 +34,15 @@ OTHER_SEED = 2046
 #: index the mutations target (mid-chain, so localisation is non-trivial)
 TARGET = 5
 
+#: entries in the sample chain before its close entry
+SAMPLE_ENTRIES = 12
 
-def build_sample_log(seed: int = SAMPLE_SEED, n: int = 12) -> AuditLog:
-    """A deterministic, closed, known-good chain of ``n`` + close entries."""
+
+def build_sample_log(seed: int = SAMPLE_SEED) -> AuditLog:
+    """A deterministic, closed, known-good chain of
+    :data:`SAMPLE_ENTRIES` + close entries."""
     log = AuditLog(seed)
-    for i in range(n):
+    for i in range(SAMPLE_ENTRIES):
         sender = "control" if i % 3 == 0 else "forwarder"
         topic = "gs/cmd/forwarder" if sender == "control" else "gs/alert/forwarder"
         kind = "command" if sender == "control" else "status"
@@ -47,7 +51,7 @@ def build_sample_log(seed: int = SAMPLE_SEED, n: int = 12) -> AuditLog:
             sender == "control" else i, kind=kind, verdict="ok",
             wire=f"wire-{i}".encode(),
         )
-    log.close(float(n))
+    log.close(float(SAMPLE_ENTRIES))
     return log
 
 

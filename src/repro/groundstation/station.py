@@ -318,6 +318,8 @@ class GroundStation:
     so same-seed runs produce byte-identical audit chains.
     """
 
+    script = DEFAULT_SCRIPT
+
     def __init__(
         self,
         sim,
@@ -326,7 +328,6 @@ class GroundStation:
         forwarder=None,
         drone=None,
         audit_path: Optional[str] = None,
-        script: Optional[Sequence[Tuple[float, str, str]]] = DEFAULT_SCRIPT,
     ) -> None:
         self.sim = sim
         self.log = log
@@ -352,7 +353,6 @@ class GroundStation:
             vehicles=names,
         )
         self.operator = Operator("control", self.keyring, self.bus, sim)
-        self.script = tuple(script or ())
         for at, vehicle, command in self.script:
             if at >= sim.now:
                 sim.schedule_at(

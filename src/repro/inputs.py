@@ -57,6 +57,15 @@ def array(value: object, what: str) -> list:
     return value
 
 
+def table(value: object, what: str) -> dict:
+    """``value`` if it is a JSON object or TOML table; anything else, an
+    array of pairs included, raises :class:`InputError` naming ``what``
+    and the value."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a table, got {value!r}")
+    return value
+
+
 def load_table(path: os.PathLike, build: Callable[[Mapping], T]) -> T:
     """``build`` applied to the table in a TOML (or ``.json``) file; one
     that does not parse, or that ``build`` rejects with a ``ValueError``,

@@ -106,12 +106,7 @@ def replay_records(records: List[dict]) -> List[dict]:
     ).records
 
 
-def diff_records(
-    recorded: List[dict],
-    replayed: List[dict],
-    *,
-    cap: int = DIVERGENCE_CAP,
-) -> dict:
+def diff_records(recorded: List[dict], replayed: List[dict]) -> dict:
     """Record-by-record canonical-JSON diff of two record streams."""
     divergences: List[dict] = []
     total = 0
@@ -123,7 +118,7 @@ def diff_records(
         if old_line == new_line:
             continue
         total += 1
-        if len(divergences) < cap:
+        if len(divergences) < DIVERGENCE_CAP:
             divergences.append({
                 "i": index,
                 "recorded": old_line,

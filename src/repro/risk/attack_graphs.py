@@ -16,8 +16,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.defense.countermeasures import CountermeasureCatalog
+from repro.defense.countermeasures import (
+    MIN_FEASIBILITY_INCREASE,
+    CountermeasureCatalog,
+)
 from repro.risk.feasibility import default_potential
+
+#: longest attack path, in edges, that :meth:`AttackGraph.paths_to` follows
+PATH_CUTOFF = 8
 
 
 class AttackGraph:
@@ -65,12 +71,12 @@ class AttackGraph:
     def goals(self) -> List[str]:
         return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "goal"]
 
-    def paths_to(self, goal: str, *, cutoff: int = 8) -> List[List[str]]:
+    def paths_to(self, goal: str) -> List[List[str]]:
         """All simple attack paths from any entry to ``goal``."""
         paths: List[List[str]] = []
         for entry in self.entries:
             try:
-                found = nx.all_simple_paths(self.graph, entry, goal, cutoff=cutoff)
+                found = nx.all_simple_paths(self.graph, entry, goal, cutoff=PATH_CUTOFF)
                 paths.extend(list(found))
             except nx.NodeNotFound:
                 continue
@@ -96,25 +102,21 @@ class AttackGraph:
             types.append(self.graph.edges[a, b]["attack_type"])
         return types
 
-    def severed_by(
-        self, goal: str, deployed_measures: Sequence[str],
-        catalog: Optional[CountermeasureCatalog] = None,
-        *,
-        min_increase: int = 2,
-    ) -> bool:
+    def severed_by(self, goal: str, deployed_measures: Sequence[str]) -> bool:
         """True if the deployed measures break every path to ``goal``.
 
         An edge is considered broken when some deployed measure mitigates its
-        attack type with ``feasibility_increase >= min_increase``.
+        attack type with ``feasibility_increase >=``
+        :data:`~repro.defense.countermeasures.MIN_FEASIBILITY_INCREASE`.
         """
-        catalog = catalog or CountermeasureCatalog()
+        catalog = CountermeasureCatalog()
         blocked_types = set()
         for name in deployed_measures:
             try:
                 measure = catalog.get(name)
             except KeyError:
                 continue
-            if measure.feasibility_increase >= min_increase:
+            if measure.feasibility_increase >= MIN_FEASIBILITY_INCREASE:
                 blocked_types |= measure.mitigates
         pruned = nx.DiGraph()
         pruned.add_nodes_from(self.graph.nodes(data=True))

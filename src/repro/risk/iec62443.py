@@ -142,8 +142,8 @@ class ZoneModelError(ValueError):
 class ZoneModel:
     """The zone-and-conduit partition of the system under consideration."""
 
-    def __init__(self, catalog: Optional[CountermeasureCatalog] = None) -> None:
-        self.catalog = catalog or CountermeasureCatalog()
+    def __init__(self) -> None:
+        self.catalog = CountermeasureCatalog()
         self.zones: Dict[str, Zone] = {}
         self.conduits: Dict[str, Conduit] = {}
 

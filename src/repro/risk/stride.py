@@ -61,11 +61,7 @@ def asset_kind(asset: Asset) -> str:
     return mapping.get(prefix, "platform")
 
 
-def enumerate_threats(
-    item: ItemModel,
-    *,
-    id_prefix: str = "TS",
-) -> List[ThreatScenario]:
+def enumerate_threats(item: ItemModel) -> List[ThreatScenario]:
     """Derive threat scenarios for every damage scenario of the item.
 
     For each damage scenario, every STRIDE category violating the scenario's
@@ -84,7 +80,7 @@ def enumerate_threats(
                 counter += 1
                 threats.append(
                     ThreatScenario(
-                        threat_id=f"{id_prefix}-{counter:03d}",
+                        threat_id=f"TS-{counter:03d}",
                         damage_scenario_id=damage.scenario_id,
                         stride=stride,
                         attack_type=attack_type,

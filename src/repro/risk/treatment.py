@@ -62,20 +62,24 @@ class TreatmentPlan:
         return [t for t in self.treatments if t.residual_risk > threshold]
 
 
+#: attack-potential points per unit of a measure's feasibility increase
+HARDENING_SCALE = 3
+#: risk value from which an insufficiently mitigated threat is avoided
+AVOID_THRESHOLD = 5
+
+
 def plan_treatment(
     result: TaraResult,
     *,
     catalog: Optional[CountermeasureCatalog] = None,
     acceptance_threshold: int = 2,
-    hardening_scale: int = 3,
-    avoid_threshold: int = 5,
 ) -> TreatmentPlan:
     """Build a treatment plan from a TARA result.
 
     Decision logic:
 
     * risk ≤ threshold → RETAIN;
-    * risk = ``avoid_threshold`` with no strong mitigation available → AVOID
+    * risk = :data:`AVOID_THRESHOLD` with no strong mitigation available → AVOID
       (redesign: the function is not fielded in that form);
     * otherwise → REDUCE with the strongest affordable catalog measures;
       if no measure exists at all → SHARE (contractual/insurance), residual
@@ -114,11 +118,11 @@ def plan_treatment(
         residual = assessment.risk_value
         for measure in candidates:
             chosen.append(measure)
-            potential = potential.hardened(measure.feasibility_increase * hardening_scale)
+            potential = potential.hardened(measure.feasibility_increase * HARDENING_SCALE)
             residual = risk_value(assessment.impact, rate_feasibility(potential))
             if residual <= acceptance_threshold:
                 break
-        if residual > acceptance_threshold and assessment.risk_value >= avoid_threshold:
+        if residual > acceptance_threshold and assessment.risk_value >= AVOID_THRESHOLD:
             plan.treatments.append(
                 RiskTreatment(
                     threat_id=assessment.threat_id,

@@ -30,6 +30,9 @@ Typical use::
     report = run_sweep(grid.expand(), jobs=4)
     for result in report.results():
         ...
+
+``run_sweep(specs, jobs=...)`` keeps no store; a stored, resumed or
+monitored sweep builds a :class:`SweepRunner` and calls its ``run``.
 """
 
 from repro.runner.aggregate import aggregate_table

@@ -108,11 +108,9 @@ class CampaignStore:
     current version.
     """
 
-    def __init__(self, path: os.PathLike, *,
-                 clock: Optional[callable] = None) -> None:
+    def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._clock = clock if clock is not None else time.time
         # read the version on a plain connection: _connect() switches the
         # journal mode, which already writes to the file
         try:
@@ -165,7 +163,7 @@ class CampaignStore:
                 cursor = conn.execute(
                     "INSERT INTO campaigns (name, created_s, meta) "
                     "VALUES (?, ?, ?)",
-                    (name, self._clock(),
+                    (name, time.time(),
                      json.dumps(meta or {}, sort_keys=True)),
                 )
                 campaign = int(cursor.lastrowid)
@@ -443,7 +441,7 @@ class CampaignBinding:
                 " error, wall_s, pid, recorded_s)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (self.campaign_id, key, int(attempt), status, error,
-                 wall_s, pid, self.store._clock()),
+                 wall_s, pid, time.time()),
             )
             conn.execute(
                 "UPDATE cells SET attempts = MAX(attempts, ?)"

@@ -133,10 +133,7 @@ class SweepRunner:
     status_path:
         Where to (atomically) write the monitor snapshot as
         ``status.json``; requires ``monitor``.  Writes are throttled to
-        ``status_interval_s`` with a forced final write.
-    clock:
-        Timestamp source for monitor events and retry eligibility
-        (injectable for tests).
+        :data:`STATUS_INTERVAL_S` with a forced final write.
     """
 
     def __init__(
@@ -150,9 +147,6 @@ class SweepRunner:
         progress: Optional[ProgressFn] = None,
         monitor: Optional[SweepMonitor] = None,
         status_path=None,
-        status_interval_s: float = STATUS_INTERVAL_S,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -166,9 +160,6 @@ class SweepRunner:
         self.progress = progress
         self.monitor = monitor
         self.status_path = status_path
-        self.status_interval_s = status_interval_s
-        self.clock = clock
-        self.sleep = sleep
         self._last_status_write: Optional[float] = None
         self._retries = 0
 
@@ -263,16 +254,16 @@ class SweepRunner:
         if self.monitor is None:
             return
         fields["event"] = name
-        fields.setdefault("t", self.clock())
+        fields.setdefault("t", time.monotonic())
         self.monitor.on_event(fields)
         self._write_status()
 
     def _write_status(self, force: bool = False) -> None:
         if self.monitor is None or self.status_path is None:
             return
-        now = self.clock()
+        now = time.monotonic()
         if (not force and self._last_status_write is not None
-                and now - self._last_status_write < self.status_interval_s):
+                and now - self._last_status_write < STATUS_INTERVAL_S):
             return
         self._last_status_write = now
         self.monitor.write_status(self.status_path, now=now)
@@ -338,7 +329,7 @@ class SweepRunner:
         dispatcher.start()
         try:
             while ready or delayed or dispatcher.in_flight:
-                now = self.clock()
+                now = time.monotonic()
                 if delayed:
                     due = [item for item in delayed if item[0] <= now]
                     if due:
@@ -359,12 +350,12 @@ class SweepRunner:
                 if not dispatcher.in_flight and not ready and delayed:
                     # nothing to poll: park until the earliest backoff
                     # deadline instead of spinning
-                    wake = min(t for t, _ in delayed) - self.clock()
+                    wake = min(t for t, _ in delayed) - time.monotonic()
                     if wake > 0:
-                        self.sleep(min(wake, self.status_interval_s))
+                        time.sleep(min(wake, STATUS_INTERVAL_S))
                     continue
                 timeout = (
-                    self.status_interval_s if self.monitor is not None
+                    STATUS_INTERVAL_S if self.monitor is not None
                     else None
                 )
                 if delayed:
@@ -385,7 +376,7 @@ class SweepRunner:
                                     attempt=outcome.attempt,
                                     kind=outcome.kind, delay_s=delay,
                                     error=outcome.error)
-                        delayed.append((self.clock() + delay, outcome.spec))
+                        delayed.append((time.monotonic() + delay, outcome.spec))
                         continue
                     yield self._finalise(outcome)
         finally:
@@ -434,22 +425,9 @@ class SweepRunner:
         self.progress(f"[{done}/{total}] {spec.label}: {tag}")
 
 
-def run_sweep(
-    specs: Sequence[RunSpec],
-    *,
-    jobs: int = 1,
-    store: Optional[CampaignBinding] = None,
-    resume: bool = False,
-    retry_policy: Optional[CellRetryPolicy] = None,
-    cell_timeout_s: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    monitor: Optional[SweepMonitor] = None,
-    status_path=None,
-) -> SweepReport:
-    """Convenience wrapper: one call from specs to report."""
-    runner = SweepRunner(
-        jobs=jobs, store=store, retry_policy=retry_policy,
-        cell_timeout_s=cell_timeout_s, progress=progress,
-        monitor=monitor, status_path=status_path,
-    )
-    return runner.run(specs, resume=resume)
+def run_sweep(specs: Sequence[RunSpec], *, jobs: int = 1) -> SweepReport:
+    """Convenience wrapper: run ``specs`` on ``jobs`` workers, no store.
+
+    A stored, resumable or monitored sweep builds a :class:`SweepRunner`.
+    """
+    return SweepRunner(jobs=jobs).run(specs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.canonical import canonical_json
-from repro.inputs import InputError, array, integer, load_table, number
+from repro.inputs import InputError, array, integer, load_table, number, table
 from repro.sim.rng import derive_seed
 
 #: sentinel campaign name for the benign no-attack baseline
@@ -321,8 +321,8 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
         )
     if "variants" in data:
         spec.variants = {
-            str(name): dict(overrides)
-            for name, overrides in dict(data["variants"]).items()
+            str(name): dict(table(overrides, f"variants.{name}"))
+            for name, overrides in table(data["variants"], "variants").items()
         }
     if "ids_families" in data:
         spec.ids_families = [

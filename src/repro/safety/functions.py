@@ -140,14 +140,12 @@ class SpeedLimiter:
         sim: Simulator,
         log: EventLog,
         *,
-        full_speed: float = 3.0,
         degraded_speed: float = 1.0,
         crawl_speed: float = 0.4,
     ) -> None:
         self.forwarder = forwarder
         self.sim = sim
         self.log = log
-        self.full_speed = full_speed
         self.degraded_speed = degraded_speed
         self.crawl_speed = crawl_speed
         self.tier = "full"

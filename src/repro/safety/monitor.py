@@ -45,6 +45,9 @@ class SafetyMonitor:
         this range but outside the violation range).
     """
 
+    #: seconds between proximity samples
+    interval_s = 0.5
+
     def __init__(
         self,
         machines: List[Entity],
@@ -54,7 +57,6 @@ class SafetyMonitor:
         *,
         violation_distance_m: float = 5.0,
         near_miss_distance_m: float = 10.0,
-        interval_s: float = 0.5,
     ) -> None:
         self.machines = list(machines)
         self.people = list(people)
@@ -68,7 +70,7 @@ class SafetyMonitor:
         self._active: Dict[tuple, ViolationEpisode] = {}
         self._in_near_zone: Dict[tuple, bool] = {}
         self.samples = 0
-        sim.every(interval_s, self._sample)
+        sim.every(self.interval_s, self._sample)
 
     def _sample(self) -> None:
         self.samples += 1

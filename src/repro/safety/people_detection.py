@@ -40,9 +40,10 @@ class CollaborativePeopleDetection:
     remote_detections_fn:
         Callable draining detections relayed from the drone since the last
         frame (empty when the drone path is down).
-    frame_interval_s:
-        Sensor frame rate.
     """
+
+    #: seconds between sensor frames
+    frame_interval_s = 0.5
 
     def __init__(
         self,
@@ -54,7 +55,6 @@ class CollaborativePeopleDetection:
         *,
         ultrasonic: Optional[UltrasonicArray] = None,
         remote_detections_fn: Optional[Callable[[], List[Detection]]] = None,
-        frame_interval_s: float = 0.5,
         stop_distance_m: float = 10.0,
     ) -> None:
         self.forwarder = forwarder
@@ -71,7 +71,7 @@ class CollaborativePeopleDetection:
         self.speed_limiter = SpeedLimiter(forwarder, sim, log)
         self.frames_processed = 0
         self.first_confirm_times: dict = {}
-        sim.every(frame_interval_s, self._frame)
+        sim.every(self.frame_interval_s, self._frame)
 
     # -- per-frame pipeline ---------------------------------------------------
     def _frame(self) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 class ScenarioArea(enum.Enum):
@@ -46,8 +46,6 @@ class TriggeringCondition:
         Number of simulated exposures to the condition.
     failures:
         Exposures in which the function failed (missed/late detection).
-    mitigation:
-        The measure addressing the condition, once decided.
     """
 
     condition_id: str
@@ -55,7 +53,6 @@ class TriggeringCondition:
     scenario_class: str
     exposures: int = 0
     failures: int = 0
-    mitigation: Optional[str] = None
 
     @property
     def failure_rate(self) -> Optional[float]:
@@ -86,10 +83,10 @@ def default_triggering_conditions() -> List[TriggeringCondition]:
 class SotifAnalysis:
     """Scenario-area accounting over a triggering-condition catalog.
 
+    The catalog is the worksite's (:func:`default_triggering_conditions`).
+
     Parameters
     ----------
-    conditions:
-        The catalog (defaults to the worksite catalog).
     acceptance_rate:
         Failure rate at or below which an evaluated condition counts as
         *acceptably mitigated* (validation target of clause 9).
@@ -98,15 +95,9 @@ class SotifAnalysis:
     """
 
     def __init__(
-        self,
-        conditions: Optional[Sequence[TriggeringCondition]] = None,
-        *,
-        acceptance_rate: float = 0.05,
-        min_exposures: int = 20,
+        self, *, acceptance_rate: float = 0.05, min_exposures: int = 20
     ) -> None:
-        self.conditions = list(
-            default_triggering_conditions() if conditions is None else conditions
-        )
+        self.conditions = default_triggering_conditions()
         self._by_id = {c.condition_id: c for c in self.conditions}
         self.acceptance_rate = acceptance_rate
         self.min_exposures = min_exposures

@@ -31,12 +31,11 @@ def _perimeter(scenario: WorksiteScenario) -> Vec2:
 
 def jamming_campaign(
     scenario: WorksiteScenario, *, start: float = 600.0, duration: float = 300.0,
-    power_dbm: float = 33.0,
 ) -> AttackCampaign:
     """RF jamming of the worksite channel (Gaber et al.: signal jamming)."""
     attack = JammingAttack(
         "jammer-1", scenario.sim, scenario.log, scenario.medium,
-        _perimeter(scenario), power_dbm=power_dbm,
+        _perimeter(scenario), power_dbm=33.0,
     )
     return AttackCampaign("rf_jamming", "broadband jam of the site radio").add(
         attack, start, duration
@@ -84,12 +83,11 @@ def gnss_jamming_campaign(
 
 def gnss_spoofing_campaign(
     scenario: WorksiteScenario, *, start: float = 600.0, duration: float = 600.0,
-    drift_per_s: Vec2 = Vec2(0.6, 0.2),
 ) -> AttackCampaign:
     """GNSS slow-drag spoofing (Gaber et al. / Ren et al.)."""
     attack = GnssSpoofingAttack(
         "gnss-spoofer-1", scenario.sim, scenario.log, scenario.gnss,
-        drift_per_s=drift_per_s,
+        drift_per_s=Vec2(0.6, 0.2),
     )
     return AttackCampaign("gnss_spoofing", "slow-drag position spoof").add(
         attack, start, duration

@@ -34,9 +34,10 @@ class Camera(Sensor):
         Horizontal field of view; 360 models a gimbal or camera ring.
     nominal_range:
         Range at which image quality halves.
-    heading_offset:
-        Mounting angle relative to the carrier heading, radians.
     """
+
+    #: mounting angle relative to the carrier heading, radians
+    heading_offset = 0.0
 
     def __init__(
         self,
@@ -47,14 +48,12 @@ class Camera(Sensor):
         *,
         fov_deg: float = 360.0,
         nominal_range: float = 40.0,
-        heading_offset: float = 0.0,
     ) -> None:
         super().__init__(name, carrier)
         self.occlusion = occlusion
         self.degradation = degradation
         self.fov = math.radians(fov_deg)
         self.nominal_range = nominal_range
-        self.heading_offset = heading_offset
         # last computed quality per target, replayed while fault-frozen
         self._stale_quality: Dict[str, float] = {}
 

@@ -47,6 +47,23 @@ class Detection:
         return self.target is None
 
 
+#: image quality at which the true-positive rate is 50 %
+TPR_Q50 = 0.18
+#: steepness of the logistic TPR curve
+TPR_SLOPE = 14.0
+#: asymptotic true-positive rate (model ceiling)
+MAX_TPR = 0.985
+#: per-frame false-positive probability at scene quality 1
+FP_RATE_CLEAR = 0.002
+#: per-frame false-positive probability at scene quality 0
+FP_RATE_DEGRADED = 0.03
+#: position noise of detections, metres
+LOCALIZATION_SIGMA = 1.0
+#: the logistic's value at quality 0, subtracted so the TPR curve is
+#: exactly zero there
+TPR_FLOOR = 1.0 / (1.0 + math.exp(TPR_SLOPE * TPR_Q50))
+
+
 class PeopleDetector:
     """Quality-conditioned detection model over a camera.
 
@@ -54,41 +71,11 @@ class PeopleDetector:
     ----------
     camera:
         The camera supplying image quality.
-    q50:
-        Image quality at which the true-positive rate is 50 %.
-    slope:
-        Steepness of the logistic TPR curve.
-    max_tpr:
-        Asymptotic true-positive rate (model ceiling).
-    fp_rate_clear / fp_rate_degraded:
-        Per-frame false-positive probabilities at quality 1 and 0.
-    localization_sigma:
-        Position noise of detections, metres.
     """
 
-    def __init__(
-        self,
-        camera: Camera,
-        streams: RngStreams,
-        *,
-        q50: float = 0.18,
-        slope: float = 14.0,
-        max_tpr: float = 0.985,
-        fp_rate_clear: float = 0.002,
-        fp_rate_degraded: float = 0.03,
-        localization_sigma: float = 1.0,
-    ) -> None:
+    def __init__(self, camera: Camera, streams: RngStreams) -> None:
         self.camera = camera
         self._rng = streams.stream(f"detector.{camera.name}")
-        self.q50 = q50
-        self.slope = slope
-        self.max_tpr = max_tpr
-        # the logistic's value at quality 0, subtracted so the curve is
-        # exactly zero there; constant per detector, hoisted out of tpr()
-        self._tpr_floor = 1.0 / (1.0 + math.exp(slope * q50))
-        self.fp_rate_clear = fp_rate_clear
-        self.fp_rate_degraded = fp_rate_degraded
-        self.localization_sigma = localization_sigma
         self.true_positives = 0
         self.false_positives = 0
         self.misses = 0
@@ -97,17 +84,16 @@ class PeopleDetector:
         """True-positive rate at image quality ``quality``.
 
         A shifted logistic: exactly zero at quality 0 (no fat floor for
-        specks at extreme range), ``max_tpr`` asymptotically.
+        specks at extreme range), :data:`MAX_TPR` asymptotically.
         """
         if quality <= 0.0:
             return 0.0
-        raw = 1.0 / (1.0 + math.exp(-self.slope * (quality - self.q50)))
-        floor = self._tpr_floor
-        return self.max_tpr * max(0.0, raw - floor) / (1.0 - floor)
+        raw = 1.0 / (1.0 + math.exp(-TPR_SLOPE * (quality - TPR_Q50)))
+        return MAX_TPR * max(0.0, raw - TPR_FLOOR) / (1.0 - TPR_FLOOR)
 
     def fp_probability(self, quality_context: float) -> float:
         """Per-frame false-positive probability given scene quality."""
-        return self.fp_rate_degraded + (self.fp_rate_clear - self.fp_rate_degraded) * quality_context
+        return FP_RATE_DEGRADED + (FP_RATE_CLEAR - FP_RATE_DEGRADED) * quality_context
 
     def process_frame(self, now: float, people: List[Entity]) -> List[Detection]:
         """Run the detector on the current frame.
@@ -130,8 +116,8 @@ class PeopleDetector:
             if rng_random() < p:
                 self.true_positives += 1
                 jitter = Vec2(
-                    self._rng.gauss(0.0, self.localization_sigma),
-                    self._rng.gauss(0.0, self.localization_sigma),
+                    self._rng.gauss(0.0, LOCALIZATION_SIGMA),
+                    self._rng.gauss(0.0, LOCALIZATION_SIGMA),
                 )
                 detections.append(
                     Detection(

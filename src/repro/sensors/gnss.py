@@ -59,6 +59,9 @@ class GnssReceiver:
 
     TRACKING_THRESHOLD_DBHZ = 28.0
 
+    #: carrier-to-noise density of an unattacked fix, dB-Hz
+    nominal_cn0 = 44.0
+
     def __init__(
         self,
         name: str,
@@ -66,13 +69,11 @@ class GnssReceiver:
         streams: RngStreams,
         *,
         noise_sigma_m: float = 0.8,
-        nominal_cn0: float = 44.0,
     ) -> None:
         self.name = name
         self.carrier = carrier
         self._rng = streams.stream(f"gnss.{name}")
         self.noise_sigma_m = noise_sigma_m
-        self.nominal_cn0 = nominal_cn0
         # attack state, driven by repro.attacks.gnss_attacks
         self.jammer_power_db: float = 0.0
         self.spoof_offset: Optional[Vec2] = None

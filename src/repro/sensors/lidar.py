@@ -1,16 +1,15 @@
 """LiDAR sensor model.
 
-LiDAR is range-limited but light-independent; rain and fog scatter returns.
+LiDAR is range-limited but light-independent.
 It detects *obstacles* (anything with a body) rather than classifying people,
 so it contributes range gating and redundancy to the fused safety function.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.sensors.base import Observation, Sensor
-from repro.sensors.degradation import DegradationModel
 from repro.sensors.occlusion import OcclusionModel
 from repro.sim.entities import Entity
 from repro.sim.rng import RngStreams
@@ -23,9 +22,10 @@ class Lidar(Sensor):
     ----------
     max_range:
         Hard range limit in metres.
-    base_return_prob:
-        Return probability for an unoccluded target at close range.
     """
+
+    #: return probability for an unoccluded target at close range
+    base_return_prob = 0.97
 
     def __init__(
         self,
@@ -33,18 +33,14 @@ class Lidar(Sensor):
         carrier: Entity,
         occlusion: OcclusionModel,
         streams: RngStreams,
-        degradation: Optional[DegradationModel] = None,
         *,
         max_range: float = 60.0,
-        base_return_prob: float = 0.97,
         range_sigma: float = 0.05,
     ) -> None:
         super().__init__(name, carrier)
         self.occlusion = occlusion
-        self.degradation = degradation
         self._rng = streams.stream(f"lidar.{name}")
         self.max_range = max_range
-        self.base_return_prob = base_return_prob
         self.range_sigma = range_sigma
 
     def return_probability(self, now: float, target: Entity) -> float:
@@ -57,8 +53,6 @@ class Lidar(Sensor):
             return 0.0
         p = self.base_return_prob * line.visibility
         p *= max(0.0, 1.0 - (line.distance / self.max_range) ** 3)
-        if self.degradation is not None:
-            p *= self.degradation.factors().lidar
         return p
 
     def observe(self, now: float, targets: List[Entity]) -> List[Observation]:

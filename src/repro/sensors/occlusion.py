@@ -60,6 +60,11 @@ class SightLine:
         return not self.terrain_blocked and not self.trunk_blocked
 
 
+#: height of the canopy bottom, metres; sight lines steeper than the angle
+#: that clears the canopy at half range suffer reduced canopy crossing
+CANOPY_BASE_HEIGHT = 4.0
+
+
 class OcclusionModel:
     """Occlusion computations over a :class:`repro.sim.world.World`.
 
@@ -69,21 +74,11 @@ class OcclusionModel:
         The worksite.
     canopy_extinction:
         Per-metre visibility extinction inside canopy (0.12 ≈ thinned stand).
-    canopy_base_height:
-        Height of the canopy bottom; sight lines steeper than the angle that
-        clears the canopy at half range suffer reduced canopy crossing.
     """
 
-    def __init__(
-        self,
-        world: World,
-        *,
-        canopy_extinction: float = 0.12,
-        canopy_base_height: float = 4.0,
-    ) -> None:
+    def __init__(self, world: World, *, canopy_extinction: float = 0.12) -> None:
         self.world = world
         self.canopy_extinction = canopy_extinction
-        self.canopy_base_height = canopy_base_height
 
     def sight_line(
         self,
@@ -116,7 +111,7 @@ class OcclusionModel:
         canopy = world.canopy_blockage(observer, target)
         # A steep line crosses the canopy layer only near the target: scale
         # the effective crossing by the fraction of the path below canopy top.
-        if elevation > 0.0 and observer_height > self.canopy_base_height:
+        if elevation > 0.0 and observer_height > CANOPY_BASE_HEIGHT:
             mean_tree_height = 18.0
             below_frac = min(
                 1.0, mean_tree_height / max(observer_height + abs(dz) * 0.0, 1e-6)

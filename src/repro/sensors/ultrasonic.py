@@ -23,9 +23,10 @@ class UltrasonicArray(Sensor):
     ----------
     max_range:
         Detection range in metres (typically 5–8 m).
-    base_prob:
-        Detection probability for a target at half range in still air.
     """
+
+    #: detection probability for a target at half range in still air
+    base_prob = 0.95
 
     def __init__(
         self,
@@ -35,13 +36,11 @@ class UltrasonicArray(Sensor):
         degradation: Optional[DegradationModel] = None,
         *,
         max_range: float = 6.0,
-        base_prob: float = 0.95,
     ) -> None:
         super().__init__(name, carrier)
         self._rng = streams.stream(f"ultrasonic.{name}")
         self.degradation = degradation
         self.max_range = max_range
-        self.base_prob = base_prob
         # last computed probability per target, replayed while fault-frozen
         self._stale_prob: Dict[str, float] = {}
 

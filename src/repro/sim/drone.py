@@ -58,12 +58,8 @@ class Drone(Entity):
         orbit_radius: float = 15.0,
         battery_capacity_s: float = 1800.0,
         recharge_time_s: float = 900.0,
-        max_speed: float = 8.0,
-        tick_s: float = 0.5,
     ) -> None:
-        super().__init__(
-            name, sim, log, home, max_speed=max_speed, max_accel=3.0, tick_s=tick_s
-        )
+        super().__init__(name, sim, log, home, max_speed=8.0, max_accel=3.0)
         self.home = home
         self.target = target
         self.state.altitude = altitude
@@ -141,7 +137,7 @@ class Drone(Entity):
         self.emit(EventCategory.MISSION, "drone_launched",
                   battery_fraction=self.battery_fraction)
 
-    def return_home(self, reason: str = "commanded") -> None:
+    def return_home(self) -> None:
         """SAFE_STOP behaviour for an airborne drone: break off and land.
 
         Grounded/charging drones are already in a safe state; they stay put.
@@ -149,7 +145,7 @@ class Drone(Entity):
         if not self.airborne or self.mode is DroneMode.RETURNING:
             return
         self.mode = DroneMode.RETURNING
-        self.emit(EventCategory.MISSION, "drone_returning", reason=reason,
+        self.emit(EventCategory.MISSION, "drone_returning", reason="commanded",
                   battery_fraction=self.battery_fraction)
 
     def ground(self, reason: str = "commanded") -> None:

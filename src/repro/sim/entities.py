@@ -42,12 +42,12 @@ class Entity:
         Initial position.
     max_speed, max_accel:
         Kinematic limits in m/s and m/s^2.
-    tick_s:
-        Kinematic update interval.
     """
 
     #: nominal body height used for line-of-sight computations, metres
     body_height: float = 1.5
+    #: kinematic update interval, seconds
+    tick_s: float = 0.5
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class Entity:
         *,
         max_speed: float = 1.5,
         max_accel: float = 1.0,
-        tick_s: float = 0.5,
     ) -> None:
         self.name = name
         self.sim = sim
@@ -66,11 +65,10 @@ class Entity:
         self.state = KinematicState(position=position)
         self.max_speed = max_speed
         self.max_accel = max_accel
-        self.tick_s = tick_s
         self.alive = True
         self._waypoints: List[Vec2] = []
         self._target_speed = 0.0
-        self._process: Optional[Process] = sim.every(tick_s, self._tick)
+        self._process: Optional[Process] = sim.every(self.tick_s, self._tick)
         self.distance_travelled = 0.0
 
     # -- public API ---------------------------------------------------------

@@ -49,11 +49,8 @@ class Forwarder(Entity):
         mission: Optional[MissionPlan] = None,
         *,
         max_speed: float = 3.0,
-        tick_s: float = 0.5,
     ) -> None:
-        super().__init__(
-            name, sim, log, position, max_speed=max_speed, max_accel=0.8, tick_s=tick_s
-        )
+        super().__init__(name, sim, log, position, max_speed=max_speed, max_accel=0.8)
         self.world = world
         self.planner = GridPlanner(world, clearance=2.0)
         self.mission = mission

@@ -28,11 +28,12 @@ class Harvester(Entity):
         Positions worked in order; a log pile is produced at each.
     work_time_s:
         Time spent cutting at each position.
-    pile_volume_m3:
-        Volume of the pile produced per position.
     """
 
     body_height = 3.5
+
+    #: volume of the pile produced per position, m³
+    pile_volume_m3 = 15.0
 
     def __init__(
         self,
@@ -44,16 +45,11 @@ class Harvester(Entity):
         cutting_positions: Optional[List[Vec2]] = None,
         *,
         work_time_s: float = 900.0,
-        pile_volume_m3: float = 15.0,
-        tick_s: float = 0.5,
     ) -> None:
-        super().__init__(
-            name, sim, log, position, max_speed=1.2, max_accel=0.5, tick_s=tick_s
-        )
+        super().__init__(name, sim, log, position, max_speed=1.2, max_accel=0.5)
         self._rng = streams.stream(f"harvester.{name}")
         self._queue: List[Vec2] = list(cutting_positions or [])
         self.work_time_s = work_time_s
-        self.pile_volume_m3 = pile_volume_m3
         self.piles_produced: List[LogPile] = []
         self.working = False
         if self._queue:

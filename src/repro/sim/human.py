@@ -26,6 +26,10 @@ class HumanBehaviour(enum.Enum):
     APPROACHING = "approaching"
 
 
+#: how far short of its target an approaching worker stops, metres
+APPROACH_STANDOFF_M = 2.0
+
+
 class Human(Entity):
     """A worker with anchor-based movement and approach episodes.
 
@@ -54,11 +58,8 @@ class Human(Entity):
         wander_radius: float = 15.0,
         approach_target: Optional[Entity] = None,
         approach_rate_per_h: float = 0.0,
-        tick_s: float = 0.5,
     ) -> None:
-        super().__init__(
-            name, sim, log, anchor, max_speed=1.4, max_accel=1.0, tick_s=tick_s
-        )
+        super().__init__(name, sim, log, anchor, max_speed=1.4, max_accel=1.0)
         self._rng = streams.stream(f"human.{name}")
         self.anchor = anchor
         self.wander_radius = wander_radius
@@ -92,13 +93,13 @@ class Human(Entity):
         self.set_route([self._short_of(target)], speed=self.max_speed)
         self.emit(EventCategory.MOVEMENT, "approach_started", target=target.name)
 
-    def _short_of(self, target: Entity, standoff: float = 2.0) -> Vec2:
-        """A waypoint ``standoff`` metres short of the target."""
+    def _short_of(self, target: Entity) -> Vec2:
+        """A waypoint :data:`APPROACH_STANDOFF_M` short of the target."""
         offset = self.position - target.position
         distance = offset.norm()
-        if distance <= standoff:
+        if distance <= APPROACH_STANDOFF_M:
             return self.position
-        return target.position + offset * (standoff / distance)
+        return target.position + offset * (APPROACH_STANDOFF_M / distance)
 
     def _behave(self) -> None:
         if not self.alive:

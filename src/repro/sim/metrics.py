@@ -72,12 +72,16 @@ class SeriesSummary:
         }
 
 
+#: histogram resolution: log-spaced buckets per power of ten
+BUCKETS_PER_DECADE = 5
+
+
 class Histogram:
     """Bounded-memory histogram over fixed log-spaced buckets.
 
     Memory is O(buckets) regardless of observation count: one count per
     bucket plus scalar aggregates.  Bucket boundaries are geometric —
-    ``buckets_per_decade`` per power of ten between ``lower`` and
+    :data:`BUCKETS_PER_DECADE` per power of ten between ``lower`` and
     ``upper`` — so the same relative resolution covers microseconds and
     kiloseconds.  Quantiles interpolate linearly inside the bucket, the
     same estimate Prometheus's ``histogram_quantile`` makes.
@@ -87,23 +91,17 @@ class Histogram:
         "bounds", "counts", "count", "total", "minimum", "maximum",
     )
 
-    def __init__(
-        self,
-        lower: float = 1e-6,
-        upper: float = 1e4,
-        buckets_per_decade: int = 5,
-    ) -> None:
-        if lower <= 0 or upper <= lower or buckets_per_decade < 1:
+    def __init__(self, lower: float = 1e-6, upper: float = 1e4) -> None:
+        if lower <= 0 or upper <= lower:
             raise ValueError(
-                f"invalid histogram bounds: lower={lower}, upper={upper}, "
-                f"buckets_per_decade={buckets_per_decade}"
+                f"invalid histogram bounds: lower={lower}, upper={upper}"
             )
         decades = math.log10(upper / lower)
-        n = int(round(decades * buckets_per_decade))
+        n = int(round(decades * BUCKETS_PER_DECADE))
         # upper inclusive; the exponent grid keeps boundaries identical
         # across histograms with the same configuration
         self.bounds: List[float] = [
-            lower * 10.0 ** (i / buckets_per_decade) for i in range(n + 1)
+            lower * 10.0 ** (i / BUCKETS_PER_DECADE) for i in range(n + 1)
         ]
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0

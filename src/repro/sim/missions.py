@@ -54,15 +54,15 @@ class MissionPlan:
         Pile inventory at the harvest site.
     landing_point:
         Unloading position in the landing area.
-    load_capacity_m3:
-        Forwarder payload per cycle.
     load_time_s / unload_time_s:
         Handling time per cycle (crane work).
     """
 
+    #: forwarder payload per cycle, m³
+    load_capacity_m3 = 12.0
+
     piles: List[LogPile]
     landing_point: Vec2
-    load_capacity_m3: float = 12.0
     load_time_s: float = 300.0
     unload_time_s: float = 240.0
     delivered_m3: float = 0.0

@@ -31,6 +31,11 @@ _NEIGHBOURS = [
     (-1, -1, math.sqrt(2.0)),
 ]
 
+#: cells an off-grid endpoint may be snapped to a free cell, per axis
+SNAP_RADIUS = 4
+#: A* node expansions before a plan is given up
+MAX_EXPANSIONS = 200_000
+
 
 class GridPlanner:
     """A* planner over a lazily-evaluated occupancy grid.
@@ -74,11 +79,11 @@ class GridPlanner:
         dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
         return max(dx, dy) + (math.sqrt(2.0) - 1.0) * min(dx, dy)
 
-    def _nearest_free(self, cell: Tuple[int, int], radius: int = 4) -> Optional[Tuple[int, int]]:
-        """Closest free cell within a small search radius (endpoint snapping)."""
+    def _nearest_free(self, cell: Tuple[int, int]) -> Optional[Tuple[int, int]]:
+        """Closest free cell within :data:`SNAP_RADIUS` (endpoint snapping)."""
         if self._is_free(cell):
             return cell
-        for r in range(1, radius + 1):
+        for r in range(1, SNAP_RADIUS + 1):
             for dx in range(-r, r + 1):
                 for dy in range(-r, r + 1):
                     if max(abs(dx), abs(dy)) != r:
@@ -89,7 +94,7 @@ class GridPlanner:
         return None
 
     # -- planning ---------------------------------------------------------
-    def plan(self, start: Vec2, goal: Vec2, *, max_expansions: int = 200_000) -> List[Vec2]:
+    def plan(self, start: Vec2, goal: Vec2) -> List[Vec2]:
         """Plan a smoothed waypoint path from ``start`` to ``goal``.
 
         Raises
@@ -121,7 +126,7 @@ class GridPlanner:
                 return self._reconstruct(came_from, current, start, goal)
             closed.add(current)
             expansions += 1
-            if expansions > max_expansions:
+            if expansions > MAX_EXPANSIONS:
                 break
             for dx, dy, cost in _NEIGHBOURS:
                 neighbour = (current[0] + dx, current[1] + dy)

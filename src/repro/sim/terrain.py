@@ -36,6 +36,12 @@ class Ridge:
         return self.height * math.exp(-d2 / (2.0 * self.sigma * self.sigma))
 
 
+#: half the central-difference step of :meth:`Terrain.slope_at`, metres
+SLOPE_STEP_M = 0.5
+#: mean width (Gaussian sigma) of a generated ridge, metres
+RIDGE_SIGMA = 25.0
+
+
 class Terrain:
     """Continuous terrain defined by a sum of ridges over a flat base.
 
@@ -45,23 +51,22 @@ class Terrain:
         Extent of the worksite in metres.
     ridges:
         Ridge features; an empty list gives perfectly flat terrain.
-    base_height:
-        Ground level in metres.
     """
+
+    #: ground level, metres
+    base_height = 0.0
 
     def __init__(
         self,
         width: float,
         height: float,
         ridges: Optional[Sequence[Ridge]] = None,
-        base_height: float = 0.0,
     ) -> None:
         if width <= 0 or height <= 0:
             raise ValueError("terrain extent must be positive")
         self.width = float(width)
         self.height = float(height)
         self.ridges: List[Ridge] = list(ridges or [])
-        self.base_height = float(base_height)
         # flattened per-ridge constants for the hot evaluation loops:
         # (center_x, center_y, height, 2*sigma^2); ridges are fixed after
         # construction
@@ -101,8 +106,9 @@ class Terrain:
         cache[key] = result
         return result
 
-    def slope_at(self, p: Vec2, eps: float = 0.5) -> float:
+    def slope_at(self, p: Vec2) -> float:
         """Magnitude of the terrain gradient at ``p`` (rise over run)."""
+        eps = SLOPE_STEP_M
         hx = (
             self.height_at(Vec2(p.x + eps, p.y)) - self.height_at(Vec2(p.x - eps, p.y))
         ) / (2.0 * eps)
@@ -200,7 +206,6 @@ def generate_terrain(
     *,
     n_ridges: int = 4,
     ridge_height: float = 6.0,
-    ridge_sigma: float = 25.0,
 ) -> Terrain:
     """Generate deterministic rolling terrain from the ``terrain`` RNG stream."""
     rng = streams.stream("terrain")
@@ -208,6 +213,6 @@ def generate_terrain(
     for _ in range(n_ridges):
         center = Vec2(rng.uniform(0.0, width), rng.uniform(0.0, height))
         h = rng.uniform(0.5, 1.0) * ridge_height
-        sigma = rng.uniform(0.6, 1.4) * ridge_sigma
+        sigma = rng.uniform(0.6, 1.4) * RIDGE_SIGMA
         ridges.append(Ridge(center=center, height=h, sigma=sigma))
     return Terrain(width, height, ridges)

@@ -62,13 +62,15 @@ class World:
     memo keyed on the endpoints' grid cells: each entry holds only the
     trees that can touch a line between those two cells, in
     :meth:`_trees_near` scan order.  That is exact only because no canopy
-    or trunk radius exceeds :attr:`_PAD`, which :meth:`add_tree` enforces.
+    or trunk radius exceeds :attr:`_PAD`, which the constructor and
+    :meth:`add_tree` enforce.
     """
 
     _CELL = 10.0  # metres; coarse grid cell for the tree index
 
-    #: largest canopy or trunk radius a tree may have (``add_tree`` refuses
-    #: larger ones), so no tree farther than this from a sight line touches it
+    #: largest canopy or trunk radius a tree may have (the constructor and
+    #: ``add_tree`` refuse larger ones), so no tree farther than this from a
+    #: sight line touches it
     _PAD = 5.0
     #: band-memo reach: every point of a line from cell A to cell B lies
     #: within half a cell diagonal of the segment joining the two cells'
@@ -105,8 +107,9 @@ class World:
         self._band_cache: Dict[
             Tuple[int, int, int, int], List[Tuple[float, float, float, float]]
         ] = {}
+        # both memos are still empty: nothing to invalidate per tree
         for tree in trees or []:
-            self.add_tree(tree)
+            self._index(tree)
         for zone in zones or []:
             self.add_zone(zone)
 
@@ -118,7 +121,7 @@ class World:
     def height(self) -> float:
         return self.terrain.height
 
-    def add_tree(self, tree: Tree) -> None:
+    def _index(self, tree: Tree) -> None:
         if tree.canopy_radius > self._PAD or tree.trunk_radius > self._PAD:
             raise ValueError(
                 f"tree radii must not exceed {self._PAD} m: canopy "
@@ -126,6 +129,9 @@ class World:
             )
         self.trees.append(tree)
         self._grid.setdefault(self._cell(tree.position), []).append(tree)
+
+    def add_tree(self, tree: Tree) -> None:
+        self._index(tree)
         # the forest changed: every memoised sight line is stale
         self._canopy_cache.clear()
         self._band_cache.clear()

@@ -29,13 +29,13 @@ def wasserstein(a: Sequence[float], b: Sequence[float]) -> float:
     return float(scipy_stats.wasserstein_distance(np.asarray(a), np.asarray(b)))
 
 
-def kl_divergence(
-    a: Sequence[float],
-    b: Sequence[float],
-    *,
-    bins: int = 32,
-    smoothing: float = 1e-6,
-) -> float:
+#: histogram bins of :func:`kl_divergence`
+KL_BINS = 32
+#: Laplace smoothing added to every bin count
+KL_SMOOTHING = 1e-6
+
+
+def kl_divergence(a: Sequence[float], b: Sequence[float]) -> float:
     """KL(P_a || P_b) over a shared histogram with Laplace smoothing.
 
     Symmetric treatment of support: bins span the union of both samples.
@@ -47,11 +47,11 @@ def kl_divergence(
     hi = max(a_arr.max(), b_arr.max())
     if lo == hi:
         return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, KL_BINS + 1)
     p, _ = np.histogram(a_arr, bins=edges)
     q, _ = np.histogram(b_arr, bins=edges)
-    p = p.astype(float) + smoothing
-    q = q.astype(float) + smoothing
+    p = p.astype(float) + KL_SMOOTHING
+    q = q.astype(float) + KL_SMOOTHING
     p /= p.sum()
     q /= q.sum()
     return float(np.sum(p * np.log(p / q)))

@@ -24,17 +24,22 @@ class ReferenceModel:
     ----------
     detection_range_mean / detection_range_std:
         First-detection range of a walking person, metres (lognormal-ish).
-    gnss_error_sigma:
-        Horizontal GNSS error, metres (with occasional multipath outliers).
-    quality_falloff_range:
-        Range at which image quality halves in the field data.
     """
+
+    #: horizontal GNSS error, metres (with occasional multipath outliers)
+    gnss_error_sigma = 0.9
+    #: range at which image quality halves in the field data, metres
+    quality_falloff_range = 38.0
 
     detection_range_mean: float = 32.0
     detection_range_std: float = 9.0
-    gnss_error_sigma: float = 0.9
     multipath_rate: float = 0.05
-    quality_falloff_range: float = 38.0
+
+
+#: seed of the reference GNSS error sample
+GNSS_ERRORS_SEED = 1
+#: seed of the reference image-quality noise
+QUALITY_CURVE_SEED = 2
 
 
 def reference_detection_samples(
@@ -55,9 +60,9 @@ def reference_detection_samples(
     return samples
 
 
-def reference_gnss_errors(model: ReferenceModel, n: int, seed: int = 1) -> List[float]:
+def reference_gnss_errors(model: ReferenceModel, n: int) -> List[float]:
     """Horizontal GNSS errors with multipath outliers."""
-    rng = random.Random(seed)
+    rng = random.Random(GNSS_ERRORS_SEED)
     samples = []
     for _ in range(n):
         if rng.random() < model.multipath_rate:
@@ -68,10 +73,10 @@ def reference_gnss_errors(model: ReferenceModel, n: int, seed: int = 1) -> List[
 
 
 def reference_quality_curve(
-    model: ReferenceModel, ranges: Sequence[float], seed: int = 2
+    model: ReferenceModel, ranges: Sequence[float]
 ) -> List[float]:
     """Image-quality observations at given ranges (field curve + noise)."""
-    rng = random.Random(seed)
+    rng = random.Random(QUALITY_CURVE_SEED)
     out = []
     for r in ranges:
         base = 1.0 / (1.0 + (r / model.quality_falloff_range) ** 1.8)

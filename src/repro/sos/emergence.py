@@ -36,18 +36,16 @@ class EmergenceDetector:
 
     Parameters
     ----------
-    window_s:
-        Cascade window length.
     min_sources:
         Minimum distinct source systems for a window to count as
         cross-system.
     density_threshold:
         Event rate in-window must exceed this multiple of the log's overall
         rate.
-    system_of:
-        Maps an event source string to its owning system (default: prefix
-        before the first ``.`` or ``-``).
     """
+
+    #: cascade window length, seconds
+    window_s = 10.0
 
     SAFETY_KINDS = {
         "safe_stop", "safety_violation", "near_miss", "geofence_breach",
@@ -55,20 +53,15 @@ class EmergenceDetector:
     }
 
     def __init__(
-        self,
-        *,
-        window_s: float = 10.0,
-        min_sources: int = 3,
-        density_threshold: float = 3.0,
-        system_of=None,
+        self, *, min_sources: int = 3, density_threshold: float = 3.0
     ) -> None:
-        self.window_s = window_s
         self.min_sources = min_sources
         self.density_threshold = density_threshold
-        self.system_of = system_of or self._default_system_of
 
     @staticmethod
-    def _default_system_of(source: str) -> str:
+    def system_of(source: str) -> str:
+        """The system owning an event source: its prefix before the first
+        ``.`` or ``-``."""
         for sep in (".", "-"):
             if sep in source:
                 return source.split(sep, 1)[0]

@@ -12,33 +12,30 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.defense.countermeasures import CountermeasureCatalog
 from repro.risk.iec62443 import Conduit, SecurityLevel, Zone, ZoneModel, sl_vector
-from repro.sos.composition import SystemOfSystems
 
 
 def worksite_zone_model(
-    sos: Optional[SystemOfSystems] = None,
     *,
-    catalog: Optional[CountermeasureCatalog] = None,
     deployed_safety_zone: Optional[list] = None,
     deployed_supervision_zone: Optional[list] = None,
     deployed_conduits: Optional[list] = None,
 ) -> ZoneModel:
     """Build the worksite zone model.
 
+    Membership is checked against the worksite composition
+    (:func:`~repro.sos.composition.worksite_sos`).
+
     Parameters
     ----------
-    sos:
-        The SoS (for membership checks); default worksite composition.
     deployed_*:
         Countermeasure names deployed per zone/conduit; defaults model the
         *initial* (under-protected) state so the gap analysis has work to do.
     """
     from repro.sos.composition import worksite_sos
 
-    sos = sos or worksite_sos()
-    model = ZoneModel(catalog=catalog)
+    sos = worksite_sos()
+    model = ZoneModel()
 
     safety_zone = Zone(
         name="safety-control",

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.tables import Table
+from repro.inputs import number
 from repro.sim.metrics import SeriesSummary
 
 
@@ -194,10 +195,14 @@ def resilience_metrics(
     }
 
 
-def resilience_report(
-    records: Sequence[dict], horizon_s: Optional[float] = None
-) -> str:
-    """The resilience metrics as a readable block (what the CLI prints)."""
+def resilience_report(records: Sequence[dict]) -> str:
+    """The resilience metrics as a readable block (what the CLI prints),
+    over the horizon the ``trace.meta`` header declares; a header horizon
+    that is not a number raises :class:`~repro.inputs.InputError`."""
+    header = records[0] if records else {}
+    horizon_s = header.get("horizon_s") if header.get("type") == "trace.meta" else None
+    if horizon_s is not None:
+        horizon_s = number(horizon_s, "trace.meta horizon_s")
     metrics = resilience_metrics(records, horizon_s)
     lines = ["resilience (fault campaign)", "=" * 40]
     lines.append(f"faults injected: {metrics['faults_injected']}"
@@ -354,7 +359,11 @@ def groundstation_report(records: Sequence[dict]) -> str:
 
 # -- invariant / replay violation report --------------------------------------
 
-def check_report(report: dict, *, limit: int = 10) -> str:
+#: violations and divergences :func:`check_report` lists before a count
+CHECK_REPORT_LIMIT = 10
+
+
+def check_report(report: dict) -> str:
     """Render an oracle violation report as a readable block.
 
     Takes the JSON report produced by
@@ -369,10 +378,10 @@ def check_report(report: dict, *, limit: int = 10) -> str:
                  f"{invariants.get('violations', 0)} violation(s)")
     for name, count in sorted(invariants.get("by_invariant", {}).items()):
         lines.append(f"  {name:<28} {count}")
-    for detail in invariants.get("details", [])[:limit]:
+    for detail in invariants.get("details", [])[:CHECK_REPORT_LIMIT]:
         lines.append(f"  [{detail['invariant']}] t={detail['t']:.1f} s "
                      f"i={detail['i']}: {detail['message']}")
-    shown = min(limit, len(invariants.get("details", [])))
+    shown = min(CHECK_REPORT_LIMIT, len(invariants.get("details", [])))
     if invariants.get("violations", 0) > shown:
         lines.append(
             f"  ... {invariants['violations'] - shown} more violation(s)"
@@ -382,7 +391,7 @@ def check_report(report: dict, *, limit: int = 10) -> str:
         lines.append(f"replay:          {replay.get('replayed', 0)} records "
                      f"re-executed, {replay.get('divergences', 0)} "
                      f"divergence(s)")
-        for div in replay.get("first_divergences", [])[:limit]:
+        for div in replay.get("first_divergences", [])[:CHECK_REPORT_LIMIT]:
             lines.append(f"  diverged at record {div['i']}:")
             lines.append(f"    recorded: {div['recorded']}")
             lines.append(f"    replayed: {div['replayed']}")
@@ -447,7 +456,11 @@ def fuzz_report(coverage: dict, heatmap: Dict[str, dict],
     }
 
 
-def fuzz_report_text(report: dict, *, limit: int = 15) -> str:
+#: heatmap cells :func:`fuzz_report_text` lists before a count
+FUZZ_REPORT_LIMIT = 15
+
+
+def fuzz_report_text(report: dict) -> str:
     """Render a fuzz report as the summary block the CLI prints."""
     totals = report.get("totals", {})
     coverage = report.get("coverage", {})
@@ -471,7 +484,7 @@ def fuzz_report_text(report: dict, *, limit: int = 15) -> str:
              "failures", "risk"],
             title="risk heatmap (explored space)",
         )
-        for cell in cells[:limit]:
+        for cell in cells[:FUZZ_REPORT_LIMIT]:
             table.add_row(
                 cell["campaign"], cell["faults"], cell["runs"],
                 cell["new_signatures"], cell["violations"],
@@ -479,8 +492,8 @@ def fuzz_report_text(report: dict, *, limit: int = 15) -> str:
             )
         lines.append("")
         lines.append(table.render())
-        if len(cells) > limit:
-            lines.append(f"... {len(cells) - limit} more cells")
+        if len(cells) > FUZZ_REPORT_LIMIT:
+            lines.append(f"... {len(cells) - FUZZ_REPORT_LIMIT} more cells")
     return "\n".join(lines)
 
 

@@ -144,49 +144,6 @@ class TestMedium:
         sim.run_until(1.0)
         assert captured[0] == ("b", b"secret")
 
-    def test_channel_utilization_accumulates(self, sim, log, medium):
-        a = make_endpoint("a", Vec2(0, 0), medium, sim, log)
-        make_endpoint("b", Vec2(50, 0), medium, sim, log)
-        for _ in range(100):
-            a.send("b", b"x" * 1000, reliable=False)
-        sim.run_until(10.0)
-        assert medium.channel_utilization(1, 10.0, sim.now) > 0.0
-
-    def test_channel_utilization_window_slides(self, sim, log, medium):
-        a = make_endpoint("a", Vec2(0, 0), medium, sim, log)
-        make_endpoint("b", Vec2(50, 0), medium, sim, log)
-        for _ in range(50):
-            a.send("b", b"x" * 1000, reliable=False)
-        sim.run_until(1.0)
-        busy = medium.channel_utilization(1, 10.0, sim.now)
-        assert 0.0 < busy <= 1.0
-        # the same 10 s window queried 100 s later holds none of that airtime
-        assert medium.channel_utilization(1, 10.0, sim.now + 100.0) == 0.0
-
-    def test_channel_utilization_clamps_window_to_retention(
-        self, sim, log, medium
-    ):
-        a = make_endpoint("a", Vec2(0, 0), medium, sim, log)
-        make_endpoint("b", Vec2(50, 0), medium, sim, log)
-        for _ in range(20):
-            a.send("b", b"x" * 1000, reliable=False)
-        sim.run_until(1.0)
-        # a galactic window is treated as the retained history span
-        clamped = medium.channel_utilization(1, 1e9, sim.now)
-        retained = medium.channel_utilization(
-            1, medium.UTIL_RETENTION_S, sim.now
-        )
-        assert clamped == retained > 0.0
-
-    def test_channel_utilization_bounded_by_one(self, sim, log, medium):
-        a = make_endpoint("a", Vec2(0, 0), medium, sim, log)
-        make_endpoint("b", Vec2(50, 0), medium, sim, log)
-        for _ in range(200):
-            a.send("b", b"x" * 1400, reliable=False)
-        sim.run_until(5.0)
-        # a tiny window saturated with airtime must cap at 1.0
-        assert medium.channel_utilization(1, 0.001, sim.now) <= 1.0
-
 
 class TestLinkLayer:
     def test_reliable_delivery_retries(self, sim, log, streams):

@@ -340,9 +340,11 @@ class TestRecovery:
         assert manager.service_down("telemetry") is None
         assert len(manager.outages) == 1
 
-    def test_close_all(self, sim, log):
+    def test_open_outage_charged_to_now(self, sim, log):
         manager = ContinuityManager(RecoveryPlan.worksite_default(), sim, log)
         manager.service_down("telemetry")
         sim.run_until(10.0)
-        manager.close_all()
-        assert manager.outages[0].duration == 10.0
+        assert manager.outages[0].downtime(sim.now) == 10.0
+        assert manager.compliance_report()["telemetry"]["worst_outage_s"] == 10.0
+        assert manager.outages[0].duration is None
+        assert log.count("service_up") == 0

@@ -193,3 +193,32 @@ class TestOneSafeStopLatency:
             "count": stops["count"], "p50": stops["p50_s"],
             "p95": stops["p95_s"],
         })
+
+    def test_outage_open_at_horizon(self):
+        """An outage still open at the horizon is charged to the horizon in
+        availability and left out of MTTR, and reading the summary writes
+        no repair into the run's log."""
+        horizon = 60.0
+        faults = build_fault_campaign(
+            "crash_brownout", start=30.0, duration=60.0,
+        ).resolve(RngStreams(3))
+        prepared = compose_spec(RunSpec.single(
+            "baseline", seed=3, horizon_s=horizon,
+            faults=tuple(fault.to_primitives() for fault in faults),
+        ))
+        tracer = Tracer(prepared.scenario.sim, keep_records=True)
+        prepared.run(tracer)
+
+        traced = resilience_metrics(tracer.records, horizon_s=horizon)
+        summary = prepared.fault_injector.resilience_summary(horizon)
+        assert traced["outages"]["closed"] == 0
+        assert traced["outages"]["open_at_end"] == 3
+        assert traced["outages"]["mttr_s"] is None
+        assert summary["mttr_s"] is None
+        assert _rounded(traced["availability"]) == \
+            _rounded(summary["availability"])
+        assert prepared.scenario.log.count("service_up") == 0
+        relay = summary["compliance"]["forwarder"]["detection_relay"]
+        assert relay["outages"] == 1
+        assert summary["availability"]["forwarder.detection_relay"] == \
+            round(1.0 - relay["worst_outage_s"] / horizon, 6)

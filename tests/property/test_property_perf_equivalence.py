@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections import deque
 
 from hypothesis import example, given, strategies as st
 
@@ -121,21 +120,6 @@ def ref_interference(all_tx, jammers, position: Vec2, channel: int,
     if not components:
         return -math.inf
     return combine_noise_dbm(*components)
-
-
-def ref_utilization(intervals, window_s: float, now: float,
-                    retention_s: float) -> float:
-    """Sliding-window airtime fraction over explicit (start, end) intervals."""
-    if window_s <= 0.0:
-        return 0.0
-    window_s = min(window_s, retention_s)
-    cutoff = now - window_s
-    used = 0.0
-    for start, end in intervals:
-        overlap = min(end, now) - max(start, cutoff)
-        if overlap > 0.0:
-            used += overlap
-    return min(1.0, used / window_s)
 
 
 def make_medium() -> WirelessMedium:
@@ -284,43 +268,7 @@ class TestInterferenceIndexEquivalence:
 
 
 # --------------------------------------------------------------------------
-# 4. sliding-window channel utilisation
-# --------------------------------------------------------------------------
-
-intervals_strategy = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=200.0, allow_nan=False),  # start
-        st.floats(min_value=0.0001, max_value=1.0, allow_nan=False), # airtime
-    ),
-    min_size=0, max_size=30,
-)
-
-
-class TestUtilizationEquivalence:
-    @given(raw=intervals_strategy,
-           window_s=st.floats(min_value=0.1, max_value=300.0, allow_nan=False),
-           lead=st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
-    def test_matches_interval_sum_reference(self, raw, window_s, lead):
-        medium = make_medium()
-        intervals = sorted(
-            ((start, start + air) for start, air in raw), key=lambda iv: iv[0]
-        )
-        now = (max(end for _, end in intervals) if intervals else 0.0) + lead
-        medium._airtime_windows[1] = deque(intervals)
-        expected = ref_utilization(
-            intervals, window_s, now, WirelessMedium.UTIL_RETENTION_S
-        )
-        assert medium.channel_utilization(1, window_s, now) == expected
-
-    def test_empty_channel_and_degenerate_window(self):
-        medium = make_medium()
-        assert medium.channel_utilization(1, 10.0, 100.0) == 0.0
-        assert medium.channel_utilization(1, 0.0, 100.0) == 0.0
-        assert medium.channel_utilization(1, -5.0, 100.0) == 0.0
-
-
-# --------------------------------------------------------------------------
-# 5. canopy blockage memoisation
+# 4. canopy blockage memoisation
 # --------------------------------------------------------------------------
 
 tree_strategy = st.lists(

@@ -251,6 +251,17 @@ class TestSpecFiles:
         with pytest.raises(InputError, match=re.escape(refused)):
             sweep_spec_from_mapping(data)
 
+    @pytest.mark.parametrize("data, refused", [
+        ({"variants": "fast"}, "variants must be a table, got 'fast'"),
+        ({"variants": {"fast": [["drone_enabled", False]]}},
+         "variants.fast must be a table, got [['drone_enabled', False]]"),
+    ])
+    def test_variants_of_another_type_refused(self, data, refused):
+        # dict() used to read an array of pairs as a table, and to refuse
+        # a string with "dictionary update sequence element #0 ..."
+        with pytest.raises(InputError, match=re.escape(refused)):
+            sweep_spec_from_mapping(data)
+
     def test_refusal_names_the_file(self, tmp_path):
         path = tmp_path / "grid.toml"
         path.write_text("seeds = [true, 2]\n")

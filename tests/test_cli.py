@@ -167,6 +167,26 @@ class TestTraceCommand:
         assert "detection latency" in text
         assert "attack-vs-defense timeline" in text
 
+    def test_run_and_trace_print_the_same_availability(self, tmp_path,
+                                                       capsys):
+        # every outage is still open at the one-minute horizon: both
+        # charge it to the horizon, neither reports an MTTR
+        faults = ["--seed", "3", "--minutes", "1",
+                  "--fault-campaign", "crash_brownout",
+                  "--fault-start", "30", "--fault-duration", "60"]
+        assert main(["run", *faults]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["trace", *faults,
+                     "--out", str(tmp_path / "t.jsonl")]) == 0
+        traced = capsys.readouterr().out.splitlines()
+        run_lines = [line.split()[1:] for line in ran
+                     if line.startswith("availability:")]
+        block = traced[traced.index("availability:") + 1:]
+        trace_lines = [line.split() for line in block[:len(run_lines)]]
+        assert len(run_lines) == 3
+        assert trace_lines == run_lines
+        assert not [line for line in ran + traced if "MTTR" in line]
+
     def test_trace_leaves_guards_uninstalled(self, tmp_path):
         from repro.telemetry import tracer as trace
 
@@ -856,6 +876,13 @@ _UNKNOWN_NODE = ('[[fault]]\nkind = "node_crash"\n'
                  'target = "nowhere"\nstart = 5.0\nduration = 5.0\n')
 _NEGATIVE_JITTER = ('jitter_s = -5.0\n\n[[fault]]\nkind = "node_crash"\n'
                     'target = "drone"\nstart = 10.0\n')
+#: the head of a crash_brownout trace whose header horizon is a string
+_STRING_HORIZON = (
+    '{"horizon_s":"60","i":0,"t":0.0,"type":"trace.meta","v":1}\n'
+    '{"fault":"node_crash","i":1,"t":30.0,"target":"drone",'
+    '"type":"fault.inject","v":1}\n'
+    '{"cause":"node_crash","i":2,"machine":"drone","service":"compute",'
+    '"t":30.0,"type":"service.down","v":1}\n')
 
 
 def _campaign_night(path):
@@ -987,6 +1014,9 @@ MALFORMED = {
         ["trace", "--analyze", "{tmp}/t.jsonl"],
         {"t.jsonl": _META + "nope\n"}),
     "trace-analyze-missing": (["trace", "--analyze", "{tmp}/t.jsonl"], {}),
+    "trace-analyze-horizon-a-string": (
+        ["trace", "--analyze", "{tmp}/t.jsonl"],
+        {"t.jsonl": _STRING_HORIZON}),
     "check-future-trace-version": (
         ["check", "--no-replay", "--trace", "{tmp}/t.jsonl"],
         {"t.jsonl": '{"i":0,"t":0.0,"type":"trace.meta","v":2}\n'
@@ -1019,6 +1049,14 @@ MALFORMED = {
     "sweep-spec-campaigns-a-string": (
         ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
         {"g.toml": 'campaigns = "baseline"\nseeds = [1]\nhorizon_s = 5.0\n'}),
+    "sweep-spec-variants-a-string": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = [1]\nhorizon_s = 5.0\n'
+                   'variants = "fast"\n'}),
+    "sweep-spec-variant-an-array-of-pairs": (
+        ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
+        {"g.toml": 'campaigns = ["baseline"]\nseeds = [1]\nhorizon_s = 5.0\n'
+                   '[variants]\nfast = [["drone_enabled", false]]\n'}),
     "sweep-spec-seeds-not-an-array": (
         ["sweep", "--spec", "{tmp}/g.toml", "--out", "{tmp}/s.jsonl"],
         {"g.toml": 'campaigns = ["baseline"]\nseeds = 5\nhorizon_s = 5.0\n'}),
@@ -1076,11 +1114,15 @@ MALFORMED = {
 #: it: ``{id: (text, ...)}``, ``{tmp}`` being the test directory
 NAMED = {
     "sweep-spec-campaigns-a-string": ("{tmp}/g.toml: campaigns ",),
+    "sweep-spec-variants-a-string": ("{tmp}/g.toml: variants ",),
+    "sweep-spec-variant-an-array-of-pairs": ("{tmp}/g.toml: variants.fast ",),
     "sweep-spec-seeds-not-an-array": ("{tmp}/g.toml: seeds ",),
     "sweep-spec-profiles-a-string": ("{tmp}/g.toml: profiles ",),
     "sweep-spec-ids-families-a-string": ("{tmp}/g.toml: ids_families ",),
     "check-spec-seed-not-an-integer": ("{tmp}/t.jsonl: trace.meta spec: ",
                                        "seed must be an integer"),
+    "trace-analyze-horizon-a-string": ("{tmp}/t.jsonl: trace.meta horizon_s ",
+                                       "must be a number"),
 }
 
 
