@@ -14,17 +14,17 @@ Subpackages
 ``repro.sim``
     Discrete-event simulation kernel and the forestry worksite world.
 ``repro.sensors``
-    Camera / LiDAR / GNSS / ultrasonic models, occlusion, people detection.
+    Camera / GNSS / ultrasonic models, occlusion, people detection.
 ``repro.comms``
     Wireless medium, link/network layers, from-scratch crypto and PKI.
 ``repro.attacks``
     Jamming, interference, de-auth, GNSS spoofing, camera and network attacks.
 ``repro.defense``
-    IDS variants, GNSS/camera defences, access control, integrity, recovery.
+    IDS variants, GNSS/camera defences, access control, recovery.
 ``repro.safety``
     ISO 12100 hazards, ISO 13849 performance levels, SOTIF, safety functions.
 ``repro.risk``
-    ISO/SAE 21434 TARA, IEC 62443 security levels, attack graphs, treatment.
+    ISO/SAE 21434 TARA, IEC 62443 security levels, treatment.
 ``repro.sos``
     System-of-systems composition, independence, emergence, zones.
 ``repro.core``

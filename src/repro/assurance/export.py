@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
+from repro.assurance.cae import CaeNode, CaeTree
 from repro.assurance.gsn import GsnGraph, GsnKind
 
 _PREFIX = {
@@ -79,7 +80,10 @@ def render_gsn_dot(graph: GsnGraph) -> str:
 
 
 def render_markdown(graph: GsnGraph) -> str:
-    """Nested-list Markdown rendering."""
+    """Nested-list Markdown rendering: the GSN argument, then the same case
+    as a Claim-Argument-Evidence tree (§V names both notations).  The CAE
+    view drops the contextual elements and repeats a shared sub-argument
+    under each of its parents."""
     lines: List[str] = ["# Security Assurance Case", ""]
     seen: Set[str] = set()
 
@@ -96,4 +100,13 @@ def render_markdown(graph: GsnGraph) -> str:
             walk(child.element_id, depth + 1)
 
     walk(graph.root_id, 0)
+    lines += ["", "## Claim-Argument-Evidence view", ""]
+
+    def walk_cae(node: CaeNode, depth: int) -> None:
+        kind = node.kind.value.capitalize()
+        lines.append(f"{'  ' * depth}- **{kind} {node.node_id}**: {node.text}")
+        for child in node.children:
+            walk_cae(child, depth + 1)
+
+    walk_cae(CaeTree.from_gsn(graph).root, 0)
     return "\n".join(lines)

@@ -13,8 +13,8 @@ graph below the root must be acyclic and connected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 
 class GsnKind(enum.Enum):

@@ -19,7 +19,7 @@ mapping, and produces a GSN security assurance case:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.assurance.compliance import ComplianceMapping

@@ -29,7 +29,6 @@ class Attack:
         self.log = log
         self.active = False
         self.started_at: Optional[float] = None
-        self.stopped_at: Optional[float] = None
 
     def start(self) -> None:
         """Activate the attack."""
@@ -50,7 +49,6 @@ class Attack:
         if not self.active:
             return
         self.active = False
-        self.stopped_at = self.sim.now
         self.log.emit(
             self.sim.now, EventCategory.ATTACK, "attack_stopped", self.name,
             attack_type=self.attack_type,

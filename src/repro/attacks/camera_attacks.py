@@ -53,7 +53,6 @@ class CameraBlindingAttack(Attack):
         self.position = position
         self.effective_range = effective_range
         self.pulse_s = pulse_s
-        self.pulses_applied = 0
         self._process: Optional[Process] = None
 
     def _on_start(self) -> None:
@@ -64,7 +63,6 @@ class CameraBlindingAttack(Attack):
         distance = self.camera.position.distance_to(self.position)
         if distance <= self.effective_range:
             self.camera.blind(self.sim.now, self.pulse_s * 1.5, attacker=self.name)
-            self.pulses_applied += 1
 
     def _on_stop(self) -> None:
         if self._process is not None:

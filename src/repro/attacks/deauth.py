@@ -52,7 +52,6 @@ class DeauthAttack(Attack):
         self.victim = victim
         self.spoofed_peer = spoofed_peer
         self.rate_hz = rate_hz
-        self.frames_forged = 0
         self._endpoint: Optional[LinkEndpoint] = None
         self._process: Optional[Process] = None
         self._seq = 100_000  # attacker-chosen link sequence space
@@ -82,7 +81,6 @@ class DeauthAttack(Attack):
             auth_tag=b"",  # the forger has no management key
         )
         self.medium.transmit(self._endpoint, frame, b"\x00" * 26)
-        self.frames_forged += 1
 
     def _on_stop(self) -> None:
         if self._process is not None:

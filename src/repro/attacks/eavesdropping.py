@@ -14,7 +14,7 @@ are opaque.  The attack's disclosure metrics quantify what the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.attacks.base import Attack
 from repro.comms.link import Frame, FrameType
@@ -55,7 +55,6 @@ class EavesdroppingAttack(Attack):
         self.medium = medium
         self.frames_observed = 0
         self.messages_disclosed = 0
-        self.opaque_records = 0
         self.disclosed_types: Dict[str, int] = {}
         self.positions_tracked = 0
         self._registered = False
@@ -74,7 +73,6 @@ class EavesdroppingAttack(Attack):
         except ChannelError:
             return
         if record.profile == "aead":
-            self.opaque_records += 1
             return
         body = record.body
         if record.profile == "integrity" and len(body) > 32:
@@ -82,7 +80,6 @@ class EavesdroppingAttack(Attack):
         try:
             message = Message.decode(body)
         except Exception:
-            self.opaque_records += 1
             return
         self.messages_disclosed += 1
         self.disclosed_types[message.msg_type] = (

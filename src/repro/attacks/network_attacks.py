@@ -15,11 +15,11 @@ from repro.attacks.base import Attack
 from repro.comms.link import Frame, FrameType, LinkEndpoint
 from repro.comms.medium import WirelessMedium
 from repro.comms.radio import RadioConfig
-from repro.comms.messages import Command, Message
-from repro.comms.network import decode_record, encode_record
+from repro.comms.messages import Command
+from repro.comms.network import encode_record
 from repro.comms.crypto.secure_channel import Record
 from repro.sim.engine import Process, Simulator
-from repro.sim.events import EventCategory, EventLog
+from repro.sim.events import EventLog
 from repro.sim.geometry import Vec2
 
 

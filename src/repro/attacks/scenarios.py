@@ -7,11 +7,10 @@ benchmarks named, reproducible adversary behaviours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.attacks.base import Attack
-from repro.sim.engine import Simulator
 
 
 @dataclass

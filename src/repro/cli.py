@@ -290,13 +290,16 @@ def cmd_trace(args) -> int:
 
     if args.analyze:
         records = read_trace(args.analyze)
+        problems = validate_trace(records)
         if args.check:
-            problems = validate_trace(records)
             if problems:
                 for problem in problems:
                     print(f"schema: {problem}", file=sys.stderr)
                 return 1
             print(f"schema: {len(records)} records valid")
+        elif problems:
+            # the reports read the fields the schema requires
+            raise InputError(f"{args.analyze}: {problems[0]}")
         try:
             report = full_report(records)
         except InputError as exc:

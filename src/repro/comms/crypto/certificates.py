@@ -13,8 +13,8 @@ root; the CA maintains a revocation list.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.canonical import canonical_json
 from repro.comms.crypto.keys import KeyPair, SchnorrSignature, sign, verify

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.comms.crypto.certificates import (
@@ -34,7 +34,7 @@ from repro.comms.crypto.certificates import (
     CertificateError,
     verify_chain,
 )
-from repro.comms.crypto.keys import KeyPair, SchnorrSignature, sign, verify
+from repro.comms.crypto.keys import KeyPair, sign, verify
 from repro.comms.crypto.numbers import DhGroup
 from repro.comms.crypto.primitives import (
     AeadError,
@@ -117,13 +117,11 @@ class SecureChannel:
 
     def __init__(
         self,
-        local: str,
         peer: str,
         send_key: bytes,
         recv_key: bytes,
         profile: SecurityProfile,
     ) -> None:
-        self.local = local
         self.peer = peer
         self._send_key = send_key
         self._recv_key = recv_key
@@ -296,8 +294,8 @@ class SecureChannel:
             + sum(len(c.tbs_bytes()) + 64 for c in list(initiator.chain) + list(responder.chain))
             + 2 * ((group.q.bit_length() + 7) // 8) * 2
         )
-        chan_i = SecureChannel(initiator.name, responder.name, key_i2r, key_r2i, profile)
-        chan_r = SecureChannel(responder.name, initiator.name, key_r2i, key_i2r, profile)
+        chan_i = SecureChannel(responder.name, key_i2r, key_r2i, profile)
+        chan_r = SecureChannel(initiator.name, key_r2i, key_i2r, profile)
         return chan_i, chan_r, stats
 
 

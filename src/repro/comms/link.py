@@ -8,7 +8,7 @@ network unless management-frame protection (the defence) authenticates it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.comms.radio import RadioConfig
@@ -137,11 +137,9 @@ class LinkEndpoint:
         self._seen_seq: Dict[str, list] = {}
         self.deauths_received = 0
         self.deauths_rejected = 0
-        self.frames_dropped_unassociated = 0
         # hardened-delivery state (inert until a RetryPolicy is installed)
         self.retry_policy: Optional[RetryPolicy] = None
         self.retry_exhausted = 0
-        self.acks_flushed = 0
         self.on_peer_dead: Optional[Callable[[str], None]] = None
         self._peer_failures: Dict[str, int] = {}
         medium.register(self)
@@ -169,7 +167,6 @@ class LinkEndpoint:
         if not self.powered:
             return -1
         if not self.associated:
-            self.frames_dropped_unassociated += 1
             if trace.ACTIVE:
                 trace.TRACER.frame_drop(self.name, dst, -1, "unassociated_tx")
             return -1
@@ -250,7 +247,6 @@ class LinkEndpoint:
         if frame.frame_type is FrameType.ASSOC:
             return
         if not self.associated:
-            self.frames_dropped_unassociated += 1
             if trace.ACTIVE:
                 trace.TRACER.frame_drop(
                     frame.src, self.name, frame.seq, "unassociated_rx"
@@ -299,9 +295,7 @@ class LinkEndpoint:
         self.associated = False
         # teardown flushes in-flight reliability state: a stale entry must
         # not keep retrying (and eventually retransmit) after re-association
-        if self._pending_acks:
-            self.acks_flushed += len(self._pending_acks)
-            self._pending_acks.clear()
+        self._pending_acks.clear()
         self.log.emit(
             self.sim.now, EventCategory.COMMS, "deauthenticated", self.name, src=frame.src
         )
@@ -318,9 +312,7 @@ class LinkEndpoint:
     def power_off(self) -> None:
         """Node crash: stop radiating and flush reliability state."""
         self.powered = False
-        if self._pending_acks:
-            self.acks_flushed += len(self._pending_acks)
-            self._pending_acks.clear()
+        self._pending_acks.clear()
         if self._peer_failures:
             self._peer_failures.clear()
         self.log.emit(self.sim.now, EventCategory.COMMS, "powered_off", self.name)

@@ -156,7 +156,6 @@ class WirelessMedium:
         # nominal runs so the hot path stays byte-identical
         self._power_sag: Dict[str, float] = {}
         self._corruption: Optional[Tuple[float, object]] = None
-        self.frames_corrupted = 0
 
     # -- registration -------------------------------------------------------
     def register(self, endpoint: "LinkEndpoint") -> None:
@@ -306,7 +305,6 @@ class WirelessMedium:
             probability, rng = self._corruption
             if rng.random() < probability:
                 self.frames_lost += 1
-                self.frames_corrupted += 1
                 self.log.emit(
                     now, EventCategory.COMMS, "frame_corrupted", sender.name,
                     dst=frame.dst,

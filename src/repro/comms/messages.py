@@ -9,8 +9,8 @@ byte-faithful integrity protection, not wire-format engineering.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional, Tuple, Type
+from dataclasses import dataclass, field
+from typing import Any, Dict, Type
 
 from repro.canonical import canonical_json
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, List, Tuple
 
-from repro.comms.crypto.certificates import Certificate, CertificateAuthority
+from repro.comms.crypto.certificates import CertificateAuthority
 from repro.comms.crypto.keys import KeyPair
 from repro.comms.crypto.numbers import DhGroup, MODP_2048
 from repro.comms.crypto.secure_channel import (
     ChannelError,
-    HandshakeError,
     Identity,
     Record,
     SecureChannel,
@@ -84,7 +83,6 @@ class CommNode:
         self.messages_sent = 0
         self.messages_received = 0
         self.records_rejected = 0
-        self.unprotected_accepted = 0
         endpoint.on_receive(self._on_frame)
 
     # -- channels -----------------------------------------------------------
@@ -161,7 +159,6 @@ class CommNode:
                     trace.TRACER.record_drop(self.name, frame.src, "no_channel")
                 return
             plaintext = record.body
-            self.unprotected_accepted += 1
         try:
             message = Message.decode(plaintext)
         except Exception:
@@ -212,7 +209,6 @@ class Network:
         self.ca = CertificateAuthority(CA_NAME, group)
         self.nodes: Dict[str, CommNode] = {}
         self._identities: Dict[str, Identity] = {}
-        self.handshake_failures = 0
         self.rejoins = 0
 
     def add_node(
@@ -257,16 +253,12 @@ class Network:
         """
         if self.profile is SecurityProfile.PLAINTEXT:
             return
-        try:
-            chan_a, chan_b, _ = SecureChannel.establish_pair(
-                self._identities[a],
-                self._identities[b],
-                profile=self.profile,
-                now=self.sim.now,
-            )
-        except HandshakeError:
-            self.handshake_failures += 1
-            raise
+        chan_a, chan_b, _ = SecureChannel.establish_pair(
+            self._identities[a],
+            self._identities[b],
+            profile=self.profile,
+            now=self.sim.now,
+        )
         self.nodes[a].attach_channel(b, chan_a)
         self.nodes[b].attach_channel(a, chan_b)
 

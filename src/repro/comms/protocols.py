@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.comms.messages import Command, DetectionReport, Heartbeat, Message, Telemetry
 from repro.comms.network import CommNode
@@ -103,9 +103,6 @@ class HeartbeatMonitor:
         self.on_recovery = on_recovery
         self.last_heard: float = sim.now
         self.link_up = True
-        self.losses = 0
-        self.heartbeats_sent = 0
-        self.heartbeats_received = 0
         node.on_message("heartbeat", self._on_heartbeat)
         offset = phase_offset(f"heartbeat:{node.name}->{peer}", interval_s)
         sim.every(interval_s, self._beat, start_at=sim.now + offset)
@@ -115,12 +112,10 @@ class HeartbeatMonitor:
         self.node.send(
             Heartbeat(sender=self.node.name, recipient=self.peer), reliable=False
         )
-        self.heartbeats_sent += 1
 
     def _on_heartbeat(self, message: Message) -> None:
         if message.sender != self.peer:
             return
-        self.heartbeats_received += 1
         self.last_heard = self.sim.now
         if not self.link_up:
             self.link_up = True
@@ -135,7 +130,6 @@ class HeartbeatMonitor:
         silent_for = self.sim.now - self.last_heard
         if self.link_up and silent_for > self.timeout_s:
             self.link_up = False
-            self.losses += 1
             self.log.emit(
                 self.sim.now, EventCategory.COMMS, "heartbeat_lost",
                 self.node.name, peer=self.peer, silent_s=round(silent_for, 1),
@@ -214,8 +208,6 @@ class DetectionRelay:
         self.sender_node = sender_node
         self.receiver_node = receiver_node
         self.sim = sim
-        self.reports_sent = 0
-        self.reports_received = 0
         self._on_report = on_report
         receiver_node.on_message("detection_report", self._receive)
 
@@ -229,9 +221,7 @@ class DetectionRelay:
             ),
             reliable=False,
         )
-        self.reports_sent += 1
 
     def _receive(self, message: Message) -> None:
-        self.reports_received += 1
         if self._on_report is not None:
             self._on_report(message)

@@ -11,12 +11,11 @@ the paper's qualitative claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence
 
 from repro.risk.feasibility import (
     AttackPotential,
-    Equipment,
     Expertise,
     Knowledge,
     WindowOfOpportunity,

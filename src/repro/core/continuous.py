@@ -12,8 +12,8 @@ re-runs the risk matrix and drives graded operational responses
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.defense.ids.base import Alert
 from repro.risk.feasibility import FeasibilityRating

@@ -18,7 +18,7 @@ that propagation explicit and computable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.risk.feasibility import FeasibilityRating

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.characteristics import (
-    CharacteristicModifiers,
     ForestryCharacteristic,
     combined_modifiers,
 )

@@ -18,13 +18,12 @@ the quantity benchmark E-S4E reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.interplay import InterplayFinding
 from repro.risk.impact import ImpactRating
 from repro.risk.matrix import risk_value
 from repro.risk.model import ItemModel
-from repro.risk.tara import TaraResult, ThreatAssessment
+from repro.risk.tara import TaraResult
 from repro.sos.composition import SystemOfSystems
 from repro.sos.emergence import EmergentInteraction
 from repro.sos.independence import IndependenceReport, independence_report

@@ -10,10 +10,9 @@ Maps one-to-one onto the mitigations the paper's survey collects:
   (:mod:`repro.defense.camera_defense`) — Petit et al. / Kyrkou et al.;
 * identification & authentication, use control
   (:mod:`repro.defense.access_control`) — IEC 62443 FR1/FR2 via IEC TS 63074;
-* system integrity (:mod:`repro.defense.integrity`) — secure boot and
-  attestation;
 * the countermeasure catalog (:mod:`repro.defense.countermeasures`) that the
-  risk treatment step draws from;
+  risk treatment step draws from; its system-integrity measures (secure
+  boot, remote attestation) are assessed at design time, not simulated;
 * disaster recovery / continuity (:mod:`repro.defense.recovery`) — Table I's
   "Natural Disasters" characteristic.
 """

@@ -16,7 +16,7 @@ certificate's role set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set
 
 from repro.comms.crypto.certificates import Certificate
@@ -91,8 +91,6 @@ class AccessControlPolicy:
         self._sessions: Dict[str, Session] = {}
         self._failures: Dict[str, int] = {}
         self._locked_until: Dict[str, float] = {}
-        self.denials = 0
-        self.grants = 0
 
     # -- administration -----------------------------------------------------
     def assign(self, identity: str, role_name: str) -> None:
@@ -120,14 +118,12 @@ class AccessControlPolicy:
         the policy only manages failure counting, lockout and session issue.
         """
         if self.is_locked(identity, now):
-            self.denials += 1
             return None
         if not credential_valid:
             self._failures[identity] = self._failures.get(identity, 0) + 1
             if self._failures[identity] >= self.max_failures:
                 self._locked_until[identity] = now + self.lockout_s
                 self._failures[identity] = 0
-            self.denials += 1
             return None
         self._failures[identity] = 0
         session = Session(
@@ -150,14 +146,8 @@ class AccessControlPolicy:
         """Check ``identity`` holds ``permission`` through an active session."""
         session = self.session_of(identity, now)
         if session is None:
-            self.denials += 1
             return False
-        allowed = permission in self.permissions_of(identity)
-        if allowed:
-            self.grants += 1
-        else:
-            self.denials += 1
-        return allowed
+        return permission in self.permissions_of(identity)
 
     def authorize_command(self, message: Message, now: float) -> bool:
         """Authorisation hook for :class:`repro.comms.protocols.CommandChannel`."""
@@ -171,7 +161,5 @@ class AccessControlPolicy:
         for role_name in cert.roles:
             role = self.roles.get(role_name)
             if role is not None and permission in role.permissions:
-                self.grants += 1
                 return True
-        self.denials += 1
         return False

@@ -15,10 +15,9 @@ attacks via a dedicated anti-hacking device."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.defense.ids.base import IntrusionDetector
-from repro.sensors.camera import Camera
 from repro.sensors.detection import Detection, PeopleDetector
 from repro.sim.engine import Simulator
 from repro.sim.events import EventLog
@@ -41,7 +40,6 @@ class CameraRedundancy:
         self.detectors = list(detectors)
         self.suspect: Dict[str, bool] = {d.camera.name: False for d in detectors}
         self._window_counts: Dict[str, int] = {d.camera.name: 0 for d in detectors}
-        self.quarantines = 0
 
     def process_frame(self, now: float, people) -> List[Detection]:
         """Run all healthy detectors and update suspicion state."""
@@ -63,7 +61,6 @@ class CameraRedundancy:
             if name not in active and peers_seeing >= self.quorum:
                 if not self.suspect[name] and self._peers_confirmed(name):
                     self.suspect[name] = True
-                    self.quarantines += 1
             elif name in active and self.suspect[name]:
                 self.suspect[name] = False
         merged: List[Detection] = []

@@ -17,8 +17,8 @@ scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.comms.link import LinkEndpoint
 from repro.comms.medium import WirelessMedium

@@ -16,8 +16,8 @@ contributions per zone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Sequence
 
 
 @dataclass(frozen=True)

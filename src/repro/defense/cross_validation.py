@@ -56,7 +56,6 @@ class CollaborativePositionCheck(IntrusionDetector):
         self.observer_fn = observer_fn
         self._breaches = 0
         self.checks = 0
-        self.cross_validated = 0
         sim.every(interval_s, self._check)
 
     def _check(self) -> None:
@@ -79,7 +78,6 @@ class CollaborativePositionCheck(IntrusionDetector):
                 self._breaches = 0
         else:
             self._breaches = 0
-            self.cross_validated += 1
 
 
 #: how far the drone's camera localises the forwarder, metres

@@ -62,7 +62,6 @@ class GnssPlausibilityMonitor(IntrusionDetector):
         self._cn0_high = 0
         self._cn0_low = 0
         self._dr_diverged = 0
-        self.fix_trusted = True
         sim.every(self.interval_s, self._check)
 
     def _check(self) -> None:
@@ -79,7 +78,6 @@ class GnssPlausibilityMonitor(IntrusionDetector):
             if fix.valid:
                 self._dr_position = self._dr_position.lerp(fix.position, self.dr_leak)
 
-        trusted = True
         if not fix.valid or fix.cn0_dbhz < self.min_cn0_dbhz:
             self._cn0_low += 1
             if self._cn0_low >= self.persistence:
@@ -87,7 +85,6 @@ class GnssPlausibilityMonitor(IntrusionDetector):
                     "gnss_jamming", 0.9, cn0=round(fix.cn0_dbhz, 1), valid=fix.valid
                 )
                 self._cn0_low = 0
-            trusted = False
         else:
             self._cn0_low = 0
 
@@ -96,7 +93,6 @@ class GnssPlausibilityMonitor(IntrusionDetector):
             if self._cn0_high >= self.persistence:
                 self.raise_alert("gnss_spoofing", 0.85, cn0=round(fix.cn0_dbhz, 1))
                 self._cn0_high = 0
-            trusted = False
         else:
             self._cn0_high = 0
 
@@ -109,7 +105,6 @@ class GnssPlausibilityMonitor(IntrusionDetector):
                     "gnss_spoofing", 0.9, check="innovation",
                     jump_m=round(jump, 1), allowed_m=round(allowed, 1),
                 )
-                trusted = False
 
         if fix.valid and self._dr_position is not None:
             divergence = fix.position.distance_to(self._dr_position)
@@ -121,9 +116,7 @@ class GnssPlausibilityMonitor(IntrusionDetector):
                         divergence_m=round(divergence, 1),
                     )
                     self._dr_diverged = 0
-                trusted = False
             else:
                 self._dr_diverged = 0
 
-        self.fix_trusted = trusted
         self._last_fix = fix

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.defense.ids.base import IntrusionDetector
 from repro.sim.engine import Simulator

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Set
 
 from repro.comms.messages import Message
 from repro.comms.network import CommNode
@@ -34,18 +34,17 @@ class ProtocolSpec:
         Node names allowed to send commands.
     max_rate_per_sender_hz:
         Ceiling on per-sender application message rate.
-    allowed_commands:
-        The closed vocabulary of commands.
     """
 
     #: maximum accepted age of a message timestamp, seconds
     max_timestamp_skew_s = 3.0
+    #: the closed vocabulary of commands
+    allowed_commands = frozenset(
+        {"emergency_stop", "resume", "set_speed_limit", "goto"}
+    )
 
     command_senders: Set[str] = field(default_factory=set)
     max_rate_per_sender_hz: float = 20.0
-    allowed_commands: Set[str] = field(
-        default_factory=lambda: {"emergency_stop", "resume", "set_speed_limit", "goto"}
-    )
 
 
 class SpecificationIds(IntrusionDetector):

@@ -12,7 +12,7 @@ and reports objective compliance afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator
@@ -109,7 +109,6 @@ class ContinuityManager:
         self.scope = scope
         self.outages: List[Outage] = []
         self._open: Dict[str, Outage] = {}
-        self.fallback_activations = 0
 
     def service_down(self, service: str, cause: str = "unknown") -> Optional[str]:
         """Report a service outage; returns the activated fallback mode."""
@@ -123,7 +122,6 @@ class ContinuityManager:
         if objective is not None:
             outage.fallback_activated = True
             fallback = objective.fallback
-            self.fallback_activations += 1
         self.log.emit(
             self.sim.now, EventCategory.SYSTEM, "service_down", service,
             cause=cause, fallback=fallback,

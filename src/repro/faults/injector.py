@@ -17,7 +17,7 @@ non-perturbation guarantee the golden-trace regression test pins down.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.comms.link import RetryPolicy
 from repro.defense.recovery import ContinuityManager, RecoveryPlan
@@ -62,7 +62,6 @@ class FaultInjector:
         self.active_faults: List[FaultSpec] = []
         self.machines: Dict[str, ModeMachine] = {}
         self.continuities: Dict[str, ContinuityManager] = {}
-        self.voter: Optional[SensorHealthVoter] = None
         self._sensors: Dict[str, object] = {}
         self._corruption_rng = None
 
@@ -245,7 +244,7 @@ class FaultInjector:
                 (ultrasonic.name, lambda: ultrasonic.healthy(sim.now))
             )
         checks.append((scenario.gnss.name, scenario.gnss.healthy))
-        self.voter = SensorHealthVoter(
+        SensorHealthVoter(
             sim, checks, self.machines["forwarder"], service="perception"
         )
 

@@ -219,8 +219,6 @@ class SensorHealthVoter:
         self.machine = machine
         self.service = service
         self.quorum = len(self.checks) // 2 + 1
-        self.votes_cast = 0
-        self.last_healthy = len(self.checks)
         offset = phase_offset(
             f"sensor-voter:{machine.machine}:{service}", interval_s
         )
@@ -229,9 +227,7 @@ class SensorHealthVoter:
         )
 
     def _vote(self) -> None:
-        self.votes_cast += 1
         healthy = sum(1 for _, check in self.checks if check())
-        self.last_healthy = healthy
         if healthy < self.quorum:
             self.machine.service_down(self.service, cause="sensor_vote")
         else:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.canonical import canonical_json
 from repro.fuzz.coverage import COVERAGE_SCHEMA, CoverageMap

@@ -18,7 +18,7 @@ overridable set.  An invalid spec is a generator bug, not a finding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.campaigns import FAULT_CAMPAIGNS, build_fault_campaign

@@ -19,7 +19,7 @@ and it is exercised end-to-end by :mod:`repro.fuzz.selftest`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.fuzz.evaluate import Mutator, evaluate_spec, failure_id
 from repro.fuzz.generator import spec_with_plan

@@ -127,7 +127,7 @@ class VehicleAgent:
             )
         bus.subscribe(f"gs/cmd/{name}", self._on_command)
         offset = phase_offset(f"gs-status:{name}", STATUS_INTERVAL_S)
-        self._beacon = sim.every(
+        sim.every(
             STATUS_INTERVAL_S, self._publish_status, start_at=sim.now + offset
         )
         # forward this vehicle's own detections as signed alerts
@@ -259,9 +259,7 @@ class ControlStation:
         self._gap_flagged: Set[str] = set()
         bus.subscribe("gs/#", self._on_message)
         offset = phase_offset("gs-watchdog", 1.0)
-        self._watchdog = sim.every(
-            1.0, self._check_gaps, start_at=sim.now + offset
-        )
+        sim.every(1.0, self._check_gaps, start_at=sim.now + offset)
 
     def _on_message(self, topic: str, wire: bytes) -> None:
         sender, counter, kind = "unknown", 0, "unknown"

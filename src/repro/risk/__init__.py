@@ -17,6 +17,5 @@ package encodes both calculi executably:
 * :mod:`repro.risk.tara` — the assembled TARA pipeline;
 * :mod:`repro.risk.cal` — cybersecurity assurance level determination;
 * :mod:`repro.risk.iec62443` — zones, conduits, SL-T/SL-A and gap analysis;
-* :mod:`repro.risk.attack_graphs` — attack-path graph analysis (networkx);
 * :mod:`repro.risk.treatment` — risk treatment and residual risk.
 """

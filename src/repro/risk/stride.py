@@ -9,12 +9,11 @@ platforms ⇒ firmware attacks).  The output plugs straight into the TARA.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.risk.model import (
     Asset,
     CybersecurityProperty,
-    DamageScenario,
     ItemModel,
     ThreatScenario,
 )

@@ -16,7 +16,7 @@ feasibility and impact — that is the mechanism behind the E-T1 experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.defense.countermeasures import CountermeasureCatalog

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.defense.countermeasures import Countermeasure, CountermeasureCatalog
 from repro.risk.feasibility import default_potential, rate_feasibility
 from repro.risk.matrix import risk_value
-from repro.risk.tara import TaraResult, ThreatAssessment
+from repro.risk.tara import TaraResult
 
 
 class TreatmentDecision(enum.Enum):

@@ -9,7 +9,7 @@ each row.  Failed runs are counted per cell but excluded from the means.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table
 

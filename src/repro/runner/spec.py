@@ -41,6 +41,16 @@ def _freeze_plan(plan: Sequence[Sequence]) -> Tuple[PlanStep, ...]:
     return tuple(steps)
 
 
+def _shaped(value: object, what: str, names: Tuple[str, ...]) -> list:
+    """``value`` if it is an array of one item per name in ``names``;
+    anything else raises :class:`InputError` naming that shape."""
+    if not isinstance(value, list) or len(value) != len(names):
+        raise InputError(
+            f"{what} must be a [{', '.join(names)}] array, got {value!r}"
+        )
+    return value
+
+
 def _freeze_overrides(overrides: Optional[Mapping]) -> Tuple[Tuple[str, object], ...]:
     return tuple(sorted((str(k), v) for k, v in dict(overrides or {}).items()))
 
@@ -165,10 +175,18 @@ class RunSpec:
                 seed=integer(data.get("seed", 42), "seed"),
                 horizon_s=number(data.get("horizon_s", 900.0), "horizon_s"),
                 profile=str(data.get("profile", "defended")),
-                plan=_freeze_plan(data.get("plan", ())),
+                plan=_freeze_plan([
+                    _shaped(step, "plan step",
+                            ("campaign", "start", "duration"))
+                    for step in array(data.get("plan", []), "plan")
+                ]),
                 ids_family=data.get("ids_family"),
                 overrides=_freeze_overrides(data.get("overrides")),
-                faults=_freeze_faults(data.get("faults", ())),
+                faults=_freeze_faults([
+                    _shaped(item, "fault",
+                            ("kind", "target", "start", "duration", "params"))
+                    for item in array(data.get("faults", []), "faults")
+                ]),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"run spec does not convert: {exc}") from None

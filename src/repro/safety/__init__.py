@@ -7,7 +7,7 @@
 * :mod:`repro.safety.sotif` — ISO 21448 triggering conditions and the
   known/unknown × safe/unsafe scenario-area accounting;
 * :mod:`repro.safety.functions` — runtime safety functions (protective
-  stop, geofence, speed limitation) with demand/response bookkeeping;
+  stop, speed limitation) with demand/response bookkeeping;
 * :mod:`repro.safety.people_detection` — the collaborative drone+forwarder
   people-detection safety function of Figure 2;
 * :mod:`repro.safety.monitor` — the runtime safety monitor scoring a run

@@ -1,9 +1,12 @@
-"""Runtime safety functions: protective stop, geofence, speed limiter.
+"""Runtime safety functions: protective stop and speed limiter.
 
-Each function follows the same demand/response pattern: a monitored
-condition creates a *demand*; the function commands the machine into its
-safe state and records response latency.  Demand and failure counts feed the
-diagnostic-coverage estimates of the ISO 13849 evaluation.
+Both are built by the collaborative people-detection function
+(:mod:`repro.safety.people_detection`).  The protective stop follows the
+demand/response pattern: a monitored condition creates a *demand*; the
+function commands the machine into its safe state and records response
+latency.  The geofence of the hazard catalog is a design-time function
+only: the worksite's forwarder steers by its true position, so no run
+could show a believed position leaving its zone.
 """
 
 from __future__ import annotations
@@ -11,10 +14,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import EventCategory, EventLog
+from repro.sim.events import EventLog
 from repro.sim.forwarder import Forwarder
-from repro.sim.geometry import Vec2
-from repro.sim.world import Zone
 
 
 class ProtectiveStop:
@@ -47,81 +48,18 @@ class ProtectiveStop:
         self.stop_distance_m = stop_distance_m
         self.clear_distance_m = clear_distance_m
         self.engaged = False
-        self.demands = 0
         self.response_latencies: List[float] = []
-        self._demand_time: Optional[float] = None
 
     def evaluate(self, nearest_confirmed_m: Optional[float]) -> None:
         """Evaluate against the nearest confirmed person track distance."""
         if nearest_confirmed_m is not None and nearest_confirmed_m <= self.stop_distance_m:
             if not self.engaged:
                 self.engaged = True
-                self.demands += 1
-                self._demand_time = self.sim.now
                 self.forwarder.safe_stop(self.REASON)
                 self.response_latencies.append(0.0)  # stop command is immediate
         elif self.engaged and (
             nearest_confirmed_m is None or nearest_confirmed_m >= self.clear_distance_m
         ):
-            self.engaged = False
-            self.forwarder.clear_safe_stop(self.REASON)
-
-
-class Geofence:
-    """Keeps the machine inside its permitted operational zones.
-
-    A machine position outside every permitted zone demands a safe stop —
-    also the backstop against GNSS spoofing walking the machine off-route
-    (with spoofing, the *believed* position stays in-zone while the true one
-    leaves; the geofence evaluated on believed position therefore misses it,
-    which is exactly the interplay the combined assessment must catch).
-    """
-
-    REASON = "geofence"
-
-    def __init__(
-        self,
-        forwarder: Forwarder,
-        zones: List[Zone],
-        sim: Simulator,
-        log: EventLog,
-        *,
-        margin_m: float = 5.0,
-    ) -> None:
-        if not zones:
-            raise ValueError("geofence needs at least one permitted zone")
-        self.forwarder = forwarder
-        self.zones = list(zones)
-        self.sim = sim
-        self.log = log
-        self.margin_m = margin_m
-        self.engaged = False
-        self.breaches = 0
-
-    def _inside(self, p: Vec2) -> bool:
-        expanded = Vec2(self.margin_m, self.margin_m)
-        for zone in self.zones:
-            if (
-                zone.min_corner.x - self.margin_m <= p.x <= zone.max_corner.x + self.margin_m
-                and zone.min_corner.y - self.margin_m <= p.y <= zone.max_corner.y + self.margin_m
-            ):
-                return True
-        return False
-
-    def evaluate(self, believed_position: Optional[Vec2] = None) -> None:
-        """Check the believed (or true) position against the permitted zones."""
-        position = believed_position if believed_position is not None else self.forwarder.position
-        if not self._inside(position):
-            if not self.engaged:
-                self.engaged = True
-                self.breaches += 1
-                self.forwarder.safe_stop(self.REASON)
-                self.log.emit(
-                    self.sim.now, EventCategory.SAFETY, "geofence_breach",
-                    self.forwarder.name,
-                    x=round(position.x, 1), y=round(position.y, 1),
-                )
-        elif self.engaged:
             self.engaged = False
             self.forwarder.clear_safe_stop(self.REASON)
 

@@ -15,7 +15,7 @@ cybersecurity compromise (a successful attack can raise F or P).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 

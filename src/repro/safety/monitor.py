@@ -8,7 +8,7 @@ protection distance), near misses, and time-to-detect statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator

@@ -1,8 +1,8 @@
 """The collaborative people-detection safety function (Figure 2).
 
-Composes the whole stack: the forwarder's own cameras/LiDAR/ultrasonic, the
-drone's camera (detections relayed over the network), track fusion, and the
-protective stop + speed limiter.  This is the safety function whose
+Composes the whole stack: the forwarder's own cameras and ultrasonic array,
+the drone's camera (detections relayed over the network), track fusion, and
+the protective stop + speed limiter.  This is the safety function whose
 performance the E-F2 experiment measures with and without the drone, and
 whose degradation under attack the E-S4B interplay experiment measures.
 """
@@ -69,7 +69,6 @@ class CollaborativePeopleDetection:
             forwarder, sim, log, stop_distance_m=stop_distance_m
         )
         self.speed_limiter = SpeedLimiter(forwarder, sim, log)
-        self.frames_processed = 0
         self.first_confirm_times: dict = {}
         sim.every(self.frame_interval_s, self._frame)
 
@@ -107,7 +106,6 @@ class CollaborativePeopleDetection:
                 )
         nearest = self._nearest_confirmed_distance(confirmed)
         self.protective_stop.evaluate(nearest)
-        self.frames_processed += 1
 
     def _nearest_confirmed_distance(self, confirmed) -> Optional[float]:
         if not confirmed:

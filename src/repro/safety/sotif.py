@@ -17,7 +17,7 @@ from "unknown" to "known" and from "unsafe" to "mitigated".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

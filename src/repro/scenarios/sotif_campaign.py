@@ -11,7 +11,7 @@ difference between the ground-only and collaborative designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.safety.sotif import SotifAnalysis

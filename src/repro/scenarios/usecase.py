@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.sensors.camera import Camera
 from repro.sensors.degradation import DegradationModel
-from repro.sensors.detection import Detection, PeopleDetector
+from repro.sensors.detection import PeopleDetector
 from repro.sensors.occlusion import OcclusionModel
 from repro.safety.people_detection import CollaborativePeopleDetection
 from repro.sim.drone import Drone

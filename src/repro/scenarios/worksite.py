@@ -12,7 +12,7 @@ by the risk assessments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.comms.crypto.numbers import DhGroup, TEST_GROUP
@@ -613,58 +613,3 @@ def worksite_safety_designs() -> Dict[str, SafetyFunctionDesign]:
         "speed_limiter": SafetyFunctionDesign(
             "speed_limiter", Category.CAT2, 30.0, 0.7),
     }
-
-
-def worksite_attack_graph():
-    """The worksite's attack graph (ISO 21434 attack-path work product).
-
-    Entry points are the perimeter radio adversary and physical access to a
-    parked machine; goals are the safety-related assets.  The graph backs
-    the feasibility analysis with explicit multi-step paths and lets the
-    treatment step check which deployed measures sever all paths
-    (:meth:`repro.risk.attack_graphs.AttackGraph.severed_by`).
-    """
-    from repro.risk.attack_graphs import AttackGraph
-
-    graph = AttackGraph()
-    radio = graph.add_entry("perimeter-radio")
-    physical = graph.add_entry("physical-access")
-
-    on_network = graph.add_state("attacker-on-network")
-    assoc_broken = graph.add_state("victim-disassociated")
-    feed_access = graph.add_state("camera-feed-access")
-    fw_control = graph.add_state("firmware-control")
-
-    goal_command = graph.add_goal("ch-command")
-    goal_detection = graph.add_goal("ch-detection")
-    goal_gnss = graph.add_goal("gnss-fwd")
-    goal_ops = graph.add_goal("data-ops")
-
-    graph.add_action(radio, on_network, "eavesdropping",
-                     "learn addresses and protocol from captured traffic")
-    graph.add_action(radio, assoc_broken, "wifi_deauth",
-                     "force the forwarder off the network")
-    graph.add_action(on_network, goal_command, "message_injection",
-                     "forge operator commands")
-    graph.add_action(on_network, goal_command, "message_replay",
-                     "replay captured command records")
-    graph.add_action(assoc_broken, goal_detection, "rf_jamming",
-                     "keep the detection relay down")
-    graph.add_action(radio, goal_detection, "rf_jamming",
-                     "jam the drone-forwarder link directly")
-    graph.add_action(radio, goal_gnss, "gnss_spoofing",
-                     "walk the believed position off the route")
-    graph.add_action(radio, goal_gnss, "gnss_jamming", "deny positioning")
-    graph.add_action(on_network, feed_access, "camera_hijack",
-                     "take over the drone video stream")
-    graph.add_action(feed_access, goal_detection, "camera_hijack",
-                     "silently consume the collaborative view")
-    graph.add_action(feed_access, goal_ops, "eavesdropping",
-                     "exfiltrate site footage")
-    graph.add_action(on_network, goal_ops, "eavesdropping",
-                     "collect telemetry track of operations")
-    graph.add_action(physical, fw_control, "firmware_tampering",
-                     "reflash a parked machine overnight")
-    graph.add_action(fw_control, goal_command, "message_injection",
-                     "issue commands from inside the platform")
-    return graph

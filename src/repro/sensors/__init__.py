@@ -1,4 +1,4 @@
-"""Sensor substrate: camera, LiDAR, GNSS, ultrasonic, detection AI, fusion.
+"""Sensor substrate: camera, GNSS, ultrasonic, detection AI, fusion.
 
 The paper's threat survey (Section IV-C) and SOTIF discussion (Section III-C)
 both revolve around sensor behaviour: occlusion by terrain and canopy, weather

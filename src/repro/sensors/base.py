@@ -59,7 +59,6 @@ class Sensor:
         self.enabled = True
         self.blinded_until: float = -1.0
         self.hijacked_by: Optional[str] = None
-        self.observations_made = 0
         # fault-injection state (distinct from attack state: dropout and
         # freeze model component failures, not adversarial action)
         self.fault_dropout = False

@@ -107,5 +107,4 @@ class Camera(Sensor):
                     data={"quality": quality, "hijacked": self.hijacked_by is not None},
                 )
             )
-            self.observations_made += 1
         return observations

@@ -20,18 +20,14 @@ class DegradationFactors:
     """Multiplicative performance factors in [0, 1] per modality."""
 
     camera: float
-    lidar: float
     ultrasonic: float
-    gnss: float
 
 
 class DegradationModel:
     """Maps weather conditions to per-modality degradation factors.
 
     The shapes follow the qualitative literature the paper cites (rain
-    attenuates LiDAR returns and blurs cameras; fog hits optics hardest;
-    GNSS is nearly weather-immune at these scales; ultrasonic degrades in
-    wind).
+    blurs cameras; fog hits optics hardest; ultrasonic degrades in wind).
     """
 
     def __init__(self, weather: Weather) -> None:
@@ -47,14 +43,8 @@ class DegradationModel:
         # result, so the per-state factors are computed once per regime
         camera = c.visibility * (0.55 + 0.45 * c.light_level)
         camera *= 1.0 - 0.35 * c.precipitation
-        lidar = 1.0 - 0.5 * c.precipitation
-        lidar *= 0.6 + 0.4 * c.visibility  # fog scatters returns too
         ultrasonic = max(0.2, 1.0 - 0.04 * c.wind_speed)
-        gnss = 1.0 - 0.05 * c.precipitation
         clamp = lambda v: max(0.0, min(1.0, v))
         return DegradationFactors(
-            camera=clamp(camera),
-            lidar=clamp(lidar),
-            ultrasonic=clamp(ultrasonic),
-            gnss=clamp(gnss),
+            camera=clamp(camera), ultrasonic=clamp(ultrasonic),
         )

@@ -77,7 +77,6 @@ class PeopleDetector:
         self.camera = camera
         self._rng = streams.stream(f"detector.{camera.name}")
         self.true_positives = 0
-        self.false_positives = 0
         self.misses = 0
 
     def tpr(self, quality: float) -> float:
@@ -132,7 +131,6 @@ class PeopleDetector:
             elif quality > 0.0:
                 self.misses += 1
         if self._rng.random() < self.fp_probability(scene_quality):
-            self.false_positives += 1
             ghost = self.camera.position + Vec2.from_polar(
                 self._rng.uniform(3.0, self.camera.nominal_range),
                 self._rng.uniform(-math.pi, math.pi),

@@ -84,8 +84,6 @@ class GnssReceiver:
         self.fault_frozen = False
         self.fault_bias: Optional[Vec2] = None
         self._last_fix: Optional[GnssFix] = None
-        self.fixes_produced = 0
-        self.fixes_lost = 0
 
     def clear_attacks(self) -> None:
         self.jammer_power_db = 0.0
@@ -110,11 +108,9 @@ class GnssReceiver:
 
     def fix(self, now: float) -> GnssFix:
         """Produce the current fix, honouring attack and fault state."""
-        self.fixes_produced += 1
         if self.fault_dropout:
             # receiver hang / constellation outage: no fix, no RNG draws
             # (the gnss stream resumes exactly where it paused on recovery)
-            self.fixes_lost += 1
             return GnssFix(now, None, 0.0, n_satellites=0, hdop=99.0)
         if self.fault_frozen and self._last_fix is not None:
             stale = self._last_fix
@@ -129,7 +125,6 @@ class GnssReceiver:
             return self._produce(GnssFix(now, noisy, cn0, n_satellites=9, hdop=0.9))
         cn0 = self.nominal_cn0 - self.jammer_power_db + self._rng.gauss(0.0, 1.0)
         if cn0 < self.TRACKING_THRESHOLD_DBHZ:
-            self.fixes_lost += 1
             return GnssFix(now, None, cn0, n_satellites=0, hdop=99.0)
         # Partial jamming degrades geometry and noise.
         degradation = max(0.0, self.jammer_power_db) / 20.0

@@ -79,5 +79,4 @@ class UltrasonicArray(Sensor):
                     confidence=p if detected else 0.0,
                 )
             )
-            self.observations_made += 1
         return observations

@@ -10,7 +10,6 @@ the paper's SoS discussion raises).
 from __future__ import annotations
 
 import enum
-import math
 from typing import Optional
 
 from repro.sim.engine import Simulator
@@ -70,7 +69,6 @@ class Drone(Entity):
         self.recharge_time_s = recharge_time_s
         self.mode = DroneMode.TRACKING if target is not None else DroneMode.ORBITING
         self._orbit_phase = 0.0
-        self.sorties = 0
         self.airborne_time = 0.0
 
     @property
@@ -133,7 +131,6 @@ class Drone(Entity):
             return
         self.state.altitude = self.operating_altitude
         self.mode = DroneMode.TRACKING if self.target is not None else DroneMode.ORBITING
-        self.sorties += 1
         self.emit(EventCategory.MISSION, "drone_launched",
                   battery_fraction=self.battery_fraction)
 

@@ -8,8 +8,7 @@ updates on a fixed tick driven by the simulation kernel.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.engine import Process, Simulator

@@ -40,7 +40,7 @@ class SimEvent:
     category:
         Coarse classification used by monitors and filters.
     kind:
-        Fine event type (e.g. ``"person_detected"``, ``"estop_triggered"``).
+        Fine event type (e.g. ``"person_detected"``, ``"safe_stop"``).
     source:
         Identifier of the emitting entity/component.
     data:

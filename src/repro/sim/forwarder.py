@@ -61,7 +61,6 @@ class Forwarder(Entity):
         self._phase_before_stop: Optional[MissionPhase] = None
         self._current_pile: Optional[LogPile] = None
         self.safe_stops = 0
-        self.replan_failures = 0
         if mission is not None:
             # begin the first cycle shortly after start
             sim.schedule(1.0, self._begin_cycle)
@@ -149,7 +148,6 @@ class Forwarder(Entity):
         try:
             route = self.planner.plan(self.position, destination)
         except PathNotFound:
-            self.replan_failures += 1
             self.emit(EventCategory.MISSION, "replan_failed",
                       destination=(destination.x, destination.y))
             self._set_phase(MissionPhase.IDLE)

@@ -65,7 +65,6 @@ class Human(Entity):
         self.wander_radius = wander_radius
         self.approach_target = approach_target
         self.behaviour = HumanBehaviour.WORKING
-        self.approaches_started = 0
         if approach_rate_per_h > 0.0 and approach_target is not None:
             self._approach_rate = approach_rate_per_h / 3600.0
             self._schedule_spontaneous_approach()
@@ -89,7 +88,6 @@ class Human(Entity):
         if target is None:
             return
         self.behaviour = HumanBehaviour.APPROACHING
-        self.approaches_started += 1
         self.set_route([self._short_of(target)], speed=self.max_speed)
         self.emit(EventCategory.MOVEMENT, "approach_started", target=target.name)
 

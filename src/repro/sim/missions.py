@@ -9,7 +9,7 @@ cycles until the inventory is exhausted or the run ends.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.geometry import Vec2

@@ -8,8 +8,8 @@ trees that occlude sensors and block paths, and named operational zones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.perf import counters as perf
 from repro.sim.geometry import Segment, Vec2

@@ -7,7 +7,6 @@ empirical Wasserstein-1).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Tuple
 
 import numpy as np

@@ -8,10 +8,11 @@ dependency edges along which compromise and failure propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
-import networkx as nx
+#: interface criticalities along which a provider's loss cuts off its consumer
+CRITICAL = ("high", "safety")
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,13 @@ class SystemOfSystems:
         self.name = name
         self.systems: Dict[str, ConstituentSystem] = {}
         self.interfaces: List[Interface] = []
-        self._graph = nx.DiGraph()
+        #: provider -> the interfaces it serves (failure flows downstream)
+        self._downstream: Dict[str, List[Interface]] = {}
 
     def add_system(self, system: ConstituentSystem) -> ConstituentSystem:
         if system.name in self.systems:
             raise ValueError(f"duplicate system {system.name!r}")
         self.systems[system.name] = system
-        self._graph.add_node(system.name)
         return system
 
     def add_interface(self, interface: Interface) -> Interface:
@@ -80,19 +81,32 @@ class SystemOfSystems:
             if endpoint not in self.systems:
                 raise ValueError(f"interface references unknown system {endpoint!r}")
         self.interfaces.append(interface)
-        # edge direction: provider -> consumer (failure flows downstream)
-        self._graph.add_edge(
-            interface.provider, interface.consumer,
-            service=interface.service, criticality=interface.criticality,
-        )
+        self._downstream.setdefault(interface.provider, []).append(interface)
         return interface
 
     # -- analysis ----------------------------------------------------------
+    def _reach(self, system: str, criticalities=None) -> Set[str]:
+        """Consumers reachable from ``system`` through interfaces (of the
+        given criticalities, or any); ``system`` itself is excluded, even
+        when a cycle leads back to it."""
+        reached: Set[str] = set()
+        stack = [system]
+        while stack:
+            for interface in self._downstream.get(stack.pop(), ()):
+                consumer = interface.consumer
+                if consumer in reached or (
+                    criticalities is not None
+                    and interface.criticality not in criticalities
+                ):
+                    continue
+                reached.add(consumer)
+                stack.append(consumer)
+        reached.discard(system)
+        return reached
+
     def dependents_of(self, system: str) -> Set[str]:
         """Systems (transitively) depending on ``system``."""
-        if system not in self._graph:
-            return set()
-        return set(nx.descendants(self._graph, system))
+        return self._reach(system)
 
     def single_points_of_failure(self) -> List[str]:
         """Systems whose loss cuts off a safety-critical consumer.
@@ -101,20 +115,11 @@ class SystemOfSystems:
         depends on it through a chain of high- or safety-criticality
         interfaces (telemetry-grade links do not make their provider an SPOF).
         """
-        critical = nx.DiGraph()
-        critical.add_nodes_from(self._graph.nodes)
-        for a, b, data in self._graph.edges(data=True):
-            if data.get("criticality") in ("high", "safety"):
-                critical.add_edge(a, b)
         safety_systems = {
             name for name, system in self.systems.items() if system.safety_critical
         }
-        spofs = []
-        for name in self.systems:
-            downstream = set(nx.descendants(critical, name))
-            if downstream & safety_systems:
-                spofs.append(name)
-        return spofs
+        return [name for name in self.systems
+                if self._reach(name, CRITICAL) & safety_systems]
 
     def cross_operator_interfaces(self) -> List[Interface]:
         """Interfaces crossing a management boundary."""

@@ -12,8 +12,8 @@ designers did not model, so it must be found from behaviour, not structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.sim.events import EventCategory, EventLog, SimEvent
 
@@ -47,10 +47,7 @@ class EmergenceDetector:
     #: cascade window length, seconds
     window_s = 10.0
 
-    SAFETY_KINDS = {
-        "safe_stop", "safety_violation", "near_miss", "geofence_breach",
-        "estop_triggered",
-    }
+    SAFETY_KINDS = {"safe_stop", "safety_violation", "near_miss"}
 
     def __init__(
         self, *, min_sources: int = 3, density_threshold: float = 3.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.sos.composition import SystemOfSystems
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.risk.iec62443 import Conduit, SecurityLevel, Zone, ZoneModel, sl_vector
+from repro.risk.iec62443 import Conduit, Zone, ZoneModel, sl_vector
 
 
 def worksite_zone_model(

@@ -36,7 +36,7 @@ from a recorded stream and drives ``repro-worksite trace --analyze`` /
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.schema import SCHEMA_VERSION
 
@@ -90,8 +90,7 @@ class SpanEmitter:
     clock — so the span stream inherits the trace determinism contract.
     """
 
-    def __init__(self, tracer, seed: object) -> None:
-        self.tracer = tracer
+    def __init__(self, sink: Callable[[dict], None], seed: object) -> None:
         self.prefix = run_prefix(seed)
         self.si = 0
         self.run_span: Optional[_Open] = None
@@ -108,7 +107,7 @@ class SpanEmitter:
         self._outages: Dict[Tuple[Optional[str], str], _Open] = {}
         # hot-path caches: the emitter runs once per event record, so the
         # sink and the per-type handlers are bound once up front
-        self._sink = tracer._emit_span
+        self._sink = sink
         self._dispatch = {
             rtype: handler.__get__(self)
             for rtype, handler in self._HANDLERS.items()

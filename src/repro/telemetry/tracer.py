@@ -171,7 +171,7 @@ class Tracer:
 
             # created before the header is emitted so the run span opens
             # on the trace.meta record itself
-            self._spans = SpanEmitter(self, fields.get("seed"))
+            self._spans = SpanEmitter(self._emit_span, fields.get("seed"))
         self._emit("trace.meta", schema=SCHEMA_VERSION, **fields)
 
     # -- frame lifecycle ------------------------------------------------------

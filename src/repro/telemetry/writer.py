@@ -29,7 +29,6 @@ class TraceWriter:
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
         self._fh = None
-        self.lines_written = 0
 
     def write(self, record: dict) -> None:
         if self._fh is None:
@@ -37,7 +36,6 @@ class TraceWriter:
             self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._fh.write(canonical_json(record))
         self._fh.write("\n")
-        self.lines_written += 1
 
     def close(self) -> None:
         if self._fh is not None:

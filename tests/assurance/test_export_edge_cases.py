@@ -55,6 +55,16 @@ class TestRenderDetails:
         assert '\\"' not in dot  # replaced with single quotes, not escaped
         assert "'quotes'" in dot
 
+    def test_markdown_cae_view_drops_contexts(self):
+        graph = diamond_graph()
+        graph.add(GsnElement("C-1", GsnKind.CONTEXT, "operating context"))
+        graph.in_context_of("G-top", "C-1")
+        md = render_markdown(graph)
+        cae = md.split("## Claim-Argument-Evidence view")[1]
+        assert "C-1" not in cae
+        assert cae.count("**Claim G-shared**") == 2  # once under each parent
+        assert cae.count("**Evidence Sn-1**") == 2
+
     def test_undeveloped_marker_in_text(self):
         graph = GsnGraph(GsnElement("G", GsnKind.GOAL, "g", undeveloped=True))
         assert "(undeveloped)" in render_gsn_text(graph)

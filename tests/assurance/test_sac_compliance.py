@@ -174,3 +174,6 @@ class TestExport:
         md = render_markdown(graph)
         assert md.startswith("# Security Assurance Case")
         assert "**Goal G-top**" in md
+        gsn, cae = md.split("\n## Claim-Argument-Evidence view\n")
+        assert cae.startswith("\n- **Claim G-top**")
+        assert "**Argument S-assets**" in cae

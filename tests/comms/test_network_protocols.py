@@ -119,7 +119,6 @@ class TestNetwork:
         a.send(Telemetry(sender="alpha", recipient="beta", payload={"x": 1}))
         sim.run_until(1.0)
         assert len(got) == 1
-        assert b.unprotected_accepted == 1
 
     def test_wildcard_handler(self, net, sim):
         network, a, b, _ = net
@@ -203,5 +202,5 @@ class TestProtocols:
         relay = DetectionRelay(a, b, sim, on_report=reports.append)
         relay.publish([{"target": "p1", "confidence": 0.8, "x": 1.0, "y": 2.0}])
         sim.run_until(1.0)
-        assert relay.reports_received == 1
+        assert len(reports) == 1
         assert reports[0].payload["detections"][0]["target"] == "p1"

@@ -39,9 +39,9 @@ class TestHeartbeatCounters:
         monitor_a = HeartbeatMonitor(a, "b", sim, log, interval_s=1.0)
         monitor_b = HeartbeatMonitor(b, "a", sim, log, interval_s=1.0)
         sim.run_until(20.0)
-        assert monitor_a.heartbeats_sent >= 18
-        # close range: essentially all arrive
-        assert monitor_a.heartbeats_received >= 0.9 * monitor_b.heartbeats_sent
+        # close range: each side heard the other within the last interval
+        assert monitor_a.last_heard > 18.5 and monitor_b.last_heard > 18.5
+        assert log.count("heartbeat_lost") == 0
         assert monitor_a.link_up and monitor_b.link_up
 
     def test_ignores_heartbeats_from_other_peers(self, sim, log, streams):
@@ -56,7 +56,7 @@ class TestHeartbeatCounters:
                                    timeout_s=3.0)
         HeartbeatMonitor(c, "a", sim, log, interval_s=1.0)
         sim.run_until(10.0)
-        assert monitor.heartbeats_received == 0
+        assert monitor.last_heard == 0.0
         assert not monitor.link_up
 
 

@@ -20,6 +20,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventLog
 from repro.sim.geometry import Vec2
 from repro.sim.rng import RngStreams
+from repro.telemetry.tracer import Tracer, installed
 
 
 class TestRadioMath:
@@ -212,7 +213,10 @@ class TestLinkLayer:
         b.associated = False
         received = []
         b.on_receive(lambda frame, raw: received.append(raw))
-        a.send("b", b"x", reliable=False)
-        sim.run_until(1.0)
+        tracer = Tracer(sim, keep_records=True)
+        with installed(tracer):
+            a.send("b", b"x", reliable=False)
+            sim.run_until(1.0)
         assert received == []
-        assert b.frames_dropped_unassociated >= 1
+        assert [r["cause"] for r in tracer.records
+                if r["type"] == "frame.drop"] == ["unassociated_rx"]

@@ -1,4 +1,4 @@
-"""Unit tests for GNSS monitor, camera defences, access control, integrity,
+"""Unit tests for GNSS monitor, camera defences, access control,
 countermeasures and recovery."""
 
 import pytest
@@ -9,11 +9,6 @@ from repro.defense.access_control import AccessControlPolicy
 from repro.defense.camera_defense import AntiHackingDetector, CameraRedundancy
 from repro.defense.countermeasures import CountermeasureCatalog
 from repro.defense.gnss_monitor import GnssPlausibilityMonitor
-from repro.defense.integrity import (
-    AttestationService,
-    BootStage,
-    SecureBootChain,
-)
 from repro.defense.recovery import ContinuityManager, RecoveryPlan, ServiceObjective
 from repro.sensors.camera import Camera
 from repro.sensors.detection import PeopleDetector
@@ -33,7 +28,6 @@ class TestGnssMonitor:
     def test_nominal_fixes_trusted(self, sim, log, streams):
         carrier, gnss, monitor = self._rig(sim, log, streams)
         sim.run_until(60.0)
-        assert monitor.fix_trusted
         assert monitor.alerts == []
 
     def test_jamming_detected_by_cn0_floor(self, sim, log, streams):
@@ -42,7 +36,6 @@ class TestGnssMonitor:
         gnss.jammer_power_db = 25.0
         sim.run_until(45.0)
         assert any(a.alert_type == "gnss_jamming" for a in monitor.alerts)
-        assert not monitor.fix_trusted
 
     def test_overpowered_spoof_detected_by_cn0_ceiling(self, sim, log, streams):
         carrier, gnss, monitor = self._rig(sim, log, streams)
@@ -113,7 +106,6 @@ class TestCameraRedundancy:
             redundancy.process_frame(float(i), [person])
         assert redundancy.suspect["cam-a"]
         assert not redundancy.suspect["cam-b"]
-        assert redundancy.quarantines >= 1
 
     def test_recovered_feed_reinstated(self, camera_pair, sim, log):
         cam_a, cam_b, det_a, det_b = camera_pair
@@ -215,70 +207,6 @@ class TestAccessControl:
         assert not policy.authorize_from_certificate(cert, "config.write")
 
 
-class TestIntegrity:
-    def _chain(self):
-        return SecureBootChain([
-            BootStage("bootloader", b"boot-image-v1"),
-            BootStage("kernel", b"kernel-image-v1"),
-            BootStage("control-app", b"app-image-v1"),
-        ])
-
-    def test_clean_boot(self):
-        chain = self._chain()
-        assert chain.boot()
-        assert chain.booted
-        assert chain.failed_stage is None
-
-    def test_tampered_stage_halts_boot(self):
-        chain = self._chain()
-        assert not chain.boot({"kernel": b"kernel-image-EVIL"})
-        assert chain.failed_stage == "kernel"
-        assert not chain.booted
-        assert len(chain.measurement_log) == 2  # halted at the bad stage
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            SecureBootChain([])
-
-    def test_attestation_accepts_golden_state(self):
-        chain = self._chain()
-        chain.boot()
-        kp = KeyPair.generate(TEST_GROUP, seed=b"machine")
-        service = AttestationService(TEST_GROUP)
-        service.enroll("fwd", kp.public, chain.log_digest())
-        nonce = b"fresh-nonce-0001"
-        quote = AttestationService.produce_quote("fwd", kp, chain, nonce)
-        assert service.verify_quote(quote, nonce)
-
-    def test_attestation_rejects_tampered_state(self):
-        chain = self._chain()
-        chain.boot()
-        golden = chain.log_digest()
-        kp = KeyPair.generate(TEST_GROUP, seed=b"machine")
-        service = AttestationService(TEST_GROUP)
-        service.enroll("fwd", kp.public, golden)
-        chain.boot({"control-app": b"app-image-EVIL"})
-        quote = AttestationService.produce_quote("fwd", kp, chain, b"nonce-2-fresh-xx")
-        assert not service.verify_quote(quote, b"nonce-2-fresh-xx")
-
-    def test_attestation_rejects_stale_nonce(self):
-        chain = self._chain()
-        chain.boot()
-        kp = KeyPair.generate(TEST_GROUP, seed=b"machine")
-        service = AttestationService(TEST_GROUP)
-        service.enroll("fwd", kp.public, chain.log_digest())
-        quote = AttestationService.produce_quote("fwd", kp, chain, b"old-nonce-000000")
-        assert not service.verify_quote(quote, b"new-nonce-000000")
-
-    def test_attestation_rejects_unknown_machine(self):
-        chain = self._chain()
-        chain.boot()
-        kp = KeyPair.generate(TEST_GROUP, seed=b"machine")
-        service = AttestationService(TEST_GROUP)
-        quote = AttestationService.produce_quote("ghost", kp, chain, b"n" * 16)
-        assert not service.verify_quote(quote, b"n" * 16)
-
-
 class TestCountermeasures:
     def test_mitigating_sorted_strongest_first(self):
         catalog = CountermeasureCatalog()
@@ -317,7 +245,8 @@ class TestRecovery:
         manager = ContinuityManager(RecoveryPlan.worksite_default(), sim, log)
         fallback = manager.service_down("command_link", cause="jamming")
         assert fallback == "safe_stop"
-        assert manager.fallback_activations == 1
+        assert [e.data["fallback"] for e in log
+                if e.kind == "service_down"] == ["safe_stop"]
 
     def test_rto_compliance_report(self, sim, log):
         plan = RecoveryPlan([ServiceObjective("svc", rto_s=10.0, rpo_s=1.0,

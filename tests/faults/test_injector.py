@@ -176,7 +176,7 @@ class TestFaultKinds:
                            {"probability": 0.5})
         )
         scenario.run(40.0)
-        assert scenario.medium.frames_corrupted > 0
+        assert scenario.log.count("frame_corrupted") > 0
         assert scenario.medium._corruption is None  # cleared
 
 

@@ -151,12 +151,14 @@ class TestSensorHealthVoter:
     def test_stop_halts_voting(self, machine_env):
         sim, log, continuity = machine_env
         machine = ModeMachine("forwarder", sim, log, continuity)
+        votes = []
         voter = SensorHealthVoter(
-            sim, [("always", lambda: True)], machine, interval_s=1.0
+            sim, [("always", lambda: votes.append(sim.now) or True)], machine,
+            interval_s=1.0,
         )
         sim.run_until(3.0)
-        cast = voter.votes_cast
+        cast = len(votes)
         assert cast >= 2
         voter.stop()
         sim.run_until(10.0)
-        assert voter.votes_cast == cast
+        assert len(votes) == cast

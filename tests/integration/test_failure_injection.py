@@ -24,13 +24,16 @@ class TestDroneLoss:
 
     def test_grounded_drone_stops_relaying(self):
         scenario = build_worksite(ScenarioConfig(seed=21))
+        reports = []
+        scenario.network.nodes["forwarder"].on_message(
+            "detection_report", reports.append)
         scenario.run(300.0)
-        sent_before = scenario.relay.reports_sent
+        received_before = len(reports)
+        assert received_before > 0
         scenario.drone.ground("failure-injection")
         scenario.run(300.0)
-        sent_after = scenario.relay.reports_sent
         # a few in-flight reports may land; the stream must essentially stop
-        assert sent_after - sent_before <= 2
+        assert len(reports) - received_before <= 2
 
 
 class TestPowerLoss:
@@ -66,7 +69,6 @@ class TestWeatherShift:
         detector = scenario.detectors["forwarder"]
         scenario.run(600.0)
         clear_tp = detector.true_positives
-        clear_frames = scenario.safety_function.frames_processed
         scenario.weather.force_state(WeatherState.FOG)
         scenario.run(600.0)
         fog_tp = detector.true_positives - clear_tp
@@ -96,7 +98,6 @@ class TestPkiFailure:
 
         with pytest.raises(HandshakeError):
             network.establish("control", "drone")
-        assert network.handshake_failures == 1
 
     def test_existing_channels_survive_revocation(self):
         # revocation gates *new* handshakes; established record keys keep
@@ -104,5 +105,9 @@ class TestPkiFailure:
         scenario = build_worksite(ScenarioConfig(seed=26))
         network = scenario.network
         network.ca.revoke(network.identity("drone").chain[0].serial)
+        reports = []
+        network.nodes["forwarder"].on_message("detection_report",
+                                              reports.append)
         scenario.run(60.0)
-        assert scenario.relay is None or scenario.relay.reports_received >= 0
+        assert reports
+        assert network.nodes["forwarder"].records_rejected == 0

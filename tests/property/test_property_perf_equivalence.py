@@ -176,10 +176,8 @@ class TestSubkeyCacheEquivalence:
            records=st.lists(st.tuples(payloads, aads), min_size=1, max_size=8))
     def test_channel_records_match_uncached_aead(self, send_key, recv_key,
                                                  records):
-        alice = SecureChannel("a", "b", send_key, recv_key,
-                              SecurityProfile.AEAD)
-        bob = SecureChannel("b", "a", recv_key, send_key,
-                            SecurityProfile.AEAD)
+        alice = SecureChannel("b", send_key, recv_key, SecurityProfile.AEAD)
+        bob = SecureChannel("a", recv_key, send_key, SecurityProfile.AEAD)
         for plaintext, aad in records:
             record = alice.seal(plaintext, aad)
             expected = aead_encrypt(

@@ -1,9 +1,8 @@
-"""Unit tests for IEC 62443 zones/conduits and attack graphs."""
+"""Unit tests for IEC 62443 zones and conduits."""
 
 import pytest
 
 from repro.defense.countermeasures import CountermeasureCatalog
-from repro.risk.attack_graphs import AttackGraph
 from repro.risk.iec62443 import (
     Conduit,
     FOUNDATIONAL_REQUIREMENTS,
@@ -86,54 +85,3 @@ class TestZone:
         model.add_zone(Zone("a", systems=["fwd"]))
         assert model.zone_of_system("fwd").name == "a"
         assert model.zone_of_system("ghost") is None
-
-
-class TestAttackGraph:
-    def _graph(self):
-        graph = AttackGraph()
-        entry = graph.add_entry("perimeter")
-        radio = graph.add_state("radio-access")
-        goal = graph.add_goal("ch-command")
-        graph.add_action(entry, radio, "wifi_deauth")
-        graph.add_action(radio, goal, "message_injection")
-        # a second, harder path
-        physical = graph.add_state("physical-access")
-        graph.add_action(entry, physical, "firmware_tampering")
-        graph.add_action(physical, goal, "message_injection")
-        return graph, entry, goal
-
-    def test_paths_enumeration(self):
-        graph, _, goal = self._graph()
-        paths = graph.paths_to(goal)
-        assert len(paths) == 2
-
-    def test_min_effort_path_prefers_easy_route(self):
-        graph, _, goal = self._graph()
-        path, effort = graph.min_effort_path(goal)
-        assert "radio-access" in path
-        assert "physical-access" not in path
-
-    def test_path_attack_types(self):
-        graph, _, goal = self._graph()
-        path, _ = graph.min_effort_path(goal)
-        types = graph.path_attack_types(path)
-        assert types == ["wifi_deauth", "message_injection"]
-
-    def test_critical_attack_types_are_choke_points(self):
-        graph, _, goal = self._graph()
-        assert graph.critical_attack_types(goal) == ["message_injection"]
-
-    def test_severed_by_strong_mitigation(self):
-        graph, _, goal = self._graph()
-        # blocking injection (the choke point) severs all paths
-        assert graph.severed_by(goal, ["secure_channel_aead"])
-        # blocking only deauth leaves the physical path alive
-        assert not graph.severed_by(goal, ["protected_management_frames"])
-
-    def test_unreachable_goal(self):
-        graph = AttackGraph()
-        graph.add_entry("e")
-        goal = graph.add_goal("asset")
-        assert graph.min_effort_path(goal) is None
-        assert graph.paths_to(goal) == []
-        assert graph.severed_by(goal, [])

@@ -125,6 +125,24 @@ class TestRunSpecNumberTypes:
         with pytest.raises(InputError, match=re.escape(refused)):
             RunSpec.from_dict({"horizon_s": 60.0, **data})
 
+    @pytest.mark.parametrize("data, refused", [
+        ({"plan": [{"campaign": "rf_jamming", "start": 5.0,
+                    "duration": None}]},
+         "plan step must be a [campaign, start, duration] array, got {"),
+        ({"plan": [["rf_jamming", 5.0]]},
+         "plan step must be a [campaign, start, duration] array, "
+         "got ['rf_jamming', 5.0]"),
+        ({"plan": 5}, "plan must be an array, got 5"),
+        ({"faults": [["node_crash", "drone", 1.0, 5.0]]},
+         "fault must be a [kind, target, start, duration, params] array, "
+         "got ['node_crash', 'drone', 1.0, 5.0]"),
+        ({"faults": {"kind": "node_crash"}},
+         "faults must be an array, got {"),
+    ])
+    def test_wrong_shape_named(self, data, refused):
+        with pytest.raises(InputError, match=re.escape(refused)):
+            RunSpec.from_dict({"horizon_s": 60.0, **data})
+
     def test_integral_numbers_still_convert(self):
         # every valid spec keeps its key: an int still reads as a float
         spec = RunSpec.from_dict({"campaign": "rf_jamming", "seed": 3,

@@ -3,7 +3,7 @@ people-detection function."""
 
 import pytest
 
-from repro.safety.functions import Geofence, ProtectiveStop, SpeedLimiter
+from repro.safety.functions import ProtectiveStop, SpeedLimiter
 from repro.safety.monitor import SafetyMonitor
 from repro.safety.people_detection import CollaborativePeopleDetection
 from repro.sensors.camera import Camera
@@ -14,7 +14,7 @@ from repro.sim.forwarder import Forwarder
 from repro.sim.geometry import Vec2
 from repro.sim.missions import LogPile, MissionPlan
 from repro.sim.terrain import Terrain
-from repro.sim.world import World, Zone
+from repro.sim.world import World
 
 
 @pytest.fixture
@@ -37,7 +37,6 @@ class TestProtectiveStop:
         stop.evaluate(8.0)
         assert stop.engaged
         assert forwarder.safe_stopped
-        assert stop.demands == 1
 
     def test_hysteresis_prevents_oscillation(self, sim, log, forwarder):
         stop = ProtectiveStop(
@@ -55,44 +54,6 @@ class TestProtectiveStop:
         stop.evaluate(5.0)
         stop.evaluate(None)
         assert not stop.engaged
-
-
-class TestGeofence:
-    def test_inside_zone_no_action(self, sim, log, forwarder):
-        fence = Geofence(forwarder, [Zone("z", Vec2(0, 0), Vec2(200, 200))], sim, log)
-        fence.evaluate()
-        assert not fence.engaged
-
-    def test_breach_stops_machine(self, sim, log, forwarder):
-        fence = Geofence(
-            forwarder, [Zone("z", Vec2(0, 0), Vec2(40, 40))], sim, log, margin_m=2.0
-        )
-        fence.evaluate()  # forwarder at (50,50), outside
-        assert fence.engaged
-        assert forwarder.safe_stopped
-        assert fence.breaches == 1
-        assert log.count("geofence_breach") == 1
-
-    def test_believed_position_is_what_counts(self, sim, log, forwarder):
-        """A spoofed in-zone believed position hides a true breach."""
-        fence = Geofence(
-            forwarder, [Zone("z", Vec2(0, 0), Vec2(40, 40))], sim, log
-        )
-        fence.evaluate(believed_position=Vec2(20, 20))  # spoofed: looks fine
-        assert not fence.engaged
-
-    def test_reentry_clears(self, sim, log, forwarder):
-        fence = Geofence(
-            forwarder, [Zone("z", Vec2(0, 0), Vec2(40, 40))], sim, log
-        )
-        fence.evaluate(believed_position=Vec2(100, 100))
-        assert fence.engaged
-        fence.evaluate(believed_position=Vec2(20, 20))
-        assert not fence.engaged
-
-    def test_requires_zone(self, sim, log, forwarder):
-        with pytest.raises(ValueError):
-            Geofence(forwarder, [], sim, log)
 
 
 class TestSpeedLimiter:

@@ -67,7 +67,6 @@ class TestWorksite:
         scenario.run(300.0)
         node = scenario.network.nodes["forwarder"]
         assert node.messages_received > 0
-        assert node.unprotected_accepted > 0
 
     def test_item_model_matches_scenario_systems(self):
         item = worksite_item_model()

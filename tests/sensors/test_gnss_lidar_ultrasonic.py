@@ -1,11 +1,9 @@
-"""Unit tests for GNSS, LiDAR, ultrasonic and degradation models."""
+"""Unit tests for GNSS, ultrasonic and degradation models."""
 
 import pytest
 
 from repro.sensors.degradation import DegradationModel
 from repro.sensors.gnss import GnssReceiver
-from repro.sensors.lidar import Lidar
-from repro.sensors.occlusion import OcclusionModel
 from repro.sensors.ultrasonic import UltrasonicArray
 from repro.sim.engine import Simulator
 from repro.sim.entities import Entity
@@ -40,7 +38,6 @@ class TestGnss:
         fix = gnss.fix(0.0)
         assert not fix.valid
         assert fix.n_satellites == 0
-        assert gnss.fixes_lost == 1
 
     def test_partial_jamming_degrades(self, sim, log, streams):
         carrier = Entity("c", sim, log, Vec2(0, 0))
@@ -71,35 +68,6 @@ class TestGnss:
         assert gnss.fix(0.0).valid
 
 
-class TestLidar:
-    def test_detects_within_range(self, sim, log, streams, flat_world):
-        occ = OcclusionModel(flat_world)
-        carrier = Entity("c", sim, log, Vec2(10, 10))
-        lidar = Lidar("l", carrier, occ, streams, max_range=60.0)
-        target = Entity("t", sim, log, Vec2(25, 10))
-        assert lidar.return_probability(0.0, target) > 0.8
-
-    def test_no_return_beyond_range(self, sim, log, streams, flat_world):
-        occ = OcclusionModel(flat_world)
-        carrier = Entity("c", sim, log, Vec2(10, 10))
-        lidar = Lidar("l", carrier, occ, streams, max_range=60.0)
-        target = Entity("t", sim, log, Vec2(90, 10))
-        assert lidar.return_probability(0.0, target) == 0.0
-
-    def test_measured_range_accuracy(self, sim, log, streams, flat_world):
-        occ = OcclusionModel(flat_world)
-        carrier = Entity("c", sim, log, Vec2(10, 10))
-        lidar = Lidar("l", carrier, occ, streams, range_sigma=0.05)
-        target = Entity("t", sim, log, Vec2(30, 10))
-        measured = [
-            o.data["measured_range"]
-            for o in (lidar.observe(float(i), [target]) for i in range(200))
-            for o in o if o.detected
-        ]
-        assert measured
-        assert abs(sum(measured) / len(measured) - 20.0) < 0.1
-
-
 class TestUltrasonic:
     def test_short_range_only(self, sim, log, streams):
         carrier = Entity("c", sim, log, Vec2(0, 0))
@@ -126,21 +94,18 @@ class TestDegradation:
     def test_clear_is_best(self):
         clear = self._factors(WeatherState.CLEAR)
         assert clear.camera == pytest.approx(1.0)
-        assert clear.lidar > 0.95
 
     def test_fog_hits_optics_hardest(self):
         fog = self._factors(WeatherState.FOG)
         clear = self._factors(WeatherState.CLEAR)
         assert fog.camera < 0.4 * clear.camera
-        assert fog.gnss > 0.9
 
-    def test_heavy_rain_degrades_lidar(self):
+    def test_heavy_rain_degrades_camera(self):
         rain = self._factors(WeatherState.HEAVY_RAIN)
-        assert rain.lidar < 0.55
         assert rain.camera < 0.5
 
     def test_all_factors_bounded(self):
         for state in WeatherState:
             f = self._factors(state)
-            for value in (f.camera, f.lidar, f.ultrasonic, f.gnss):
+            for value in (f.camera, f.ultrasonic):
                 assert 0.0 <= value <= 1.0

@@ -141,7 +141,6 @@ class TestDrone:
         assert drone.mode is DroneMode.RETURNING or drone.mode is DroneMode.CHARGING
         sim.run_until(400.0)
         # after recharge the drone relaunches
-        assert drone.sorties >= 1
         assert log.count("drone_landed") >= 1
         assert log.count("drone_launched") >= 1
 
@@ -168,7 +167,7 @@ class TestHuman:
             approach_target=target, approach_rate_per_h=30.0,
         )
         sim.run_until(3600.0)
-        assert human.approaches_started >= 10
+        assert log.count("approach_started") >= 10
 
     def test_approach_breaks_off_near_target(self, sim, log, streams, world):
         target = Forwarder("f", sim, log, Vec2(70, 50), world, None)

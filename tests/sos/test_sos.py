@@ -62,6 +62,16 @@ class TestComposition:
                                     criticality="safety"))
         assert "provider" in sos.single_points_of_failure()
 
+    def test_worksite_cycle_excludes_the_start(self):
+        # control_station <-> fleet_cloud is a cycle: the walk still leaves
+        # the starting system out of its own dependents
+        sos = worksite_sos()
+        assert sos.dependents_of("control_station") == {"fleet_cloud",
+                                                        "forwarder"}
+        assert sos.dependents_of("fleet_cloud") == {"control_station",
+                                                    "forwarder"}
+        assert sos.single_points_of_failure() == ["drone", "control_station"]
+
     def test_worksite_spofs_are_the_safety_providers(self):
         spofs = set(worksite_sos().single_points_of_failure())
         assert {"drone", "control_station"} <= spofs

@@ -863,7 +863,7 @@ class TestNonFiniteInputs:
                       reason="fault start must be finite")
 
 
-_META = '{"i":0,"t":0.0,"type":"trace.meta","v":1}\n'
+_META = '{"i":0,"schema":1,"t":0.0,"type":"trace.meta","v":1}\n'
 _STATE = ('{"failures": 0, "heatmap": {}, "iterations_done": 0, '
           '"schema": 1, "seed": 42, "seed_signatures": 0, '
           '"unshrinkable": 0}')
@@ -878,7 +878,7 @@ _NEGATIVE_JITTER = ('jitter_s = -5.0\n\n[[fault]]\nkind = "node_crash"\n'
                     'target = "drone"\nstart = 10.0\n')
 #: the head of a crash_brownout trace whose header horizon is a string
 _STRING_HORIZON = (
-    '{"horizon_s":"60","i":0,"t":0.0,"type":"trace.meta","v":1}\n'
+    '{"horizon_s":"60","i":0,"schema":1,"t":0.0,"type":"trace.meta","v":1}\n'
     '{"fault":"node_crash","i":1,"t":30.0,"target":"drone",'
     '"type":"fault.inject","v":1}\n'
     '{"cause":"node_crash","i":2,"machine":"drone","service":"compute",'
@@ -1017,6 +1017,9 @@ MALFORMED = {
     "trace-analyze-horizon-a-string": (
         ["trace", "--analyze", "{tmp}/t.jsonl"],
         {"t.jsonl": _STRING_HORIZON}),
+    "trace-analyze-record-missing-a-field": (
+        ["trace", "--analyze", "{tmp}/t.jsonl"],
+        {"t.jsonl": _META + '{"i":1,"t":1.0,"type":"fault.inject","v":1}\n'}),
     "check-future-trace-version": (
         ["check", "--no-replay", "--trace", "{tmp}/t.jsonl"],
         {"t.jsonl": '{"i":0,"t":0.0,"type":"trace.meta","v":2}\n'
@@ -1099,6 +1102,11 @@ MALFORMED = {
         ["check", "--trace", "{tmp}/t.jsonl"],
         {"t.jsonl": '{"i":0,"spec":{"horizon_s":12.0,"seed":true},'
                     '"t":0.0,"type":"trace.meta","v":1}\n'}),
+    "check-spec-plan-step-an-object": (
+        ["check", "--trace", "{tmp}/t.jsonl"],
+        {"t.jsonl": '{"i":0,"spec":{"horizon_s":25.0,"plan":[{"campaign":'
+                    '"wifi_deauth","duration":null,"start":5.0}]},'
+                    '"t":0.0,"type":"trace.meta","v":1}\n'}),
     "check-spec-plan-repeats-a-campaign": (
         ["check", "--trace", "{tmp}/t.jsonl"],
         {"t.jsonl": '{"i":0,"spec":{"horizon_s":25.0,"plan":['
@@ -1121,8 +1129,13 @@ NAMED = {
     "sweep-spec-ids-families-a-string": ("{tmp}/g.toml: ids_families ",),
     "check-spec-seed-not-an-integer": ("{tmp}/t.jsonl: trace.meta spec: ",
                                        "seed must be an integer"),
+    "check-spec-plan-step-an-object": (
+        "{tmp}/t.jsonl: trace.meta spec: ",
+        "plan step must be a [campaign, start, duration] array"),
     "trace-analyze-horizon-a-string": ("{tmp}/t.jsonl: trace.meta horizon_s ",
                                        "must be a number"),
+    "trace-analyze-record-missing-a-field": (
+        "{tmp}/t.jsonl: record 1: fault.inject: missing field 'fault'",),
 }
 
 

@@ -12,9 +12,11 @@ __init__(...)`` calls the class's first base, ``cls(...)`` inside a
 class body calls that class, and ``replace(obj, field=...)`` passes the
 dataclass fields it names.
 
-Fields of a mutable dataclass that are state rather than settings — a
-fresh container (``field(...)``) or an attribute some ``src`` code
-assigns after construction — are not parameters.
+Fields of a mutable dataclass that are state rather than settings are
+not parameters: a field some ``src`` code assigns after construction, or
+mutates (a subscript store, or a call such as ``append``, ``add`` or
+``update`` on it).  A ``field(...)`` default that nothing changes is a
+setting like any other.
 """
 
 import ast
@@ -27,6 +29,11 @@ import repro
 
 REPO = Path(repro.__file__).resolve().parents[2]
 SCANNED = ("src", "bench", "benchmarks", "tools", "examples", "tests")
+
+#: methods that change the container they are called on
+MUTATORS = {"add", "append", "appendleft", "clear", "discard", "extend",
+            "insert", "pop", "popitem", "popleft", "remove", "setdefault",
+            "update"}
 
 #: defaulted parameters passed in ways the name match cannot see, or kept
 #: configurable on purpose: qualified name pattern -> reason
@@ -65,9 +72,9 @@ def _is_field(value):
 
 
 def _fields(cls):
-    """(name, defaulted, state) per constructor field of a dataclass or
-    ``NamedTuple``, ``state`` standing for "a fresh container in a mutable
-    dataclass"; None for any other class."""
+    """(name, defaulted, mutable) per constructor field of a dataclass or
+    ``NamedTuple``, ``mutable`` being true in a mutable dataclass; None
+    for any other class."""
     decorators = _decorators(cls)
     named_tuple = any(_name(base) == "NamedTuple" for base in cls.bases)
     if "dataclass" not in decorators and not named_tuple:
@@ -90,14 +97,15 @@ def _fields(cls):
         ):
             continue
         fields.append((node.target.id, value is not None,
-                       None if frozen else _is_field(value)))
+                       not frozen))
     return fields
 
 
 def _definitions(module, tree):
     """(qualified name, called name, params, positional count, fields?)
-    per function, method and dataclass in ``tree``; a field's params entry
-    carries its state flag (None in a frozen class)."""
+    per function, method and dataclass in ``tree``; the third item of a
+    params entry is a field's mutable flag, None for a function's
+    parameter."""
     found = []
 
     def visit(statements, prefix, cls):
@@ -134,7 +142,8 @@ def _definitions(module, tree):
 
 def _calls_and_stores(tree, calls, stored):
     """Add each call in ``tree`` to ``calls`` (called name -> positional
-    count, keywords, spreads) and each attribute it assigns to ``stored``."""
+    count, keywords, spreads) and each attribute it assigns or mutates to
+    ``stored``."""
     stack = [(tree, None)]
     while stack:
         node, cls = stack.pop()
@@ -153,8 +162,15 @@ def _calls_and_stores(tree, calls, stored):
                 calls[name].append(
                     (len(node.args), {k.arg for k in node.keywords}, spreads)
                 )
+            if (name in MUTATORS and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Attribute)):
+                stored.add(func.value.attr)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             stored.add(node.attr)
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute)):
+            stored.add(node.value.attr)
         elif isinstance(node, ast.ClassDef):
             cls = node
         for field in node._fields:
@@ -183,10 +199,10 @@ def unpassed_parameters():
     missing = []
     for qual, called, params, positional, is_fields in definitions:
         sites = calls.get(called, [])
-        for index, (param, defaulted, container) in enumerate(params):
+        for index, (param, defaulted, mutable) in enumerate(params):
             if not defaulted or (is_fields and param in replaced):
                 continue
-            if container is not None and (container or param in stored):
+            if mutable and param in stored:
                 continue  # state of a mutable dataclass, not a setting
             if not any(spreads or param in keywords
                        or (index < positional and count > index)
